@@ -17,21 +17,27 @@ d^2 = 0 and gradedness:
 * a graded change of basis  u := u + U^m v  (same Maslov after the shift),
 * removal of an isolated two-generator summand  d(e) = U^c f.
 
-The same loop, parameterized by which entries may serve as pivots, gives
-filtered reduction (c = 0 and equal Alexander gradings), reduction up to
-unfiltered GF(2)[U]-homotopy equivalence (c = 0), reduction over the
-Laurent ring (any c), and Smith normal form over GF(2)[U] (minimal c
-first, recording U-torsion), which is how homology is computed.
+Every pivot is chosen by one loop, `_Reduction.eliminate`, parameterized by
+which entries may serve as pivots.  It gives filtered reduction (c = 0 and
+equal Alexander gradings), reduction up to unfiltered GF(2)[U]-homotopy
+equivalence (c = 0), reduction over the Laurent ring (any c), Smith normal
+form over GF(2)[U] (minimal c first, recording U-torsion), which is how
+homology is computed, and, keeping each isolated pair in place, the
+filtered splitting of the dual-knot normal form.
+
+Every map on homology is computed by one routine, `induced_map`: it pushes
+the cycles of one reduced complex through a chain map into another and
+reads off the rank, the kernel and the 0/1 matrix over GF(2).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import gf2
 from .errors import BadParameter, NoUnitEntry
 
 Chain = dict[str, int]  # generator name -> U-power, GF(2) coefficients implicit
@@ -90,19 +96,12 @@ class FilteredComplex:
             for tgt, k in self.differential[src].items():
                 yield src, tgt, k
 
-    def row(self, src: str) -> dict[str, int]:
-        return dict(self.differential.get(src, {}))
-
     def j_drop(self, src: str, tgt: str, k: int) -> Fraction:
         return self._by_name[src].alexander - self._by_name[tgt].alexander + k
 
     def boundary(self, chain: Chain) -> Chain:
         """d of a GF(2)[U]-chain given as {name: power}."""
-        out: Chain = {}
-        for name, power in chain.items():
-            for tgt, k in self.differential.get(name, {}).items():
-                _toggle(out, tgt, power + k)
-        return out
+        return apply_map(self.differential, chain)
 
     def with_generators(self, names: Iterable[str]) -> "FilteredComplex":
         """Full subcomplex on a subset of generators (entries inside it)."""
@@ -244,7 +243,6 @@ class _Reduction:
         names = list(self.gens)
         self.project: DiffMap = {n: {n: 0} for n in names}
         self.include: DiffMap = {n: {n: 0} for n in names}
-        self.torsion: list[tuple[str, int]] = []  # (target name, order) per pivot
 
     # elementary moves ----------------------------------------------------
 
@@ -274,14 +272,22 @@ class _Reduction:
             _toggle(inc_u, tgt, k + m)
         self.include[u] = inc_u
 
-    def remove_pair(self, e: str, f: str) -> int:
-        """Drop an isolated summand d(e) = U^c f; returns c."""
-        row = self.diff.get(e, {})
-        assert set(row) == {f}, "row of e not cleared"
-        assert self.sources.get(f, set()) == {e}, "column of f not cleared"
+    def isolate(self, e: str, f: str) -> None:
+        """Clear row e / column f against the pivot entry d(e) = U^c f."""
+        c = self.diff[e][f]
+        for s in list(self.sources.get(f, set())):
+            if s != e:
+                self.basis_change(s, e, self.diff[s][f] - c)
+        for h, d in list(self.diff.get(e, {}).items()):
+            if h != f:
+                self.basis_change(f, h, d - c)
+        assert set(self.diff[e]) == {f}, "row of e not cleared"
+        assert self.sources[f] == {e}, "column of f not cleared"
+
+    def remove_pair(self, e: str, f: str) -> None:
+        """Drop a summand d(e) = U^c f that isolate has cleared."""
         assert not self.sources.get(e), "unexpected entries into e"
         assert not self.diff.get(f), "unexpected entries out of f"
-        c = row[f]
         del self.diff[e]
         self.sources.pop(f, None)
         self.sources.pop(e, None)
@@ -291,41 +297,56 @@ class _Reduction:
         for name, prow in self.project.items():
             prow.pop(e, None)
             prow.pop(f, None)
-        return c
 
-    def cancel(self, e: str, f: str) -> int:
-        """Clear row e / column f against the pivot entry, then remove the pair."""
-        c = self.diff[e][f]
-        for s in list(self.sources.get(f, set())):
-            if s != e:
-                self.basis_change(s, e, self.diff[s][f] - c)
-        for h, d in list(self.diff.get(e, {}).items()):
-            if h != f:
-                self.basis_change(f, h, d - c)
-        return self.remove_pair(e, f)
+    # the elimination loop -------------------------------------------------
 
-    # pivot scans ----------------------------------------------------------
+    def eliminate(self, accept: Callable[[str, str, int], bool], *,
+                  lowest_power: bool = False, rng: random.Random | None = None,
+                  keep: bool = False) -> list[tuple[str, str, int]]:
+        """Isolate pivot entries until accept admits none; returns the pivots.
 
-    def iter_entries(self) -> Iterator[tuple[str, str, int]]:
-        for src in sorted(self.diff, key=self.order.__getitem__):
-            for tgt in sorted(self.diff[src], key=self.order.__getitem__):
-                yield src, tgt, self.diff[src][tgt]
+        Live entries src -> U^k tgt are walked in generator order (source,
+        then target) and the pivot is the first one accept(src, tgt, k)
+        admits; lowest_power walks only the entries of the lowest live
+        U-power, and rng picks uniformly among every admitted entry.  Each
+        pivot e -> U^c f is isolated, then removed, or with keep left in
+        place and skipped from then on.  Pivots are returned as (e, f, c).
+        """
+        order = self.order.__getitem__
+        pivots: list[tuple[str, str, int]] = []
+        kept: set[str] = set()
 
-    def find_pivot(self, accept: Callable[[str, str, int], bool],
-                   rng: random.Random | None = None) -> tuple[str, str, int] | None:
-        found = [(s, t, k) for s, t, k in self.iter_entries() if accept(s, t, k)]
-        if not found:
-            return None
-        if rng is not None:
-            return found[rng.randrange(len(found))]
-        return found[0]
+        def live() -> Iterator[tuple[str, str, int]]:
+            for s in sorted(self.diff.keys() - kept, key=order):
+                row = self.diff[s]
+                for t in sorted(row, key=order):
+                    if t not in kept:
+                        yield s, t, row[t]
 
-    def snapshot(self) -> FilteredComplex:
-        gens = [g for g in self.c.generators if g.name in self.gens]
-        return FilteredComplex(gens, {s: dict(r) for s, r in self.diff.items()})
+        while True:
+            if lowest_power:
+                floor = min((k for s, row in self.diff.items() if s not in kept
+                             for t, k in row.items() if t not in kept), default=None)
+            found = (x for x in live() if (not lowest_power or x[2] == floor) and accept(*x))
+            if rng is not None:
+                found = list(found)
+                pivot = found[rng.randrange(len(found))] if found else None
+            else:
+                pivot = next(found, None)
+            if pivot is None:
+                return pivots
+            e, f, _ = pivot
+            self.isolate(e, f)
+            if keep:
+                kept.update((e, f))
+            else:
+                self.remove_pair(e, f)
+            pivots.append(pivot)
 
     def finish(self) -> ReducedForm:
-        return ReducedForm(self.c, self.snapshot(), self.project, self.include)
+        reduced = FilteredComplex(list(self.gens.values()),
+                                  {s: dict(r) for s, r in self.diff.items()})
+        return ReducedForm(self.c, reduced, self.project, self.include)
 
     def j_drop(self, src: str, tgt: str, k: int) -> Fraction:
         return self.gens[src].alexander - self.gens[tgt].alexander + k
@@ -337,7 +358,7 @@ def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
     if k is None or k != 0:
         raise NoUnitEntry(f"no unit differential entry {source} -> {target}")
     state = _Reduction(c)
-    state.cancel(source, target)
+    state.eliminate(lambda s, t, k: (s, t) == (source, target))
     return state.finish()
 
 
@@ -366,11 +387,8 @@ def reduce(c: FilteredComplex, mode: str = "filtered",
         accept = lambda s, t, k: k == 0
     else:
         accept = lambda s, t, k: True
-    while True:
-        pivot = state.find_pivot(accept, rng)
-        if pivot is None:
-            return state.finish()
-        state.cancel(*pivot[:2])
+    state.eliminate(accept, rng=rng)
+    return state.finish()
 
 
 # -- homology --------------------------------------------------------------
@@ -386,10 +404,6 @@ class GradedRanks:
     @property
     def total_rank(self) -> int:
         return sum(self.ranks.values())
-
-    @property
-    def total_torsion(self) -> int:
-        return sum(len(v) for v in self.torsion.values())
 
     def rank(self, *key) -> int:
         return self.ranks.get(tuple(_plain(k) for k in key), 0)
@@ -432,24 +446,49 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
     so all elimination stays inside the polynomial ring.
     """
     state = _Reduction(c)
-    while True:
-        entries = list(state.iter_entries())
-        if not entries:
-            break
-        c_min = min(k for _, _, k in entries)
-        pivot = next((s, t, k) for s, t, k in entries if k == c_min)
-        order = state.cancel(pivot[0], pivot[1])
-        if order > 0:
-            state.torsion.append((pivot[1], order))
+    pivots = state.eliminate(lambda *_: True, lowest_power=True)
     ranks: dict[tuple, int] = {}
-    for g in state.snapshot().generators:
+    for g in state.gens.values():
         key = grading_key(g, keys)
         ranks[key] = ranks.get(key, 0) + 1
     torsion: dict[tuple, list[int]] = {}
-    for name, order in state.torsion:
-        key = grading_key(c.generator(name), keys)
-        torsion.setdefault(key, []).append(order)
+    for _, name, order in pivots:
+        if order > 0:
+            key = grading_key(c.generator(name), keys)
+            torsion.setdefault(key, []).append(order)
     return GradedRanks(ranks, {k: tuple(sorted(v)) for k, v in torsion.items()})
+
+
+# -- maps on homology --------------------------------------------------------
+
+
+def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm,
+                chain_map: Callable[[Chain], Chain]) -> tuple[int, list[Chain], list[list[int]]]:
+    """Rank, kernel cycles and 0/1 matrix (rows: rf_cod basis, columns: rf_dom
+    basis) of the map chain_map induces on homology, both reduced forms having
+    zero differential: each rf_dom generator is pulled back to a cycle of its
+    source, mapped, and pushed into rf_cod's basis."""
+    cod_index = {g.name: i for i, g in enumerate(rf_cod.complex.generators)}
+    cycles: list[Chain] = []
+    columns: list[int] = []
+    for b in rf_dom.complex.generators:
+        cycle = rf_dom.pull({b.name: 0})
+        cycles.append(cycle)
+        bits = 0
+        for name in rf_cod.push(chain_map(cycle)):
+            bits |= 1 << cod_index[name]
+        columns.append(bits)
+    rank, kernel_masks = gf2.column_reduce(columns)
+    kernel: list[Chain] = []
+    for mask in kernel_masks:
+        chain: Chain = {}
+        for j, cycle in enumerate(cycles):
+            if mask >> j & 1:
+                for name, power in cycle.items():
+                    _toggle(chain, name, power)
+        kernel.append(chain)
+    matrix = [[col >> i & 1 for col in columns] for i in range(len(cod_index))]
+    return rank, kernel, matrix
 
 
 # -- graded slices ---------------------------------------------------------
@@ -477,62 +516,3 @@ def j_graded(c: FilteredComplex) -> FilteredComplex:
         for s, row in c.differential.items()
     }
     return FilteredComplex(c.generators, diff)
-
-
-# -- randomized property-test helper ----------------------------------------
-
-
-def default_seed() -> int:
-    return int(os.environ.get("FLOERCONE_SEED", "20260810"))
-
-
-def random_filtered_complex(rng: random.Random, n_free: int = 3, n_pairs: int = 3,
-                            moves: int = 25) -> tuple[FilteredComplex, GradedRanks]:
-    """A random valid complex with known GF(2)[U]-homology.
-
-    Starts from a direct sum of free generators and U^k two-step summands,
-    then scrambles it with random graded, filtration-legal changes of basis
-    (which leave homology alone).  The returned GradedRanks is keyed by
-    Maslov grading only: Alexander labels of homology classes are a
-    filtration-level bookkeeping that basis changes may legitimately move
-    (they are canonical only on j-graded complexes).
-    """
-    gens: list[Generator] = []
-    diff: DiffMap = {}
-    ranks: dict[tuple, int] = {}
-    torsion: dict[tuple, list[int]] = {}
-    for i in range(n_free):
-        a, m = rng.randint(-2, 2), rng.randint(-3, 3)
-        gens.append(Generator(f"f{i}", a, m))
-        key = (m,)
-        ranks[key] = ranks.get(key, 0) + 1
-    for i in range(n_pairs):
-        a, m = rng.randint(-2, 2), rng.randint(-3, 3)
-        k = rng.randint(0, 2)
-        jd = rng.randint(0, 2)
-        # pair e -> U^k f with chosen i-drop k and j-drop jd
-        f = Generator(f"p{i}", a, m)
-        e = Generator(f"q{i}", a - k + jd, m - 2 * k + 1)
-        gens += [f, e]
-        diff[e.name] = {f.name: k}
-        if k > 0:
-            key = (m,)
-            torsion.setdefault(key, []).append(k)
-    by_name = {g.name: g for g in gens}
-    state = _Reduction(FilteredComplex(gens, diff))
-    names = [g.name for g in gens]
-    for _ in range(moves):
-        u, v = rng.sample(names, 2)
-        gu, gv = by_name[u], by_name[v]
-        two_m = gv.maslov - gu.maslov
-        if two_m % 2 != 0:
-            continue
-        m = int(two_m // 2)
-        if m < 0:
-            continue
-        if gv.alexander - m > gu.alexander:
-            continue
-        state.basis_change(u, v, m)
-    scrambled = FilteredComplex(gens, {s: dict(r) for s, r in state.diff.items()})
-    expected = GradedRanks(ranks, {k: tuple(sorted(v)) for k, v in torsion.items()})
-    return scrambled, expected

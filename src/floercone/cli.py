@@ -137,15 +137,19 @@ def cmd_surgery(args) -> int:
 
 def cmd_dualknot(args) -> int:
     if args.model.startswith("minus-en:"):
-        c = minus_twist_knot(int(args.model.split(":", 1)[1]))
+        try:
+            size = int(args.model.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParseError(f"not an integer model size: {args.model!r}") from exc
+        c = minus_twist_knot(size)
     elif args.model == "staircase":
         c = staircase()
     else:
         c = _read_complex(args.model)
     dc = build_dual_cone(c, flip(c), args.n)
     payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.genus}
+    nf = normal_form(dc)
     if args.check == "normalform":
-        nf = normal_form(dc)
         payload["summands"] = [
             {"kind": s.kind, "names": list(s.names),
              "positions": [[serialize.fraction_json(a), serialize.fraction_json(m)]
@@ -155,7 +159,6 @@ def cmd_dualknot(args) -> int:
         payload["counts"] = {kind: nf.count(kind) for kind in ("free", "horizontal", "vertical")}
         payload["complex"] = serialize.complex_to_json(nf.form.complex)
     else:
-        nf = normal_form(dc)
         rep = g_map(nf.form.complex)
         payload["gmap"] = {
             "alexander": serialize.fraction_json(rep.alexander),

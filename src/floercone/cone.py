@@ -31,17 +31,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Mapping
 
-from . import gf2
 from .algebra import (
     FilteredComplex,
     Generator,
     GradedRanks,
     grading_key,
+    hat_slice,
     homology,
+    induced_map,
     reduce,
     require_valid,
 )
-from .errors import BadCoefficients, NoSuchVertex, NotTruncatable
+from .errors import BadCoefficient, NoSuchVertex, NotTruncatable
 from .models import FlipMap
 
 
@@ -49,7 +50,7 @@ def effective_genus(c: FilteredComplex) -> int:
     """Seifert genus read off the model as max Alexander grading, floored at 1."""
     top = max((g.alexander for g in c.generators), default=Fraction(0))
     if top.denominator != 1:
-        raise BadCoefficients("model has non-integral Alexander gradings")
+        raise BadCoefficient("model has non-integral Alexander gradings")
     return max(1, int(top))
 
 
@@ -73,7 +74,7 @@ class MappingCone:
     def __init__(self, source: FilteredComplex, flip: FlipMap, p: int, q: int,
                  a_ts: Iterable[int], b_ts: Iterable[int], range_mode: str = "custom"):
         if q <= 0 or p == 0 or gcd(p, q) != 1:
-            raise BadCoefficients(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
+            raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
         require_valid(source)
         self.source = source
         self.flip = flip
@@ -92,7 +93,7 @@ class MappingCone:
     def build(cls, source: FilteredComplex, flip: FlipMap, p: int, q: int,
               range_mode: str = "paper") -> "MappingCone":
         if q <= 0 or p == 0 or gcd(p, q) != 1:
-            raise BadCoefficients(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
+            raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
         g = effective_genus(source)
         lo = min((1 - g) * q, g * q - p)
         hi = g * q - 1
@@ -101,7 +102,7 @@ class MappingCone:
             lo -= pad
             hi += pad
         elif range_mode != "paper":
-            raise BadCoefficients(f"unknown range mode {range_mode!r}")
+            raise BadCoefficient(f"unknown range mode {range_mode!r}")
         a_ts = range(lo, hi + 1)
         b_ts = range(lo + p, hi + 1)
         return cls(source, flip, p, q, a_ts, b_ts, range_mode)
@@ -237,9 +238,7 @@ class MappingCone:
     def hat_complex(self, sector: int | None = None) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
         """The I = 0 part: same elements, only the U-power-0 entries."""
         total, table = self.total_complex(sector)
-        diff = {s: {t: k for t, k in row.items() if k == 0}
-                for s, row in total.differential.items()}
-        return FilteredComplex(total.generators, diff), table
+        return hat_slice(total), table
 
     def hat(self, sector: int | None = None) -> "HatCone":
         complex_, table = self.hat_complex(sector)
@@ -260,7 +259,7 @@ class MappingCone:
                 key = grading_key(g, ("maslov_parity",))
                 ranks[key] = ranks.get(key, 0) + 1
             return GradedRanks(ranks)
-        raise BadCoefficients(f"unknown flavor {flavor!r}")
+        raise BadCoefficient(f"unknown flavor {flavor!r}")
 
     def all_sector_ranks(self, flavor: str = "hat") -> dict[int, int]:
         return {i: self.sector_homology(i, flavor).total_rank for i in self.sectors}
@@ -347,7 +346,7 @@ def hat_map_is_quasi_iso(c: FilteredComplex, flip: FlipMap, s: int, kind: str) -
     elif kind == "h":
         cone = MappingCone(c, flip, 1, 1, [s], [s + 1])
     else:
-        raise BadCoefficients(f"kind must be 'v' or 'h', got {kind!r}")
+        raise BadCoefficient(f"kind must be 'v' or 'h', got {kind!r}")
     hat, _ = cone.hat_complex()
     return homology(hat, ("maslov",)).total_rank == 0
 
@@ -378,42 +377,16 @@ def include_B(cone, t: int) -> IncludeBReport:
     if t not in cone._b_set:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
     sector = cone.spin_c(t)
-    hat, table = cone.hat_complex(sector)
-    sub_names = [n for n, info in table.items() if info.segment == "B" and info.t == t]
-    vertex_cx = hat.with_generators(sub_names)
-    rf_vertex = reduce(vertex_cx, "over_U_units")
-    rf_sector = reduce(hat, "over_U_units")
-    cod = [g.name for g in rf_sector.complex.generators]
-    cod_index = {n: i for i, n in enumerate(cod)}
-    columns = []
-    cycles = []
-    for b in rf_vertex.complex.generators:
-        cycle = rf_vertex.pull({b.name: 0})
-        cycles.append(cycle)
-        image = rf_sector.push(cycle)
-        bits = 0
-        for name in image:
-            bits |= 1 << cod_index[name]
-        columns.append(bits)
-    map_rank, kernel_masks = gf2.column_reduce(columns)
-    kernel = []
-    for mask in kernel_masks:
-        chain: dict[str, int] = {}
-        for j, cyc in enumerate(cycles):
-            if mask >> j & 1:
-                for name, power in cyc.items():
-                    if name in chain:
-                        del chain[name]
-                    else:
-                        chain[name] = power
-        kernel.append(chain)
-    matrix = [[columns[j] >> i & 1 for j in range(len(columns))] for i in range(len(cod))]
+    hat = cone.hat(sector)
+    rf_vertex = reduce(hat.complex.with_generators(hat.vertex_elements("B", t)), "over_U_units")
+    rf_sector = reduce(hat.complex, "over_U_units")
+    map_rank, kernel, matrix = induced_map(rf_vertex, rf_sector, lambda chain: chain)
     return IncludeBReport(
         t=t,
         sector=sector,
         matrix=matrix,
-        domain_rank=len(columns),
-        codomain_rank=len(cod),
+        domain_rank=len(rf_vertex.complex),
+        codomain_rank=len(rf_sector.complex),
         map_rank=map_rank,
         kernel=kernel,
     )

@@ -25,7 +25,14 @@ from .errors import (
     ZeroCoefficient,
 )
 from .models import flip, minus_twist_knot
-from .dual import build_dual_cone, distinct_classes, g_map, loss_grading, normal_form
+from .dual import (
+    NormalFormResult,
+    build_dual_cone,
+    distinct_classes,
+    g_map,
+    loss_grading,
+    normal_form,
+)
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,9 @@ class PipelineReport:
         return f"distinct: {'yes' if self.distinct else 'no'} ({self.case})"
 
 
-def _case_minus_two(n: int, report: PipelineReport) -> None:
-    """Framing +1 computation: distinct Legendrian invariants stay distinct."""
+def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
+    """Framing +1 computation: distinct Legendrian invariants stay distinct.
+    Returns the dual-knot normal form it verified."""
     model = minus_twist_knot(n)
     dc = build_dual_cone(model, flip(model), 1)
     nf = normal_form(dc)
@@ -264,11 +272,12 @@ def _case_minus_two(n: int, report: PipelineReport) -> None:
         {"class_a": class_a, "class_b": class_b, "distinct": distinct}, distinct))
     if not distinct:
         raise AssertionError("top-grading classes unexpectedly merge")
+    return nf
 
 
 def _case_minus_two_minus_k(n: int, k: int, report: PipelineReport) -> None:
     """Reduce to the -2 case through the -(k+1)/k cone over the dual complex."""
-    _case_minus_two(n, report)
+    nf = _case_minus_two(n, report)
     push_off = LegendrianData(0, -1)
     p, q = -(k + 1), k
     loc = locate_contact_class(push_off, p, q)
@@ -277,8 +286,6 @@ def _case_minus_two_minus_k(n: int, k: int, report: PipelineReport) -> None:
         "computed", "contact class located in the surgery cone",
         {"p": p, "q": q, "t": loc.t, "vertex": loc.vertex, "c1": c1,
          "self_conjugate": c1 == 0}, True))
-    model = minus_twist_knot(n)
-    nf = normal_form(build_dual_cone(model, flip(model), 1))
     dual_complex = nf.form.complex
     cone = MappingCone.build(dual_complex, flip(dual_complex), p, q, "full")
     rep = include_B(cone, loc.t)

@@ -19,21 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gf2
 from .algebra import (
     Chain,
     FilteredComplex,
     Generator,
     ReducedForm,
     _Reduction,
+    _toggle,
     check_complex,
     compose_maps,
+    induced_map,
     reduce,
     require_valid,
 )
 from .cone import ElementInfo, MappingCone, effective_genus
 from .errors import BadFraming, NonIntegral, NormalFormMismatch, NotCycles
-from .models import FlipMap, hat_column
+from .models import FlipMap, hat_column, minus_slice
 
 
 @dataclass
@@ -102,30 +103,17 @@ def split_to_summands(c: FilteredComplex) -> ReducedForm:
     a direct sum of one- and two-generator filtered pieces.
     """
     state = _Reduction(c)
-    frozen: set[str] = set()
-    while True:
-        entries = [(s, t, k) for s, t, k in state.iter_entries()
-                   if s not in frozen and t not in frozen]
-        if not entries:
-            break
-        pivot = None
-        for s, t, k in entries:
-            jd = state.j_drop(s, t, k)
-            col = [(s2, k2) for s2, t2, k2 in entries if t2 == t]
-            row = [(t2, k2) for s2, t2, k2 in entries if s2 == s]
-            if all(k2 >= k and state.j_drop(s2, t, k2) >= jd for s2, k2 in col) and \
-               all(k2 >= k and state.j_drop(s, t2, k2) >= jd for t2, k2 in row):
-                pivot = (s, t, k)
-                break
-        if pivot is None:
-            raise NormalFormMismatch("no filtered splitting: no legal pivot remains")
-        e, f, k = pivot
-        for s2 in [x for x in state.sources.get(f, set()) if x != e]:
-            state.basis_change(s2, e, state.diff[s2][f] - k)
-        for t2, d in [(x, v) for x, v in state.diff.get(e, {}).items() if x != f]:
-            state.basis_change(f, t2, d - k)
-        assert set(state.diff.get(e, {})) == {f} and state.sources.get(f) == {e}
-        frozen.update((e, f))
+
+    def legal(s: str, t: str, k: int) -> bool:
+        jd = state.j_drop(s, t, k)
+        row, col = state.diff[s], state.sources[t]
+        return all(k2 >= k and state.j_drop(s, t2, k2) >= jd for t2, k2 in row.items()) and \
+            all(state.diff[s2][t] >= k and state.j_drop(s2, t, state.diff[s2][t]) >= jd
+                for s2 in col)
+
+    pivots = state.eliminate(legal, keep=True)
+    if sum(len(row) for row in state.diff.values()) != len(pivots):
+        raise NormalFormMismatch("no filtered splitting: no legal pivot remains")
     return state.finish()
 
 
@@ -133,8 +121,6 @@ def _classify(c: FilteredComplex) -> tuple[Summand, ...]:
     summands: list[Summand] = []
     paired: set[str] = set()
     for src, row in c.differential.items():
-        if not row:
-            continue
         if len(row) != 1:
             raise NormalFormMismatch(f"{src} has a non-monomial differential after splitting")
         (tgt, k), = row.items()
@@ -196,20 +182,6 @@ def normal_form(dc: DualCone) -> NormalFormResult:
 # -- the U = 1 map ------------------------------------------------------------
 
 
-def minus_slice(c: FilteredComplex, s) -> FilteredComplex:
-    """The {i <= 0, j = s} slice: translates U^(A-s) g for A(g) >= s with the
-    j-preserving differential, renamed by their generators."""
-    s = Fraction(s)
-    keep = {g.name for g in c.generators if g.alexander >= s}
-    gens = [Generator(g.name, g.alexander, g.maslov - 2 * (g.alexander - s))
-            for g in c.generators if g.name in keep]
-    diff = {
-        src: {tgt: 0 for tgt, k in row.items() if tgt in keep and c.j_drop(src, tgt, k) == 0}
-        for src, row in c.differential.items() if src in keep
-    }
-    return FilteredComplex(gens, diff)
-
-
 @dataclass
 class GMapReport:
     alexander: Fraction
@@ -240,60 +212,32 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     codomain = hat_column(c)
     rf_dom = reduce(domain, "over_U_units")
     rf_cod = reduce(codomain, "over_U_units")
-    cod_names = [g.name for g in rf_cod.complex.generators]
-    cod_index = {n: i for i, n in enumerate(cod_names)}
-    columns = []
-    cycles = []
-    for b in rf_dom.complex.generators:
-        cycle = rf_dom.pull({b.name: 0})
-        cycles.append(cycle)
-        image = rf_cod.push({name: 0 for name in cycle})
-        bits = 0
-        for name in image:
-            bits |= 1 << cod_index[name]
-        columns.append(bits)
-    map_rank, kernel_masks = gf2.column_reduce(columns)
-    kernel = []
-    for mask in kernel_masks:
-        chain: Chain = {}
-        for j, cyc in enumerate(cycles):
-            if mask >> j & 1:
-                for name, power in cyc.items():
-                    if name in chain:
-                        del chain[name]
-                    else:
-                        chain[name] = power
-        kernel.append(chain)
-    matrix = [[columns[j] >> i & 1 for j in range(len(columns))] for i in range(len(cod_names))]
-    return GMapReport(s, len(columns), len(cod_names), matrix, map_rank, kernel)
-
-
-def g_image_class(c: FilteredComplex, cycle_names, s) -> frozenset[tuple[str, int]]:
-    """Homology class of the U = 1 image of a slice cycle, in a reduced basis."""
-    s = Fraction(s)
-    domain = minus_slice(c, s)
-    chain = {}
-    for name in cycle_names:
-        if name in chain:
-            del chain[name]
-        else:
-            chain[name] = 0
-    for name in chain:
-        if name not in domain:
-            raise NotCycles(f"{name} is not in the Alexander-{s} slice")
-    bdy = domain.boundary(chain)
-    if bdy:
-        raise NotCycles(f"chain has nonzero boundary {sorted(bdy)}")
-    rf_cod = reduce(hat_column(c), "over_U_units")
-    image = rf_cod.push({name: 0 for name in chain})
-    return frozenset(image.items())
+    map_rank, kernel, matrix = induced_map(
+        rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
+    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, map_rank, kernel)
 
 
 def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None) -> bool:
-    """Whether two slice cycles have different U = 1 images in homology."""
+    """Whether two slice cycles, given as generator names, have different
+    U = 1 images in the homology of the j = 0 column."""
     if alexander is None:
         alexander = max(g.alexander for g in c.generators)
-    return g_image_class(c, cycle_a, alexander) != g_image_class(c, cycle_b, alexander)
+    s = Fraction(alexander)
+    domain = minus_slice(c, s)
+    chains = []
+    for names in (cycle_a, cycle_b):
+        chain: Chain = {}
+        for name in names:
+            _toggle(chain, name, 0)
+        for name in chain:
+            if name not in domain:
+                raise NotCycles(f"{name} is not in the Alexander-{s} slice")
+        bdy = domain.boundary(chain)
+        if bdy:
+            raise NotCycles(f"chain has nonzero boundary {sorted(bdy)}")
+        chains.append(chain)
+    rf_cod = reduce(hat_column(c), "over_U_units")
+    return rf_cod.push(chains[0]) != rf_cod.push(chains[1])
 
 
 def loss_grading(tb: int, rot: int) -> int:

@@ -21,10 +21,6 @@ class NoUnitEntry(DomainError):
     pass
 
 
-class BadCoefficients(DomainError):
-    pass
-
-
 class BadCoefficient(DomainError):
     pass
 

@@ -27,7 +27,3 @@ def column_reduce(columns: list[int]) -> tuple[int, list[int]]:
         else:
             kernel.append(combos[j])
     return len(pivots), kernel
-
-
-def rank(columns: list[int]) -> int:
-    return column_reduce(columns)[0]

@@ -230,23 +230,7 @@ def hfk_minus(c: FilteredComplex, s) -> GradedRanks:
     dimensional over GF(2), so the ranks per Maslov grading are exact.
     """
     require_valid(c)
-    slice_gens = []
-    keep = set()
-    for g in c.generators:
-        shift = g.alexander - Fraction(s)
-        if shift >= 0:
-            keep.add(g.name)
-            slice_gens.append(Generator(g.name, g.alexander, g.maslov - 2 * shift))
-    diff = {
-        src: {
-            tgt: 0
-            for tgt, k in row.items()
-            if tgt in keep and c.j_drop(src, tgt, k) == 0
-        }
-        for src, row in c.differential.items()
-        if src in keep
-    }
-    return homology(FilteredComplex(slice_gens, diff), ("maslov",))
+    return homology(minus_slice(c, s), ("maslov",))
 
 
 def hfk_minus_module(c: FilteredComplex, keys=("alexander", "maslov")) -> GradedRanks:
@@ -263,6 +247,20 @@ def hat_column(c: FilteredComplex) -> FilteredComplex:
     diff = {
         src: {tgt: 0 for tgt, k in row.items() if c.j_drop(src, tgt, k) == 0}
         for src, row in c.differential.items()
+    }
+    return FilteredComplex(gens, diff)
+
+
+def minus_slice(c: FilteredComplex, s) -> FilteredComplex:
+    """The {i <= 0, j = s} slice: translates U^(A-s) g for A(g) >= s with the
+    j-preserving differential, renamed by their generators."""
+    s = Fraction(s)
+    keep = {g.name for g in c.generators if g.alexander >= s}
+    gens = [Generator(g.name, g.alexander, g.maslov - 2 * (g.alexander - s))
+            for g in c.generators if g.name in keep]
+    diff = {
+        src: {tgt: 0 for tgt, k in row.items() if tgt in keep and c.j_drop(src, tgt, k) == 0}
+        for src, row in c.differential.items() if src in keep
     }
     return FilteredComplex(gens, diff)
 

@@ -28,17 +28,6 @@ def fraction_json(x) -> Any:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def json_fraction(v) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, dict)):
-        raise ParseError(f"expected integer or num/den object, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    try:
-        return Fraction(v["num"], v["den"])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {v!r}") from exc
-
-
 def complex_to_json(c: FilteredComplex) -> dict:
     gens = []
     for g in c.generators:

@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from floercone.algebra import check_complex, default_seed, homology
+from floercone.algebra import check_complex, homology
 from floercone.cone import build_cone, effective_genus, hat_map_is_quasi_iso, include_B
 from floercone.contact import (
     LegendrianData,
@@ -41,6 +41,7 @@ from floercone.models import (
 )
 
 from oracles import dense_homology_by_maslov
+from random_complexes import default_seed
 
 _module_start = time.monotonic()
 

@@ -11,18 +11,17 @@ from floercone.algebra import (
     apply_map,
     cancel_pair,
     check_complex,
-    default_seed,
     homology,
     bigraded_slice,
     hat_slice,
     j_graded,
-    random_filtered_complex,
     reduce,
 )
 from floercone.errors import BadParameter, NoUnitEntry
 from floercone.models import box, staircase, unknot
 
 from oracles import dense_homology_by_maslov
+from random_complexes import default_seed, random_filtered_complex
 
 
 def two_step(k: int = 0) -> FilteredComplex:

@@ -151,6 +151,12 @@ class TestDualknotCommand:
         code, _, _ = cli(["dualknot", "--n", "0", "--model", "staircase"])
         assert code == 1
 
+    def test_non_integer_model_size_is_parse_error(self, cli):
+        code, out, err = cli(["dualknot", "--n", "1", "--model", "minus-en:x"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestDgsCommand:
     def test_minus_one(self, cli):

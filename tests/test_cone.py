@@ -13,7 +13,7 @@ from floercone.cone import (
     hat_map_is_quasi_iso,
     include_B,
 )
-from floercone.errors import BadCoefficients, NoSuchVertex
+from floercone.errors import BadCoefficient, NoSuchVertex
 from floercone.models import (
     box,
     dual_normal_form_model,
@@ -36,7 +36,7 @@ class TestAssembly:
         c = staircase()
         f = flip(c)
         for p, q in [(0, 1), (2, 0), (2, -1), (4, 2)]:
-            with pytest.raises(BadCoefficients):
+            with pytest.raises(BadCoefficient):
                 build_cone(c, f, p, q)
 
     def test_paper_ranges_match_minimal_truncation(self):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from floercone.algebra import default_seed
 from floercone.contact import (
     LegendrianData,
     c1_plus_one_surgery,
@@ -27,6 +26,8 @@ from floercone.errors import (
     ParityError,
     ZeroCoefficient,
 )
+
+from random_complexes import default_seed
 
 
 class TestNegativeExpansion:

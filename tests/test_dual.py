@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from floercone.algebra import check_complex, homology, reduce
+from floercone.algebra import FilteredComplex, Generator, check_complex, homology, reduce
 from floercone.cone import build_cone
 from floercone.dual import (
     build_dual_cone,
@@ -15,7 +15,7 @@ from floercone.dual import (
     normal_form,
     split_to_summands,
 )
-from floercone.errors import BadFraming, NonIntegral, NotCycles
+from floercone.errors import BadFraming, NonIntegral, NormalFormMismatch, NotCycles
 from floercone.models import (
     box,
     dual_normal_form_model,
@@ -127,6 +127,15 @@ class TestNormalForm:
         kinds = sorted(len(row) and 1 for row in split.complex.differential.values())
         positions = sorted((g.alexander, g.maslov) for g in split.complex.generators)
         assert positions == [(-1, 0), (0, 1), (0, 1), (1, 2)]
+
+    def test_no_legal_pivot_is_a_mismatch(self):
+        # d(a) = x + U y: each entry is beaten in its row by the other, one
+        # in U-power and one in j-drop, so no filtered change of basis splits it
+        c = FilteredComplex([Generator("a", 0, 1), Generator("x", -1, 0), Generator("y", 1, 2)],
+                            {"a": {"x": 0, "y": 1}})
+        assert check_complex(c).ok
+        with pytest.raises(NormalFormMismatch):
+            split_to_summands(c)
 
     def test_wrong_framing_rejected(self):
         with pytest.raises(BadFraming):

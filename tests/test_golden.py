@@ -1,0 +1,60 @@
+"""Golden stdout bytes for the README command examples and larger reports.
+
+Each case is a shell pipeline of CLI invocations: every stage reads the
+previous stage's stdout.  The SHA-256 of the last stage's stdout is pinned,
+so any change in generator names, pivot order or formatting shows up here
+even where the structural tests still pass.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from floercone.cli import main
+
+GOLDEN = [
+    ([["model", "--minus-en", "5"]],
+     "4eb09606988e888f58dc687ffcda37bbc7e477d13d8e4ddbaa7d6f0223d2188e"),
+    ([["model", "--staircase"], ["validate"]],
+     "b94acfbfe36fd90a0d6d90c17c345f271eda56991878bf80979952aa0fef28d8"),
+    ([["model", "--unknot"], ["surgery", "--p", "3", "--q", "1"]],
+     "a92cddf559478801f3f3c6d979cc93e1399c2e292c9642c0e546db9b058087df"),
+    ([["model", "--minus-en", "5"], ["surgery", "--p", "-1", "--flavor", "hat", "--range", "full"]],
+     "31d080d7089200d94d140d7a8da1fc7ea605a16604b858ac439a110bba9a4f99"),
+    ([["dualknot", "--n", "1", "--model", "minus-en:5", "--check", "normalform"]],
+     "3d1055ce016e621466468d03ebfb970bdd43b1bf17daf9606d792b6ca5e4eac3"),
+    ([["dualknot", "--n", "1", "--model", "minus-en:7", "--check", "gmap"]],
+     "abfe88bba489e8fc1c5fec2a4351383678448525d5316345fae16e8185766fb8"),
+    ([["dgs", "--r=-7/2"]],
+     "750e291835230776984d140c20e3d5e44178ed8e3c2de399e52053502cd932df"),
+    ([["c1", "--formula", "cobordism", "--tb", "0", "--rot", "-1", "--p", "3", "--q", "2"]],
+     "be5973059e046810f88aa0b108eb32117fb2e0a5c8fecd5b251284351ce5e747"),
+    ([["pipeline", "--n", "5", "--r=-3"]],
+     "2616ecd6f25697867ac426ebcd6b3a8d0f26ecfba5c20a13b68be4230f460558"),
+    ([["pipeline", "--n", "5", "--r=-1/2", "--format", "json"]],
+     "b47cbd60f1c7d4071a52e64611a9cdd9d77d0f8c0c4998b47c2b6fa6a20ac043"),
+    ([["dualknot", "--n", "1", "--model", "minus-en:41", "--check", "normalform"]],
+     "3851892c5d402dec8446eef4de76ef299685f7c29ebddb1b67ba4869d32ba154"),
+    ([["dualknot", "--n", "1", "--model", "minus-en:41", "--check", "gmap"]],
+     "9fcd20bc3fe2e131ed5339e38db46ed0db30630805bb47c640106c80cb3fc170"),
+    ([["pipeline", "--n", "9", "--r=-7/2", "--format", "json"]],
+     "39a034f7ea5cd2440bf38d2eb940909592a070ac76fa8431b9f303d9e5be9265"),
+]
+
+
+def run_chain(chain, capsys, monkeypatch) -> str:
+    text = ""
+    for argv in chain:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main(argv)
+        text, err = capsys.readouterr()
+        assert code == 0, (argv, err)
+    return text
+
+
+@pytest.mark.parametrize("chain,digest", GOLDEN,
+                         ids=[" | ".join(" ".join(a) for a in c) for c, _ in GOLDEN])
+def test_stdout_bytes(chain, digest, capsys, monkeypatch):
+    out = run_chain(chain, capsys, monkeypatch)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
