@@ -10,7 +10,7 @@ from .algebra import (
     homology,
     reduce,
 )
-from .cone import HatCone, MappingCone, build_cone, hat, include_B, sector_homology
+from .cone import MappingCone, include_B
 from .contact import (
     DgsExpansion,
     LegendrianData,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FilteredComplex", "Generator", "GradedRanks", "ReducedForm",
     "cancel_pair", "check_complex", "homology", "reduce",
-    "HatCone", "MappingCone", "build_cone", "hat", "include_B", "sector_homology",
+    "MappingCone", "include_B",
     "DgsExpansion", "LegendrianData", "distinctness_pipeline",
     "negative_expansion", "positive_expansion",
     "DualCone", "build_dual_cone", "distinct_classes", "g_map",

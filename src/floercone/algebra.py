@@ -141,26 +141,21 @@ class ValidationReport:
         return "valid" if self.ok else "\n".join(self.violations)
 
 
-def check_complex(c: FilteredComplex, laurent: bool = False) -> ValidationReport:
-    """Diagnostic check of every structural invariant; empty report iff valid.
-
-    With laurent=True negative U-powers are allowed (used transiently after
-    reductions over GF(2)[U,U^-1]); filtration checks are skipped for them.
-    """
+def check_complex(c: FilteredComplex) -> ValidationReport:
+    """Diagnostic check of every structural invariant; empty report iff valid."""
     bad: list[str] = []
     for src, tgt, k in c.entries():
         if tgt not in c:
             bad.append(f"entry {src} -> {tgt}: unknown target")
             continue
         g, h = c.generator(src), c.generator(tgt)
-        if k < 0 and not laurent:
+        if k < 0:
             bad.append(f"entry {src} -> U^{k} {tgt}: negative power")
         if h.maslov - 2 * k != g.maslov - 1:
             bad.append(f"entry {src} -> U^{k} {tgt}: Maslov drop is not 1")
-        if not laurent:
-            jd = c.j_drop(src, tgt, k)
-            if jd < 0:
-                bad.append(f"entry {src} -> U^{k} {tgt}: raises j-filtration by {-jd}")
+        jd = c.j_drop(src, tgt, k)
+        if jd < 0:
+            bad.append(f"entry {src} -> U^{k} {tgt}: raises j-filtration by {-jd}")
     for src in c.differential:
         if src not in c:
             bad.append(f"differential row for unknown generator {src}")
@@ -234,15 +229,15 @@ class _Reduction:
     def __init__(self, c: FilteredComplex):
         self.c = c
         self.gens: dict[str, Generator] = {g.name: g for g in c.generators}
-        self.order = dict(c._order)
         self.diff: DiffMap = {s: dict(r) for s, r in c.differential.items()}
         self.sources: dict[str, set[str]] = {}
         for s, row in self.diff.items():
             for t in row:
                 self.sources.setdefault(t, set()).add(s)
-        names = list(self.gens)
-        self.project: DiffMap = {n: {n: 0} for n in names}
-        self.include: DiffMap = {n: {n: 0} for n in names}
+        # Both traces are keyed by reduced generator: include[r] is r's input
+        # chain, project[r] the input generators whose image holds r (transposed in finish).
+        self.project: DiffMap = {n: {n: 0} for n in self.gens}
+        self.include: DiffMap = {n: {n: 0} for n in self.gens}
 
     # elementary moves ----------------------------------------------------
 
@@ -264,13 +259,8 @@ class _Reduction:
         for s in list(self.sources.get(u, set())):
             self._set(s, v, self.diff[s][u] + m)
         # trace: old u reads u + U^m v in the new basis; new u includes as u + U^m v
-        for name, row in self.project.items():
-            if u in row:
-                _toggle(row, v, row[u] + m)
-        inc_u = self.include.get(u, {})
-        for tgt, k in self.include.get(v, {}).items():
-            _toggle(inc_u, tgt, k + m)
-        self.include[u] = inc_u
+        _add_shifted(self.project, v, u, m)
+        _add_shifted(self.include, u, v, m)
 
     def isolate(self, e: str, f: str) -> None:
         """Clear row e / column f against the pivot entry d(e) = U^c f."""
@@ -294,9 +284,7 @@ class _Reduction:
         for name in (e, f):
             del self.gens[name]
             self.include.pop(name, None)
-        for name, prow in self.project.items():
-            prow.pop(e, None)
-            prow.pop(f, None)
+            self.project.pop(name, None)
 
     # the elimination loop -------------------------------------------------
 
@@ -312,7 +300,7 @@ class _Reduction:
         pivot e -> U^c f is isolated, then removed, or with keep left in
         place and skipped from then on.  Pivots are returned as (e, f, c).
         """
-        order = self.order.__getitem__
+        order = self.c._order.__getitem__
         pivots: list[tuple[str, str, int]] = []
         kept: set[str] = set()
 
@@ -346,10 +334,18 @@ class _Reduction:
     def finish(self) -> ReducedForm:
         reduced = FilteredComplex(list(self.gens.values()),
                                   {s: dict(r) for s, r in self.diff.items()})
-        return ReducedForm(self.c, reduced, self.project, self.include)
+        project: DiffMap = {n: {} for n in self.c._order}
+        for r, row in self.project.items():
+            for n, k in row.items():
+                project[n][r] = k
+        return ReducedForm(self.c, reduced, project, self.include)
 
-    def j_drop(self, src: str, tgt: str, k: int) -> Fraction:
-        return self.gens[src].alexander - self.gens[tgt].alexander + k
+
+def _add_shifted(trace: DiffMap, dst: str, src: str, m: int) -> None:
+    """trace[dst] += U^m trace[src]."""
+    row = trace.setdefault(dst, {})
+    for name, k in trace.get(src, {}).items():
+        _toggle(row, name, k + m)
 
 
 def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
@@ -382,7 +378,7 @@ def reduce(c: FilteredComplex, mode: str = "filtered",
         raise BadParameter(f"unknown reduce mode {mode!r}")
     state = _Reduction(c)
     if mode == "filtered":
-        accept = lambda s, t, k: k == 0 and state.j_drop(s, t, 0) == 0
+        accept = lambda s, t, k: k == 0 and c.j_drop(s, t, 0) == 0
     elif mode == "over_U_units":
         accept = lambda s, t, k: k == 0
     else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import serialize
 from .algebra import check_complex, homology
-from .cone import build_cone
+from .cone import MappingCone
 from .contact import (
     LegendrianData,
     c1_plus_one_surgery,
@@ -70,8 +70,9 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _build_model(args) -> "FilteredComplex":
-    picked = [name for name in ("minus_en", "dual_normal", "staircase", "box", "unknot")
-              if getattr(args, name)]
+    # a size flag counts as given whenever it is set, even to 0
+    picked = [name for name in ("minus_en", "dual_normal") if getattr(args, name) is not None]
+    picked += [name for name in ("staircase", "box", "unknot") if getattr(args, name)]
     if len(picked) != 1:
         raise ParseError("pick exactly one of --minus-en, --dual-normal, "
                          "--staircase, --box, --unknot")
@@ -116,7 +117,7 @@ def cmd_validate(args) -> int:
 
 def cmd_surgery(args) -> int:
     c = _read_complex(args.infile)
-    cone = build_cone(c, flip(c), args.p, args.q, args.range)
+    cone = MappingCone.build(c, flip(c), args.p, args.q, args.range)
     sectors = [args.sector % abs(args.p)] if args.sector is not None else list(cone.sectors)
     table = {}
     for i in sectors:

@@ -65,8 +65,6 @@ class ConeVertex:
 class ElementInfo:
     segment: str
     t: int
-    s: int
-    base: str
     offset: int  # U-power of the stored translate relative to the i = 0 one
 
 
@@ -92,8 +90,6 @@ class MappingCone:
     @classmethod
     def build(cls, source: FilteredComplex, flip: FlipMap, p: int, q: int,
               range_mode: str = "paper") -> "MappingCone":
-        if q <= 0 or p == 0 or gcd(p, q) != 1:
-            raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
         g = effective_genus(source)
         lo = min((1 - g) * q, g * q - p)
         hi = g * q - 1
@@ -183,66 +179,44 @@ class MappingCone:
         (the I-drop) constrains the differential.
         """
         phi = self.phi()
+        wanted = [(segment, t) for segment, ts in (("A", self.a_ts), ("B", self.b_ts))
+                  for t in ts if sector is None or self.spin_c(t) == sector]
         gens: list[Generator] = []
         table: dict[str, ElementInfo] = {}
-        diff: dict[str, dict[str, int]] = {}
-
-        def wanted(t: int) -> bool:
-            return sector is None or self.spin_c(t) == sector
-
-        def add_vertex(segment: str, t: int) -> None:
-            s = self.s_of(t)
+        for segment, t in wanted:
             for g in self.source.generators:
                 off = self.offset(segment, t, g)
                 name = self.element_name(segment, t, g.name)
                 alex = Fraction(0) if alexander_fn is None else alexander_fn(segment, t, g, off)
                 gens.append(Generator(name, alex, g.maslov - 2 * off + phi[(segment, t)]))
-                table[name] = ElementInfo(segment, t, s, g.name, off)
+                table[name] = ElementInfo(segment, t, off)
 
-        for t in self.a_ts:
-            if wanted(t):
-                add_vertex("A", t)
-        for t in self.b_ts:
-            if wanted(t):
-                add_vertex("B", t)
+        diff: dict[str, dict[str, int]] = {}
 
-        def put(src: str, tgt: str, power: Fraction | int) -> None:
-            power = Fraction(power)
-            assert power.denominator == 1 and power >= 0, "cone entry with illegal power"
-            diff.setdefault(src, {})[tgt] = int(power)
+        def put(src: str, tgt: str, power: int) -> None:
+            assert power >= 0, "cone entry with illegal power"
+            diff.setdefault(src, {})[tgt] = power
 
-        for t in self.a_ts:
-            if not wanted(t):
-                continue
-            s = self.s_of(t)
+        for segment, t in wanted:
             for g in self.source.generators:
-                src = self.element_name("A", t, g.name)
-                off = self.offset("A", t, g)
+                src = self.element_name(segment, t, g.name)
+                off = table[src].offset
                 for tgt_base, k in self.source.differential.get(g.name, {}).items():
-                    off_t = self.offset("A", t, self.source.generator(tgt_base))
-                    put(src, self.element_name("A", t, tgt_base), k + off - off_t)
+                    tgt = self.element_name(segment, t, tgt_base)
+                    put(src, tgt, k + off - table[tgt].offset)
+                if segment == "B":
+                    continue
                 if t in self._b_set:
                     put(src, self.element_name("B", t, g.name), off)
                 if t + self.p in self._b_set:
                     partner, fpow = self.flip(g.name)
-                    put(src, self.element_name("B", t + self.p, partner), s + fpow + off)
-        for t in self.b_ts:
-            if not wanted(t):
-                continue
-            for g in self.source.generators:
-                src = self.element_name("B", t, g.name)
-                for tgt_base, k in self.source.differential.get(g.name, {}).items():
-                    put(src, self.element_name("B", t, tgt_base), k)
+                    put(src, self.element_name("B", t + self.p, partner), self.s_of(t) + fpow + off)
         return FilteredComplex(gens, diff), table
 
     def hat_complex(self, sector: int | None = None) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
         """The I = 0 part: same elements, only the U-power-0 entries."""
         total, table = self.total_complex(sector)
         return hat_slice(total), table
-
-    def hat(self, sector: int | None = None) -> "HatCone":
-        complex_, table = self.hat_complex(sector)
-        return HatCone(self, sector, complex_, table)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -300,45 +274,6 @@ class MappingCone:
         return target
 
 
-@dataclass
-class HatCone:
-    """The I = 0 part of a mapping cone, one Spin^c sector or all of them."""
-
-    cone: MappingCone
-    sector: int | None
-    complex: FilteredComplex
-    elements: dict[str, ElementInfo]
-
-    def vertex_elements(self, segment: str, t: int) -> list[str]:
-        return [n for n, info in self.elements.items()
-                if info.segment == segment and info.t == t]
-
-    def sector_complex(self, i: int) -> FilteredComplex:
-        names = [n for n, info in self.elements.items()
-                 if self.cone.spin_c(info.t) == i]
-        return self.complex.with_generators(names)
-
-
-def build_cone(c: FilteredComplex, flip: FlipMap, p: int, q: int,
-               range_mode: str = "paper") -> MappingCone:
-    """Assemble the surgery mapping cone for p/q surgery on the model c."""
-    return MappingCone.build(c, flip, p, q, range_mode)
-
-
-def hat(cone: MappingCone, sector: int | None = None) -> HatCone:
-    """The I = 0 part of a cone, with its element bookkeeping."""
-    return cone.hat(sector)
-
-
-def sector_homology(cone, i: int, flavor: str = "hat") -> GradedRanks:
-    """Homology ranks of one Spin^c sector of a cone or of its hat part."""
-    if isinstance(cone, HatCone):
-        ranks = homology(cone.sector_complex(i), ("maslov",))
-        assert not ranks.torsion
-        return ranks
-    return cone.sector_homology(i, flavor)
-
-
 def hat_map_is_quasi_iso(c: FilteredComplex, flip: FlipMap, s: int, kind: str) -> bool:
     """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
     if kind == "v":
@@ -370,16 +305,15 @@ class IncludeBReport:
         return self.injective and self.domain_rank == self.codomain_rank
 
 
-def include_B(cone, t: int) -> IncludeBReport:
+def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     """Induced map on hat homology of the inclusion of vertex (t, B) in its sector."""
-    if isinstance(cone, HatCone):
-        cone = cone.cone
     if t not in cone._b_set:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
     sector = cone.spin_c(t)
-    hat = cone.hat(sector)
-    rf_vertex = reduce(hat.complex.with_generators(hat.vertex_elements("B", t)), "over_U_units")
-    rf_sector = reduce(hat.complex, "over_U_units")
+    hat, table = cone.hat_complex(sector)
+    vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
+    rf_vertex = reduce(hat.with_generators(vertex), "over_U_units")
+    rf_sector = reduce(hat, "over_U_units")
     map_rank, kernel, matrix = induced_map(rf_vertex, rf_sector, lambda chain: chain)
     return IncludeBReport(
         t=t,

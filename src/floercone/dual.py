@@ -32,7 +32,7 @@ from .algebra import (
     reduce,
     require_valid,
 )
-from .cone import ElementInfo, MappingCone, effective_genus
+from .cone import MappingCone, effective_genus
 from .errors import BadFraming, NonIntegral, NormalFormMismatch, NotCycles
 from .models import FlipMap, hat_column, minus_slice
 
@@ -44,7 +44,6 @@ class DualCone:
     source: FilteredComplex
     cone: MappingCone
     complex: FilteredComplex           # flattened, (I,J)-decorated
-    elements: dict[str, ElementInfo]
 
 
 def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
@@ -67,11 +66,11 @@ def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
             j0 = frac - 1
         return j0 - offset
 
-    total, table = cone.total_complex(alexander_fn=second_filtration)
+    total, _ = cone.total_complex(alexander_fn=second_filtration)
     report = check_complex(total)
     if not report.ok:
         raise AssertionError("dual cone failed build-time verification:\n" + str(report))
-    return DualCone(n, g, c, cone, total, table)
+    return DualCone(n, g, c, cone, total)
 
 
 # -- normal form -------------------------------------------------------------
@@ -105,10 +104,10 @@ def split_to_summands(c: FilteredComplex) -> ReducedForm:
     state = _Reduction(c)
 
     def legal(s: str, t: str, k: int) -> bool:
-        jd = state.j_drop(s, t, k)
+        jd = c.j_drop(s, t, k)
         row, col = state.diff[s], state.sources[t]
-        return all(k2 >= k and state.j_drop(s, t2, k2) >= jd for t2, k2 in row.items()) and \
-            all(state.diff[s2][t] >= k and state.j_drop(s2, t, state.diff[s2][t]) >= jd
+        return all(k2 >= k and c.j_drop(s, t2, k2) >= jd for t2, k2 in row.items()) and \
+            all(state.diff[s2][t] >= k and c.j_drop(s2, t, state.diff[s2][t]) >= jd
                 for s2 in col)
 
     pivots = state.eliminate(legal, keep=True)

@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 from floercone.algebra import check_complex, homology
-from floercone.cone import build_cone, effective_genus, hat_map_is_quasi_iso, include_B
+from floercone.cone import MappingCone, effective_genus, hat_map_is_quasi_iso, include_B
 from floercone.contact import (
     LegendrianData,
     c1_surgery_cobordism,
@@ -95,7 +95,7 @@ def test_criterion_3_truncation_inclusion_isomorphism():
         assert effective_genus(model) == 1
         for k in range(1, 7):
             start = time.monotonic()
-            cone = build_cone(model, f, -(k + 1), k, "full")
+            cone = MappingCone.build(model, f, -(k + 1), k, "full")
             loc = locate_contact_class(LegendrianData(0, -1), -(k + 1), k)
             ok &= loc.t == -1
             rep = include_B(cone, loc.t)
@@ -152,7 +152,7 @@ def test_criterion_6_oracle_equivalence():
             for q in (1, 2, 3):
                 if p == 0 or gcd(p, q) != 1:
                     continue
-                cone = build_cone(c, f, p, q, "paper")
+                cone = MappingCone.build(c, f, p, q, "paper")
                 for i in cone.sectors:
                     hat, _ = cone.hat_complex(i)
                     engine = {Fraction(k[0]): v
@@ -180,7 +180,7 @@ def test_criterion_7_invariant_suites():
         g = effective_genus(c)
         ok &= hat_map_is_quasi_iso(c, f, g, "v")
         ok &= hat_map_is_quasi_iso(c, f, -g, "h")
-        total, _ = build_cone(c, f, 2, 1, "paper").total_complex()
+        total, _ = MappingCone.build(c, f, 2, 1, "paper").total_complex()
         ok &= check_complex(total).ok
     for n in (1, 3, 5, 7, 9, 11, 13):
         poly = alexander_polynomial(minus_twist_knot(n))

@@ -66,6 +66,16 @@ class TestModelCommand:
         code, _, _ = cli(["model"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["model", "knot-homology"])
+    @pytest.mark.parametrize("flag", ["--minus-en", "--dual-normal"])
+    def test_zero_size_is_given(self, cli, command, flag):
+        code, out, err = cli([command, flag, "0"])
+        assert (code, out) == (1, "")
+        assert "n must be a positive odd integer, got 0" in err
+        code, out, err = cli([command, flag, "0", "--staircase"])
+        assert (code, out) == (2, "")
+        assert "pick exactly one" in err
+
 
 class TestValidateCommand:
     def test_accepts_model_output(self, cli):

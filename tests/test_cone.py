@@ -8,7 +8,6 @@ import pytest
 from floercone.algebra import check_complex, homology
 from floercone.cone import (
     MappingCone,
-    build_cone,
     effective_genus,
     hat_map_is_quasi_iso,
     include_B,
@@ -28,7 +27,7 @@ from oracles import dense_homology_by_maslov, enumerate_hat_A_elements
 
 
 def cone_for(c, p, q, mode="paper"):
-    return build_cone(c, flip(c), p, q, mode)
+    return MappingCone.build(c, flip(c), p, q, mode)
 
 
 class TestAssembly:
@@ -37,7 +36,7 @@ class TestAssembly:
         f = flip(c)
         for p, q in [(0, 1), (2, 0), (2, -1), (4, 2)]:
             with pytest.raises(BadCoefficient):
-                build_cone(c, f, p, q)
+                MappingCone.build(c, f, p, q)
 
     def test_paper_ranges_match_minimal_truncation(self):
         cone = cone_for(minus_twist_knot(5), 1, 1)
@@ -66,6 +65,18 @@ class TestAssembly:
         total, table = cone.total_complex()
         for src, tgt, _ in total.entries():
             assert table[src].t % abs(p) == table[tgt].t % abs(p)
+
+    @pytest.mark.parametrize("mode", ["paper", "full"])
+    @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (-7, 3)])
+    def test_sector_complex_is_restriction_of_whole(self, p, q, mode):
+        cone = cone_for(minus_twist_knot(5), p, q, mode)
+        whole, whole_table = cone.total_complex()
+        for i in cone.sectors:
+            part, table = cone.total_complex(i)
+            restricted = whole.with_generators(table)
+            assert part.generators == restricted.generators
+            assert part.differential == restricted.differential
+            assert table == {n: whole_table[n] for n in table}
 
     def test_hat_vertex_element_counts_match_enumeration(self):
         c = staircase()
@@ -160,14 +171,6 @@ class TestSectorHomology:
             expected = Fraction(1, 4) - Fraction((2 * i - p) ** 2, 4 * p)
             assert dict(ranks.ranks) == {(expected if expected.denominator > 1
                                           else int(expected),): 1}
-
-    def test_hat_cone_wrapper(self):
-        from floercone.cone import hat, sector_homology
-        cone = cone_for(minus_twist_knot(5), 3, 1)
-        hc = hat(cone)
-        for i in cone.sectors:
-            assert sector_homology(hc, i) == sector_homology(cone, i)
-        assert len(hc.vertex_elements("A", 0)) == len(cone.source)
 
     def test_hat_ranks_against_dense_oracle(self):
         for p, q in [(1, 1), (-1, 1), (2, 1), (-3, 2)]:

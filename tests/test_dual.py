@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from floercone.algebra import FilteredComplex, Generator, check_complex, homology, reduce
-from floercone.cone import build_cone
+from floercone.cone import MappingCone
 from floercone.dual import (
     build_dual_cone,
     distinct_classes,
@@ -72,7 +72,7 @@ class TestJCollapse:
     def test_dual_cone_matches_plain_cone_ranks(self, n):
         c = minus_twist_knot(5)
         dc = dual_for(c, n)
-        plain = build_cone(c, flip(c), n, 1, "full")
+        plain = MappingCone.build(c, flip(c), n, 1, "full")
         # hat-level comparison: I-preserving part of the dual complex per sector
         for i in range(abs(n)):
             hat_dual, table = dc.cone.hat_complex(i)

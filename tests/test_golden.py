@@ -40,6 +40,11 @@ GOLDEN = [
      "9fcd20bc3fe2e131ed5339e38db46ed0db30630805bb47c640106c80cb3fc170"),
     ([["pipeline", "--n", "9", "--r=-7/2", "--format", "json"]],
      "39a034f7ea5cd2440bf38d2eb940909592a070ac76fa8431b9f303d9e5be9265"),
+    ([["model", "--minus-en", "9"], ["surgery", "--p", "13", "--q", "3", "--range", "full"]],
+     "ddbf9962d21e6b9edc73b0035010b08cf0c76e1be3f6ebba4d86a2c02d29cba9"),
+    ([["model", "--minus-en", "9"],
+      ["surgery", "--p", "-9", "--q", "2", "--flavor", "infinity", "--range", "full"]],
+     "1c28c0661eb2bf13b747161509d55d1bd2e54fc9e780442c2c7e5cb8d8228012"),
 ]
 
 

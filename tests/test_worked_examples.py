@@ -3,7 +3,7 @@
 import pytest
 
 from floercone.algebra import check_complex, homology, cancel_pair, j_graded, reduce
-from floercone.cone import MappingCone, build_cone, include_B
+from floercone.cone import MappingCone, include_B
 from floercone.dual import build_dual_cone
 from floercone.errors import NoUnitEntry, NotTruncatable
 from floercone.models import (
@@ -58,7 +58,7 @@ class TestHatEdgeCases:
 class TestIncludeBExamples:
     def test_b_only_sector_gives_identity_matrix(self):
         model = dual_normal_form_model(5)
-        cone = build_cone(model, flip(model), -2, 1)
+        cone = MappingCone.build(model, flip(model), -2, 1)
         rep = include_B(cone, -1)
         assert rep.isomorphism
         n = rep.domain_rank
@@ -66,7 +66,7 @@ class TestIncludeBExamples:
 
     def test_report_on_minus_one_surgery_cone(self):
         c = minus_twist_knot(5)
-        cone = build_cone(c, flip(c), -1, 1)
+        cone = MappingCone.build(c, flip(c), -1, 1)
         rep = include_B(cone, -1)
         assert rep.codomain_rank == cone.sector_homology(0).total_rank
         assert rep.map_rank <= min(rep.domain_rank, rep.codomain_rank)
@@ -76,9 +76,9 @@ class TestIncludeBExamples:
 class TestFullVsPaperOnTwistKnot:
     def test_plus_one_surgery_both_ranges(self):
         c = minus_twist_knot(5)
-        full = build_cone(c, flip(c), 1, 1, "full")
+        full = MappingCone.build(c, flip(c), 1, 1, "full")
         assert full.truncate().range_mode == "paper"
-        paper = build_cone(c, flip(c), 1, 1, "paper")
+        paper = MappingCone.build(c, flip(c), 1, 1, "paper")
         assert full.sector_homology(0) == paper.sector_homology(0)
 
     def test_unit_cancellation_keeps_module_homology(self):
