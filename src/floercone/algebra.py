@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import gf2
@@ -238,6 +239,7 @@ class _Reduction:
         # chain, project[r] the input generators whose image holds r (transposed in finish).
         self.project: DiffMap = {n: {n: 0} for n in self.gens}
         self.include: DiffMap = {n: {n: 0} for n in self.gens}
+        self.enqueue: Callable[[str, str, int], None] = lambda s, t, k: None  # eliminate's feed
 
     # elementary moves ----------------------------------------------------
 
@@ -246,6 +248,7 @@ class _Reduction:
         _toggle(row, tgt, power)
         if tgt in row:
             self.sources.setdefault(tgt, set()).add(src)
+            self.enqueue(src, tgt, power)
         else:
             self.sources.get(tgt, set()).discard(src)
             if not row:
@@ -293,40 +296,53 @@ class _Reduction:
                   keep: bool = False) -> list[tuple[str, str, int]]:
         """Isolate pivot entries until accept admits none; returns the pivots.
 
-        Live entries src -> U^k tgt are walked in generator order (source,
-        then target) and the pivot is the first one accept(src, tgt, k)
-        admits; lowest_power walks only the entries of the lowest live
-        U-power, and rng picks uniformly among every admitted entry.  Each
-        pivot e -> U^c f is isolated, then removed, or with keep left in
+        The pivot is the first live entry src -> U^k tgt in generator order
+        (source, then target) that accept(src, tgt, k) admits; lowest_power
+        takes the least U-power first, rng picks uniformly among the admitted
+        entries.  Candidates wait in a heap that _set feeds, so accept runs
+        once per inserted entry; with keep it reads the live row and column,
+        so it runs when a candidate is popped and rejected ones go back.
+        Each pivot e -> U^c f is isolated, then removed, or with keep left in
         place and skipped from then on.  Pivots are returned as (e, f, c).
         """
         order = self.c._order.__getitem__
         pivots: list[tuple[str, str, int]] = []
         kept: set[str] = set()
+        heap: list[tuple] = []
 
-        def live() -> Iterator[tuple[str, str, int]]:
-            for s in sorted(self.diff.keys() - kept, key=order):
-                row = self.diff[s]
-                for t in sorted(row, key=order):
-                    if t not in kept:
-                        yield s, t, row[t]
+        def enqueue(s: str, t: str, k: int) -> None:
+            if keep or accept(s, t, k):
+                heappush(heap, (k if lowest_power else 0, order(s), order(t), s, t, k))
 
+        def live(x: tuple) -> bool:  # stale records are dropped when popped
+            _, _, _, s, t, k = x
+            return self.diff.get(s, {}).get(t) == k and s not in kept and t not in kept
+
+        for s, row in self.diff.items():
+            for t, k in row.items():
+                enqueue(s, t, k)
+        self.enqueue = enqueue
         while True:
-            if lowest_power:
-                floor = min((k for s, row in self.diff.items() if s not in kept
-                             for t, k in row.items() if t not in kept), default=None)
-            found = (x for x in live() if (not lowest_power or x[2] == floor) and accept(*x))
             if rng is not None:
-                found = list(found)
-                pivot = found[rng.randrange(len(found))] if found else None
-            else:
-                pivot = next(found, None)
+                heap[:] = sorted(set(filter(live, heap)))
+                if heap:  # a sorted list stays a heap below its root
+                    heap.insert(0, heap.pop(rng.randrange(len(heap))))
+            pivot, rejected = None, []
+            while heap and pivot is None:
+                x = heappop(heap)
+                if live(x):
+                    if keep and not accept(*x[3:]):
+                        rejected.append(x)
+                    else:
+                        pivot = x[3:]
             if pivot is None:
                 return pivots
             e, f, _ = pivot
             self.isolate(e, f)
             if keep:
                 kept.update((e, f))
+                for x in rejected:
+                    heappush(heap, x)
             else:
                 self.remove_pair(e, f)
             pivots.append(pivot)

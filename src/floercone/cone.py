@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .algebra import (
     FilteredComplex,
@@ -47,22 +47,20 @@ from .models import FlipMap
 
 
 def effective_genus(c: FilteredComplex) -> int:
-    """Seifert genus read off the model as max Alexander grading, floored at 1."""
-    top = max((g.alexander for g in c.generators), default=Fraction(0))
-    if top.denominator != 1:
+    """Seifert genus read off the model as max Alexander grading, floored at 1.
+    Every Alexander grading must be an integer, so cone offsets are ints."""
+    if any(g.alexander.denominator != 1 for g in c.generators):
         raise BadCoefficient("model has non-integral Alexander gradings")
-    return max(1, int(top))
+    return max(1, int(max((g.alexander for g in c.generators), default=0)))
 
 
-@dataclass(frozen=True)
-class ConeVertex:
+class ConeVertex(NamedTuple):
     segment: str  # "A" or "B"
     t: int
     s: int
 
 
-@dataclass(frozen=True)
-class ElementInfo:
+class ElementInfo(NamedTuple):
     segment: str
     t: int
     offset: int  # U-power of the stored translate relative to the i = 0 one
@@ -116,13 +114,6 @@ class MappingCone:
     def vertices(self) -> list[ConeVertex]:
         return [ConeVertex("A", t, self.s_of(t)) for t in self.a_ts] + \
                [ConeVertex("B", t, self.s_of(t)) for t in self.b_ts]
-
-    def offset(self, segment: str, t: int, gen: Generator) -> int:
-        if segment == "B":
-            return 0
-        shift = max(Fraction(0), gen.alexander - self.s_of(t))
-        assert shift.denominator == 1
-        return int(shift)
 
     # -- Maslov bookkeeping -------------------------------------------------
 
@@ -181,15 +172,28 @@ class MappingCone:
         phi = self.phi()
         wanted = [(segment, t) for segment, ts in (("A", self.a_ts), ("B", self.b_ts))
                   for t in ts if sector is None or self.spin_c(t) == sector]
+        source = self.source.generators
+        alex = [int(g.alexander) for g in source]  # integral: checked by effective_genus
+        grade: dict[Fraction, int] = {}
+        grades = [grade.setdefault(g.maslov, len(grade)) for g in source]
+        zero = Fraction(0)
         gens: list[Generator] = []
         table: dict[str, ElementInfo] = {}
+        # per vertex: element names and U-offsets, indexed like source
+        vertex: dict[tuple[str, int], tuple[list[str], list[int]]] = {}
         for segment, t in wanted:
-            for g in self.source.generators:
-                off = self.offset(segment, t, g)
-                name = self.element_name(segment, t, g.name)
-                alex = Fraction(0) if alexander_fn is None else alexander_fn(segment, t, g, off)
-                gens.append(Generator(name, alex, g.maslov - 2 * off + phi[(segment, t)]))
+            names = [self.element_name(segment, t, g.name) for g in source]
+            s = self.s_of(t)
+            offs = [max(0, a - s) for a in alex] if segment == "A" else [0] * len(alex)
+            maslov: dict[tuple[int, int], Fraction] = {}  # (grade, offset) -> Maslov
+            for g, grade_id, name, off in zip(source, grades, names, offs):
+                m = maslov.get((grade_id, off))
+                if m is None:
+                    m = maslov[(grade_id, off)] = g.maslov - 2 * off + phi[(segment, t)]
+                a = zero if alexander_fn is None else alexander_fn(segment, t, g, off)
+                gens.append(Generator(name, a, m))
                 table[name] = ElementInfo(segment, t, off)
+            vertex[(segment, t)] = names, offs
 
         diff: dict[str, dict[str, int]] = {}
 
@@ -197,20 +201,22 @@ class MappingCone:
             assert power >= 0, "cone entry with illegal power"
             diff.setdefault(src, {})[tgt] = power
 
-        for segment, t in wanted:
-            for g in self.source.generators:
-                src = self.element_name(segment, t, g.name)
-                off = table[src].offset
-                for tgt_base, k in self.source.differential.get(g.name, {}).items():
-                    tgt = self.element_name(segment, t, tgt_base)
-                    put(src, tgt, k + off - table[tgt].offset)
-                if segment == "B":
-                    continue
-                if t in self._b_set:
-                    put(src, self.element_name("B", t, g.name), off)
-                if t + self.p in self._b_set:
-                    partner, fpow = self.flip(g.name)
-                    put(src, self.element_name("B", t + self.p, partner), self.s_of(t) + fpow + off)
+        order = self.source._order
+        rows = [[(order[t], k) for t, k in self.source.differential.get(g.name, {}).items()]
+                for g in source]
+        flipped = [(order[partner], fpow) for partner, fpow in (self.flip(g.name) for g in source)]
+        for (segment, t), (names, offs) in vertex.items():
+            # B_t and B_(t+p) share the sector of A_t, so they are here if in the cone
+            v_edge = segment == "A" and vertex.get(("B", t))
+            h_edge = segment == "A" and vertex.get(("B", t + self.p))
+            for i, (src, off) in enumerate(zip(names, offs)):
+                for j, k in rows[i]:
+                    put(src, names[j], k + off - offs[j])
+                if v_edge:
+                    put(src, v_edge[0][i], off)
+                if h_edge:
+                    j, fpow = flipped[i]
+                    put(src, h_edge[0][j], self.s_of(t) + fpow + off)
         return FilteredComplex(gens, diff), table
 
     def hat_complex(self, sector: int | None = None) -> tuple[FilteredComplex, dict[str, ElementInfo]]:

@@ -189,6 +189,7 @@ class GMapReport:
     matrix: list[list[int]]
     map_rank: int
     kernel: list[Chain]
+    codomain: ReducedForm  # the reduced j = 0 column, reusable by distinct_classes
 
     @property
     def injective(self) -> bool:
@@ -213,12 +214,14 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     rf_cod = reduce(codomain, "over_U_units")
     map_rank, kernel, matrix = induced_map(
         rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
-    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, map_rank, kernel)
+    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, map_rank, kernel, rf_cod)
 
 
-def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None) -> bool:
+def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None,
+                     codomain: ReducedForm | None = None) -> bool:
     """Whether two slice cycles, given as generator names, have different
-    U = 1 images in the homology of the j = 0 column."""
+    U = 1 images in the homology of the j = 0 column.  codomain, if given,
+    is that column already reduced (GMapReport.codomain of the same c)."""
     if alexander is None:
         alexander = max(g.alexander for g in c.generators)
     s = Fraction(alexander)
@@ -235,7 +238,7 @@ def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None) -> bo
         if bdy:
             raise NotCycles(f"chain has nonzero boundary {sorted(bdy)}")
         chains.append(chain)
-    rf_cod = reduce(hat_column(c), "over_U_units")
+    rf_cod = codomain or reduce(hat_column(c), "over_U_units")
     return rf_cod.push(chains[0]) != rf_cod.push(chains[1])
 
 

@@ -159,52 +159,54 @@ def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
 def flip(c: FilteredComplex) -> FlipMap:
     """Search for a reflection basis; UnsupportedModel if none exists."""
     require_valid(c)
-    names = [g.name for g in c.generators]
+    by_grading: dict[tuple[Fraction, Fraction], list[str]] = {}
+    for h in c.generators:
+        by_grading.setdefault((h.alexander, h.maslov), []).append(h.name)
     candidates: dict[str, list[str]] = {}
     for g in c.generators:
-        cands = [
-            h.name
-            for h in c.generators
-            if h.alexander == -g.alexander and h.maslov == g.maslov - 2 * g.alexander
-        ]
+        cands = by_grading.get((-g.alexander, g.maslov - 2 * g.alexander))
         if not cands:
             raise UnsupportedModel(f"no reflection partner for {g.name}")
         candidates[g.name] = cands
+    touching: dict[str, list[tuple[str, str, Fraction]]] = {g.name: [] for g in c.generators}
+    for src, tgt, k in c.entries():
+        for end in (src, tgt):
+            touching[end].append((src, tgt, c.j_drop(src, tgt, k)))
 
-    order = sorted(names, key=lambda n: (len(candidates[n]), c.order(n)))
+    order = sorted(candidates, key=lambda n: (len(candidates[n]), c.order(n)))
     pairing: dict[str, str] = {}
 
-    def entries_consistent() -> bool:
-        # chain-map condition on the pairs decided so far
-        for src, tgt, k in c.entries():
-            if src in pairing and tgt in pairing:
-                jd = c.j_drop(src, tgt, k)
-                if c.differential.get(pairing[src], {}).get(pairing[tgt]) != jd:
-                    return False
-        return True
+    def consistent(*pair: str) -> bool:
+        # chain-map condition on the entries the newest pair decides
+        return all(c.differential.get(pairing[src], {}).get(pairing[tgt]) == jd
+                   for name in pair for src, tgt, jd in touching[name]
+                   if src in pairing and tgt in pairing)
 
-    def assign(i: int) -> bool:
+    # depth-first search: try candidate j of order[i]; the stack holds the
+    # (i, j) of every pair made so far and replaces recursion
+    stack: list[tuple[int, int]] = []
+    i = j = 0
+    while True:
         while i < len(order) and order[i] in pairing:
             i += 1
-        if i == len(order):
-            return not flip_violations(c, pairing)
-        name = order[i]
-        for cand in candidates[name]:
-            if cand in pairing and pairing[cand] != name:
-                continue
+        if i == len(order) and not flip_violations(c, pairing):
+            return FlipMap(c, pairing)
+        if i < len(order) and j < len(candidates[order[i]]):
+            name, cand = order[i], candidates[order[i]][j]
             if cand == name or cand not in pairing:
-                pairing[name] = cand
-                pairing[cand] = name
-                if entries_consistent() and assign(i + 1):
-                    return True
-                pairing.pop(name, None)
-                if cand != name:
-                    pairing.pop(cand, None)
-        return False
-
-    if not assign(0):
-        raise UnsupportedModel("no reflection basis found for this complex")
-    return FlipMap(c, pairing)
+                pairing[name], pairing[cand] = cand, name
+                if consistent(name, cand):
+                    stack.append((i, j))
+                    i, j = i + 1, 0
+                    continue
+                pairing.pop(pairing.pop(name), None)
+            j += 1
+        elif stack:
+            i, j = stack.pop()
+            pairing.pop(pairing.pop(order[i]), None)
+            j += 1
+        else:
+            raise UnsupportedModel("no reflection basis found for this complex")
 
 
 # -- knot-level homology ----------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+from typing import Callable
 
 from floercone.algebra import DiffMap, FilteredComplex, Generator, GradedRanks, _Reduction
 
@@ -66,3 +67,33 @@ def random_filtered_complex(rng: random.Random, n_free: int = 3, n_pairs: int = 
     scrambled = FilteredComplex(gens, {s: dict(r) for s, r in state.diff.items()})
     expected = GradedRanks(ranks, {k: tuple(sorted(v)) for k, v in torsion.items()})
     return scrambled, expected
+
+
+def reference_eliminate(state: _Reduction, accept: Callable[[str, str, int], bool], *,
+                        lowest_power: bool = False, rng: None = None,
+                        keep: bool = False) -> list[tuple[str, str, int]]:
+    """Brute-force stand-in for `_Reduction.eliminate`, without its rng hook.
+
+    Every pivot is the least live entry that accept admits, keyed by
+    (U-power if lowest_power else 0, source order, target order), found by
+    scanning every entry; it is cleared with the engine's own `isolate`,
+    then removed with `remove_pair` or, with keep, skipped from then on.
+    """
+    if rng is not None:
+        raise ValueError("reference_eliminate has no random pivot order")
+    order = state.c.order
+    kept: set[str] = set()
+    pivots: list[tuple[str, str, int]] = []
+    while True:
+        admitted = [(k if lowest_power else 0, order(s), order(t), s, t, k)
+                    for s, row in state.diff.items() if s not in kept
+                    for t, k in row.items() if t not in kept and accept(s, t, k)]
+        if not admitted:
+            return pivots
+        *_, e, f, c = min(admitted)
+        state.isolate(e, f)
+        if keep:
+            kept.update((e, f))
+        else:
+            state.remove_pair(e, f)
+        pivots.append((e, f, c))

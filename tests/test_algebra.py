@@ -8,6 +8,7 @@ import pytest
 from floercone.algebra import (
     FilteredComplex,
     Generator,
+    _Reduction,
     apply_map,
     cancel_pair,
     check_complex,
@@ -17,11 +18,13 @@ from floercone.algebra import (
     j_graded,
     reduce,
 )
-from floercone.errors import BadParameter, NoUnitEntry
-from floercone.models import box, staircase, unknot
+from floercone.cone import MappingCone
+from floercone.dual import build_dual_cone, split_to_summands
+from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
+from floercone.models import box, flip, minus_twist_knot, staircase, unknot
 
 from oracles import dense_homology_by_maslov
-from random_complexes import default_seed, random_filtered_complex
+from random_complexes import default_seed, random_filtered_complex, reference_eliminate
 
 
 def two_step(k: int = 0) -> FilteredComplex:
@@ -239,3 +242,113 @@ class TestSlices:
 
     def test_unknot_slices_trivial(self):
         assert homology(hat_slice(unknot())).total_rank == 1
+
+
+ELIMINATE = _Reduction.eliminate
+
+
+def pivot_lists(monkeypatch, eliminate, run) -> list[list[tuple[str, str, int]]]:
+    """The pivots of every elimination run() makes, with eliminate choosing them."""
+    seen = []
+
+    def recording(self, accept, **flags):
+        pivots = eliminate(self, accept, **flags)
+        seen.append(pivots)
+        return pivots
+
+    monkeypatch.setattr(_Reduction, "eliminate", recording)
+    try:
+        run()
+    except NormalFormMismatch:
+        pass  # a random complex need not split; the pivots up to there still count
+    return seen
+
+
+def pivot_runs(c: FilteredComplex) -> dict:
+    runs = {mode: (lambda mode=mode: reduce(c, mode)) for mode in ("filtered", "over_U_units",
+                                                                    "full_field")}
+    runs["homology"] = lambda: homology(c)
+    runs["split_to_summands"] = lambda: split_to_summands(c)
+    for s, t, k in c.entries():
+        if k == 0:
+            runs["cancel_pair"] = lambda s=s, t=t: cancel_pair(c, s, t)
+            break
+    return runs
+
+
+class TestPivotOrder:
+    """The heap-fed loop picks exactly the pivots of a brute-force scan."""
+
+    def test_random_complexes(self, monkeypatch):
+        rng = random.Random(default_seed() + 7)
+        covered, torsion, rejected = set(), False, False
+        for _ in range(25):
+            c, expected = random_filtered_complex(rng, rng.randint(0, 4), rng.randint(2, 6),
+                                                  rng.randint(10, 60))
+            torsion |= bool(expected.torsion)
+            rejected |= bool(reduce(c, "filtered").complex.differential)
+            for name, run in pivot_runs(c).items():
+                got = pivot_lists(monkeypatch, ELIMINATE, run)
+                want = pivot_lists(monkeypatch, reference_eliminate, run)
+                assert got == want, name
+                covered.add(name)
+        assert covered == {"filtered", "over_U_units", "full_field", "homology",
+                           "split_to_summands", "cancel_pair"}
+        assert torsion and rejected
+
+    def test_dual_cone_split(self, monkeypatch):
+        model = minus_twist_knot(7)
+        filtered = reduce(build_dual_cone(model, flip(model), 1).complex, "filtered").complex
+        run = lambda: split_to_summands(filtered)
+        got = pivot_lists(monkeypatch, ELIMINATE, run)
+        assert got == pivot_lists(monkeypatch, reference_eliminate, run)
+        assert got[0]
+
+
+def accept_calls(monkeypatch, run) -> tuple[int, int]:
+    """(accept calls, starting entries plus entries _set inserts) over every
+    elimination run() makes outside keep mode."""
+    calls, budget = [0], [0]
+    set_entry = _Reduction._set
+
+    def counting_set(self, src, tgt, power):
+        set_entry(self, src, tgt, power)
+        budget[0] += tgt in self.diff.get(src, {})
+
+    def counting_eliminate(self, accept, **flags):
+        assert not flags.get("keep")
+        budget[0] += sum(len(row) for row in self.diff.values())
+
+        def counted(s, t, k):
+            calls[0] += 1
+            return accept(s, t, k)
+        return ELIMINATE(self, counted, **flags)
+
+    monkeypatch.setattr(_Reduction, "_set", counting_set)
+    monkeypatch.setattr(_Reduction, "eliminate", counting_eliminate)
+    run()
+    return calls[0], budget[0]
+
+
+class TestAcceptCalls:
+    """Outside keep mode, accept sees each entry once: when it starts out
+    in the differential or when _set inserts it, never again per pivot."""
+
+    def test_surgery_cone_every_sector(self, monkeypatch):
+        model = minus_twist_knot(33)
+        cone = MappingCone.build(model, flip(model), 5, 1, "full")
+        calls, budget = accept_calls(monkeypatch, lambda: cone.all_sector_ranks("hat"))
+        assert 0 < calls <= budget
+
+    def test_random_complex_every_mode(self, monkeypatch):
+        c, _ = random_filtered_complex(random.Random(default_seed() + 8), 4, 8, 80)
+
+        def run():
+            for mode in ("filtered", "over_U_units", "full_field"):
+                reduce(c, mode)
+            homology(c)
+            for s, t, k in c.entries():
+                if k == 0:
+                    cancel_pair(c, s, t)
+        calls, budget = accept_calls(monkeypatch, run)
+        assert 0 < calls <= budget

@@ -185,6 +185,26 @@ class TestPipeline:
         step = next(s for s in report.steps if "located" in s.title)
         assert step.values["t"] == -1 and step.values["c1"] == 0
 
+    def test_case_i_reduces_the_j0_column_once(self, monkeypatch):
+        import floercone.dual as dual
+        from floercone.models import flip, hat_column, minus_twist_knot
+
+        model = minus_twist_knot(9)
+        nf = dual.normal_form(dual.build_dual_cone(model, flip(model), 1))
+        column = hat_column(nf.form.complex)
+        key = lambda c: (c.generators, c.differential)
+        reduced = []
+        real_reduce = dual.reduce
+
+        def counting_reduce(c, mode="filtered", rng=None):
+            if mode == "over_U_units":
+                reduced.append(key(c))
+            return real_reduce(c, mode, rng)
+
+        monkeypatch.setattr(dual, "reduce", counting_reduce)
+        assert distinctness_pipeline(9, -2).distinct
+        assert reduced.count(key(column)) == 1
+
     def test_case_iii(self):
         report = distinctness_pipeline(5, Fraction(-5, 2))
         assert report.case.startswith("case iii")

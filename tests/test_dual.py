@@ -190,6 +190,16 @@ class TestDistinctClasses:
         with pytest.raises(NotCycles):
             distinct_classes(c, ["nope"], ["yv1"])
 
+    def test_reduced_codomain_from_g_map(self):
+        c = dual_normal_form_model(5)
+        cod = g_map(c).codomain
+        assert distinct_classes(c, ["yv1"], ["yv2"], codomain=cod)
+        assert not distinct_classes(c, ["yv1"], ["yv1", "xh1"], -1, cod)
+        with pytest.raises(NotCycles):
+            distinct_classes(c, ["yh1"], ["yv1"], -1, cod)
+        with pytest.raises(NotCycles):
+            distinct_classes(c, ["nope"], ["yv1"], codomain=cod)
+
 
 class TestLossGrading:
     def test_values(self):

@@ -45,6 +45,14 @@ GOLDEN = [
     ([["model", "--minus-en", "9"],
       ["surgery", "--p", "-9", "--q", "2", "--flavor", "infinity", "--range", "full"]],
      "1c28c0661eb2bf13b747161509d55d1bd2e54fc9e780442c2c7e5cb8d8228012"),
+    ([["model", "--minus-en", "33"], ["surgery", "--p", "5", "--q", "1", "--range", "full"]],
+     "64637b7d6f9009c8172489c147c5bf7d0fcb0ea6e6a256341c129ef2e4c765c4"),
+    ([["model", "--minus-en", "9"], ["surgery", "--p", "-41", "--q", "11", "--range", "full"]],
+     "507d4d14bc593e10b82afec19f73c6b37bf310b2a2fadb376a855dd85f8c4265"),
+    ([["dualknot", "--n", "1", "--model", "minus-en:83", "--check", "gmap"]],
+     "459d21bd4d9d6020da0871a80ad41a31380c31e19568b392bb2390c547fcc14f"),
+    ([["knot-homology", "--minus-en", "33"]],
+     "ae17fd03ce5ce8dd4bd0046f32bc5e57617f96c7e96e901c44a7fb986afd57fc"),
 ]
 
 

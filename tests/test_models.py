@@ -14,6 +14,7 @@ from floercone.models import (
     dual_normal_form_model,
     evaluate_poly,
     flip,
+    flip_violations,
     hat_column,
     hat_knot_homology,
     hat_manifold_homology,
@@ -144,6 +145,13 @@ class TestFlip:
                             f"b{i}": f"c{j}", f"c{i}": f"b{j}"})
         f = FlipMap(c, pairing)
         assert f.pairing["b1"] == "c2"
+
+    def test_large_model_needs_no_recursion(self):
+        # 2,403 generators: deeper than the interpreter's recursion limit
+        c = minus_twist_knot(1201)
+        f = flip(c)
+        assert isinstance(f, FlipMap)
+        assert len(f.pairing) == len(c) and not flip_violations(c, f.pairing)
 
 
 class TestSymmetry:
