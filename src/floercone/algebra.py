@@ -25,14 +25,17 @@ form over GF(2)[U] (minimal c first, recording U-torsion), which is how
 homology is computed, and, keeping each isolated pair in place, the
 filtered splitting of the dual-knot normal form.
 
+A reduction's trace is its log of basis changes, in order: replaying it
+forward carries input chains into the reduced basis, and replaying it
+backward carries reduced chains back to input cycles.
+
 Every map on homology is computed by one routine, `induced_map`: it pushes
 the cycles of one reduced complex through a chain map into another and
-reads off the rank, the kernel and the 0/1 matrix over GF(2).
+reads off the rank and the 0/1 matrix over GF(2).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -186,25 +189,35 @@ def require_valid(c: FilteredComplex) -> None:
 
 
 class ReducedForm:
-    """A reduced complex plus the invertible trace back to the input.
+    """A reduced complex plus the basis changes (u, v, m) that produced it.
 
-    project sends input chains to reduced-basis chains, include goes back;
-    project . include is the identity on the nose, include . project is
-    chain homotopic to the identity, so homology classes round-trip.
+    Each change replaced u by u + U^m v.  push replays them forward and sends
+    input chains to reduced-basis chains, pull replays them backward and
+    sends reduced chains to input chains; push . pull is the identity on the
+    nose, pull . push is chain homotopic to the identity, so homology
+    classes round-trip.
     """
 
-    def __init__(self, source: FilteredComplex, complex: FilteredComplex,
-                 project: DiffMap, include: DiffMap):
-        self.source = source
+    def __init__(self, complex: FilteredComplex, moves: list[tuple[str, str, int]]):
         self.complex = complex
-        self.project = project
-        self.include = include
+        self.moves = moves
 
     def push(self, chain: Chain) -> Chain:
-        return apply_map(self.project, chain)
+        out = _replay(self.moves, chain)
+        return {n: p for n, p in out.items() if n in self.complex}
 
     def pull(self, chain: Chain) -> Chain:
-        return apply_map(self.include, chain)
+        return _replay(reversed(self.moves), chain)
+
+
+def _replay(moves: Iterable[tuple[str, str, int]], chain: Chain) -> Chain:
+    # in either direction, a chain holding U^p u picks up U^(p+m) v
+    out = dict(chain)
+    for u, v, m in moves:
+        p = out.get(u)
+        if p is not None:
+            _toggle(out, v, p + m)
+    return out
 
 
 def apply_map(m: DiffMap, chain: Chain) -> Chain:
@@ -212,15 +225,6 @@ def apply_map(m: DiffMap, chain: Chain) -> Chain:
     for name, power in chain.items():
         for tgt, k in m.get(name, {}).items():
             _toggle(out, tgt, power + k)
-    return out
-
-
-def compose_maps(outer: DiffMap, inner: DiffMap) -> DiffMap:
-    out: DiffMap = {}
-    for src, row in inner.items():
-        image = apply_map(outer, row)
-        if image:
-            out[src] = image
     return out
 
 
@@ -235,10 +239,7 @@ class _Reduction:
         for s, row in self.diff.items():
             for t in row:
                 self.sources.setdefault(t, set()).add(s)
-        # Both traces are keyed by reduced generator: include[r] is r's input
-        # chain, project[r] the input generators whose image holds r (transposed in finish).
-        self.project: DiffMap = {n: {n: 0} for n in self.gens}
-        self.include: DiffMap = {n: {n: 0} for n in self.gens}
+        self.moves: list[tuple[str, str, int]] = []  # the trace, see ReducedForm
         self.enqueue: Callable[[str, str, int], None] = lambda s, t, k: None  # eliminate's feed
 
     # elementary moves ----------------------------------------------------
@@ -256,14 +257,13 @@ class _Reduction:
 
     def basis_change(self, u: str, v: str, m: int) -> None:
         """Replace u by u + U^m v (GF(2), so it is its own inverse)."""
-        assert u != v
+        if u == v:
+            raise AssertionError(f"basis change of {u} against itself")
         for tgt, k in list(self.diff.get(v, {}).items()):
             self._set(u, tgt, k + m)
         for s in list(self.sources.get(u, set())):
             self._set(s, v, self.diff[s][u] + m)
-        # trace: old u reads u + U^m v in the new basis; new u includes as u + U^m v
-        _add_shifted(self.project, v, u, m)
-        _add_shifted(self.include, u, v, m)
+        self.moves.append((u, v, m))
 
     def isolate(self, e: str, f: str) -> None:
         """Clear row e / column f against the pivot entry d(e) = U^c f."""
@@ -274,34 +274,34 @@ class _Reduction:
         for h, d in list(self.diff.get(e, {}).items()):
             if h != f:
                 self.basis_change(f, h, d - c)
-        assert set(self.diff[e]) == {f}, "row of e not cleared"
-        assert self.sources[f] == {e}, "column of f not cleared"
+        if set(self.diff[e]) != {f}:
+            raise AssertionError(f"row of {e} not cleared")
+        if self.sources[f] != {e}:
+            raise AssertionError(f"column of {f} not cleared")
 
     def remove_pair(self, e: str, f: str) -> None:
         """Drop a summand d(e) = U^c f that isolate has cleared."""
-        assert not self.sources.get(e), "unexpected entries into e"
-        assert not self.diff.get(f), "unexpected entries out of f"
+        if self.sources.get(e):
+            raise AssertionError(f"unexpected entries into {e}")
+        if self.diff.get(f):
+            raise AssertionError(f"unexpected entries out of {f}")
         del self.diff[e]
         self.sources.pop(f, None)
         self.sources.pop(e, None)
-        for name in (e, f):
-            del self.gens[name]
-            self.include.pop(name, None)
-            self.project.pop(name, None)
+        del self.gens[e], self.gens[f]
 
     # the elimination loop -------------------------------------------------
 
     def eliminate(self, accept: Callable[[str, str, int], bool], *,
-                  lowest_power: bool = False, rng: random.Random | None = None,
-                  keep: bool = False) -> list[tuple[str, str, int]]:
+                  lowest_power: bool = False, keep: bool = False) -> list[tuple[str, str, int]]:
         """Isolate pivot entries until accept admits none; returns the pivots.
 
         The pivot is the first live entry src -> U^k tgt in generator order
         (source, then target) that accept(src, tgt, k) admits; lowest_power
-        takes the least U-power first, rng picks uniformly among the admitted
-        entries.  Candidates wait in a heap that _set feeds, so accept runs
-        once per inserted entry; with keep it reads the live row and column,
-        so it runs when a candidate is popped and rejected ones go back.
+        takes the least U-power first.  Candidates wait in a heap that _set
+        feeds, so accept runs once per inserted entry; with keep it reads the
+        live row and column, so it runs when a candidate is popped and
+        rejected ones go back.
         Each pivot e -> U^c f is isolated, then removed, or with keep left in
         place and skipped from then on.  Pivots are returned as (e, f, c).
         """
@@ -323,10 +323,6 @@ class _Reduction:
                 enqueue(s, t, k)
         self.enqueue = enqueue
         while True:
-            if rng is not None:
-                heap[:] = sorted(set(filter(live, heap)))
-                if heap:  # a sorted list stays a heap below its root
-                    heap.insert(0, heap.pop(rng.randrange(len(heap))))
             pivot, rejected = None, []
             while heap and pivot is None:
                 x = heappop(heap)
@@ -350,18 +346,7 @@ class _Reduction:
     def finish(self) -> ReducedForm:
         reduced = FilteredComplex(list(self.gens.values()),
                                   {s: dict(r) for s, r in self.diff.items()})
-        project: DiffMap = {n: {} for n in self.c._order}
-        for r, row in self.project.items():
-            for n, k in row.items():
-                project[n][r] = k
-        return ReducedForm(self.c, reduced, project, self.include)
-
-
-def _add_shifted(trace: DiffMap, dst: str, src: str, m: int) -> None:
-    """trace[dst] += U^m trace[src]."""
-    row = trace.setdefault(dst, {})
-    for name, k in trace.get(src, {}).items():
-        _toggle(row, name, k + m)
+        return ReducedForm(reduced, self.moves)
 
 
 def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
@@ -377,8 +362,7 @@ def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
 REDUCE_MODES = ("filtered", "over_U_units", "full_field")
 
 
-def reduce(c: FilteredComplex, mode: str = "filtered",
-           rng: random.Random | None = None) -> ReducedForm:
+def reduce(c: FilteredComplex, mode: str = "filtered") -> ReducedForm:
     """Iterated cancellation in one of three regimes.
 
     filtered      cancels only U^0 entries between equal (i,j)-positions, so
@@ -387,8 +371,7 @@ def reduce(c: FilteredComplex, mode: str = "filtered",
     full_field    inverts U and cancels everything, leaving zero differential
                   (homotopy equivalence over GF(2)[U,U^-1]).
 
-    The default pivot is the first unit entry in generator order; rng is a
-    hook for the randomized-order confluence property tests only.
+    The pivot is the first admitted entry in generator order.
     """
     if mode not in REDUCE_MODES:
         raise BadParameter(f"unknown reduce mode {mode!r}")
@@ -399,7 +382,7 @@ def reduce(c: FilteredComplex, mode: str = "filtered",
         accept = lambda s, t, k: k == 0
     else:
         accept = lambda s, t, k: True
-    state.eliminate(accept, rng=rng)
+    state.eliminate(accept)
     return state.finish()
 
 
@@ -475,32 +458,20 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
 
 
 def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm,
-                chain_map: Callable[[Chain], Chain]) -> tuple[int, list[Chain], list[list[int]]]:
-    """Rank, kernel cycles and 0/1 matrix (rows: rf_cod basis, columns: rf_dom
-    basis) of the map chain_map induces on homology, both reduced forms having
-    zero differential: each rf_dom generator is pulled back to a cycle of its
+                chain_map: Callable[[Chain], Chain]) -> tuple[int, list[list[int]]]:
+    """Rank and 0/1 matrix (rows: rf_cod basis, columns: rf_dom basis) of the
+    map chain_map induces on homology, both reduced forms having zero
+    differential: each rf_dom generator is pulled back to a cycle of its
     source, mapped, and pushed into rf_cod's basis."""
     cod_index = {g.name: i for i, g in enumerate(rf_cod.complex.generators)}
-    cycles: list[Chain] = []
     columns: list[int] = []
     for b in rf_dom.complex.generators:
-        cycle = rf_dom.pull({b.name: 0})
-        cycles.append(cycle)
         bits = 0
-        for name in rf_cod.push(chain_map(cycle)):
+        for name in rf_cod.push(chain_map(rf_dom.pull({b.name: 0}))):
             bits |= 1 << cod_index[name]
         columns.append(bits)
-    rank, kernel_masks = gf2.column_reduce(columns)
-    kernel: list[Chain] = []
-    for mask in kernel_masks:
-        chain: Chain = {}
-        for j, cycle in enumerate(cycles):
-            if mask >> j & 1:
-                for name, power in cycle.items():
-                    _toggle(chain, name, power)
-        kernel.append(chain)
     matrix = [[col >> i & 1 for col in columns] for i in range(len(cod_index))]
-    return rank, kernel, matrix
+    return gf2.rank(columns), matrix
 
 
 # -- graded slices ---------------------------------------------------------

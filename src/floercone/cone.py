@@ -300,7 +300,6 @@ class IncludeBReport:
     domain_rank: int
     codomain_rank: int
     map_rank: int
-    kernel: list[dict[str, int]]
 
     @property
     def injective(self) -> bool:
@@ -320,7 +319,7 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
     rf_vertex = reduce(hat.with_generators(vertex), "over_U_units")
     rf_sector = reduce(hat, "over_U_units")
-    map_rank, kernel, matrix = induced_map(rf_vertex, rf_sector, lambda chain: chain)
+    map_rank, matrix = induced_map(rf_vertex, rf_sector, lambda chain: chain)
     return IncludeBReport(
         t=t,
         sector=sector,
@@ -328,5 +327,4 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
         domain_rank=len(rf_vertex.complex),
         codomain_rank=len(rf_sector.complex),
         map_rank=map_rank,
-        kernel=kernel,
     )

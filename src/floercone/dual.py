@@ -27,7 +27,6 @@ from .algebra import (
     _Reduction,
     _toggle,
     check_complex,
-    compose_maps,
     induced_map,
     reduce,
     require_valid,
@@ -148,12 +147,7 @@ def normal_form(dc: DualCone) -> NormalFormResult:
         raise BadFraming("normal form is defined for framing +1")
     rf = reduce(dc.complex, "filtered")
     split = split_to_summands(rf.complex)
-    combined = ReducedForm(
-        dc.complex,
-        split.complex,
-        compose_maps(split.project, rf.project),
-        compose_maps(rf.include, split.include),
-    )
+    combined = ReducedForm(split.complex, rf.moves + split.moves)
     summands = _classify(split.complex)
     by_kind = {"free": [], "horizontal": [], "vertical": []}
     for s in summands:
@@ -188,7 +182,6 @@ class GMapReport:
     codomain_dim: int
     matrix: list[list[int]]
     map_rank: int
-    kernel: list[Chain]
     codomain: ReducedForm  # the reduced j = 0 column, reusable by distinct_classes
 
     @property
@@ -212,9 +205,8 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     codomain = hat_column(c)
     rf_dom = reduce(domain, "over_U_units")
     rf_cod = reduce(codomain, "over_U_units")
-    map_rank, kernel, matrix = induced_map(
-        rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
-    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, map_rank, kernel, rf_cod)
+    map_rank, matrix = induced_map(rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
+    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, map_rank, rf_cod)
 
 
 def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None,

@@ -3,27 +3,12 @@
 from __future__ import annotations
 
 
-def column_reduce(columns: list[int]) -> tuple[int, list[int]]:
-    """Rank and a kernel basis for the map sending basis j to columns[j].
-
-    Kernel vectors are returned as bitmasks over column indices.
-    """
-    work = list(columns)
-    combos = [1 << j for j in range(len(columns))]
-    pivots: dict[int, int] = {}  # pivot row bit -> column index
-    kernel: list[int] = []
-    for j in range(len(work)):
-        col = work[j]
-        while col:
-            low = col & -col
-            if low not in pivots:
-                break
-            i = pivots[low]
-            col ^= work[i]
-            combos[j] ^= combos[i]
-        work[j] = col
+def rank(columns: list[int]) -> int:
+    """Rank of the GF(2) matrix whose j-th column is the bitset columns[j]."""
+    pivots: dict[int, int] = {}  # lowest set bit -> reduced column holding it
+    for col in columns:
+        while col and (col & -col) in pivots:
+            col ^= pivots[col & -col]
         if col:
-            pivots[col & -col] = j
-        else:
-            kernel.append(combos[j])
-    return len(pivots), kernel
+            pivots[col & -col] = col
+    return len(pivots)

@@ -70,27 +70,27 @@ def random_filtered_complex(rng: random.Random, n_free: int = 3, n_pairs: int = 
 
 
 def reference_eliminate(state: _Reduction, accept: Callable[[str, str, int], bool], *,
-                        lowest_power: bool = False, rng: None = None,
-                        keep: bool = False) -> list[tuple[str, str, int]]:
-    """Brute-force stand-in for `_Reduction.eliminate`, without its rng hook.
+                        lowest_power: bool = False, keep: bool = False,
+                        rng: random.Random | None = None) -> list[tuple[str, str, int]]:
+    """Brute-force stand-in for `_Reduction.eliminate`.
 
     Every pivot is the least live entry that accept admits, keyed by
     (U-power if lowest_power else 0, source order, target order), found by
-    scanning every entry; it is cleared with the engine's own `isolate`,
-    then removed with `remove_pair` or, with keep, skipped from then on.
+    scanning every entry; with rng it is drawn uniformly from the admitted
+    entries instead, for confluence tests of other pivot orders.  It is
+    cleared with the engine's own `isolate`, then removed with
+    `remove_pair` or, with keep, skipped from then on.
     """
-    if rng is not None:
-        raise ValueError("reference_eliminate has no random pivot order")
     order = state.c.order
     kept: set[str] = set()
     pivots: list[tuple[str, str, int]] = []
     while True:
-        admitted = [(k if lowest_power else 0, order(s), order(t), s, t, k)
-                    for s, row in state.diff.items() if s not in kept
-                    for t, k in row.items() if t not in kept and accept(s, t, k)]
+        admitted = sorted((k if lowest_power else 0, order(s), order(t), s, t, k)
+                          for s, row in state.diff.items() if s not in kept
+                          for t, k in row.items() if t not in kept and accept(s, t, k))
         if not admitted:
             return pivots
-        *_, e, f, c = min(admitted)
+        *_, e, f, c = admitted[rng.randrange(len(admitted))] if rng else admitted[0]
         state.isolate(e, f)
         if keep:
             kept.update((e, f))

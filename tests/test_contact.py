@@ -196,10 +196,10 @@ class TestPipeline:
         reduced = []
         real_reduce = dual.reduce
 
-        def counting_reduce(c, mode="filtered", rng=None):
+        def counting_reduce(c, mode="filtered"):
             if mode == "over_U_units":
                 reduced.append(key(c))
-            return real_reduce(c, mode, rng)
+            return real_reduce(c, mode)
 
         monkeypatch.setattr(dual, "reduce", counting_reduce)
         assert distinctness_pipeline(9, -2).distinct
