@@ -3,7 +3,7 @@
 Everything here is exact rational bookkeeping: continued-fraction
 expansions converting rational contact surgeries into sequences of
 (+1)/(-1)-surgeries on stabilized push-offs, the classical-invariant
-updates, smooth-coefficient conversion, evaluation of the first-Chern
+updates, evaluation of the first-Chern
 pairing formulas, and the case analysis that propagates "different
 contact invariants" from the two homologically verified situations
 (framing +1 dual cone; the -(k+1)/k cone inclusion) to every negative
@@ -22,7 +22,6 @@ from .errors import (
     BadParameter,
     ExcludedCoefficient,
     ParityError,
-    ZeroCoefficient,
 )
 from .models import flip, minus_twist_knot
 from .dual import (
@@ -43,9 +42,6 @@ class LegendrianData:
     rot: int
     order: int = 1
     label: str = ""
-
-    def stabilize_negative(self, times: int = 1) -> "LegendrianData":
-        return LegendrianData(self.tb - times, self.rot - times, self.order, self.label)
 
     def push_off(self, label: str = "") -> "LegendrianData":
         return LegendrianData(self.tb, self.rot, self.order, label or self.label)
@@ -145,18 +141,6 @@ def characterize_all_minus_two(r) -> tuple[bool, int | None]:
     if r.numerator == -1:
         return True, r.denominator
     return False, None
-
-
-def smooth_coefficient(l: LegendrianData, r) -> Fraction:
-    """Smooth surgery coefficient tb + r of a contact r-surgery.
-
-    A zero result means the surgered manifold fails to be a rational
-    homology sphere; callers treat it as excluded.
-    """
-    r = Fraction(r)
-    if r == 0:
-        raise ZeroCoefficient("contact surgery coefficient must be nonzero")
-    return l.tb + r
 
 
 @dataclass(frozen=True)

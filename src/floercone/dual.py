@@ -49,7 +49,6 @@ def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
     """Assemble and verify the framing-n dual-knot cone over the model c."""
     if not isinstance(n, int) or n == 0:
         raise BadFraming(f"framing must be a nonzero integer, got {n!r}")
-    require_valid(c)
     g = effective_genus(c)
     # floor lowered from 1-g when n >= 2g so every Spin^c sector keeps a vertex
     lo = min(1 - g, g - n + 1)

@@ -18,9 +18,7 @@ from .algebra import (
     Generator,
     GradedRanks,
     bigraded_slice,
-    hat_slice,
     homology,
-    j_graded,
     require_valid,
 )
 from .errors import BadParameter, NonIntegral, UnsupportedModel
@@ -189,9 +187,9 @@ def flip(c: FilteredComplex) -> FlipMap:
     while True:
         while i < len(order) and order[i] in pairing:
             i += 1
-        if i == len(order) and not flip_violations(c, pairing):
+        if i == len(order):  # consistent() has checked every entry; FlipMap checks again
             return FlipMap(c, pairing)
-        if i < len(order) and j < len(candidates[order[i]]):
+        if j < len(candidates[order[i]]):
             name, cand = order[i], candidates[order[i]][j]
             if cand == name or cand not in pairing:
                 pairing[name], pairing[cand] = cand, name
@@ -218,12 +216,6 @@ def hat_knot_homology(c: FilteredComplex, keys=("alexander", "maslov")) -> Grade
     return homology(bigraded_slice(c), keys)
 
 
-def hat_manifold_homology(c: FilteredComplex) -> GradedRanks:
-    """Homology of the i = 0 column: the ambient manifold's hat invariant."""
-    require_valid(c)
-    return homology(hat_slice(c), ("maslov",))
-
-
 def hfk_minus(c: FilteredComplex, s) -> GradedRanks:
     """Minus-flavor knot homology in Alexander grading s.
 
@@ -233,12 +225,6 @@ def hfk_minus(c: FilteredComplex, s) -> GradedRanks:
     """
     require_valid(c)
     return homology(minus_slice(c, s), ("maslov",))
-
-
-def hfk_minus_module(c: FilteredComplex, keys=("alexander", "maslov")) -> GradedRanks:
-    """Minus-flavor knot homology as a GF(2)[U]-module (all s at once)."""
-    require_valid(c)
-    return homology(j_graded(c), keys)
 
 
 def hat_column(c: FilteredComplex) -> FilteredComplex:

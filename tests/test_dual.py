@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from floercone import algebra
 from floercone.algebra import FilteredComplex, Generator, check_complex, homology, reduce
 from floercone.cone import MappingCone
 from floercone.dual import (
@@ -45,6 +46,16 @@ class TestBuildDualCone:
         for n in (1, -1, 2, -3):
             dc = dual_for(minus_twist_knot(5), n)
             assert check_complex(dc.complex).ok
+
+    def test_model_is_checked_once(self, monkeypatch):
+        # MappingCone.__init__ validates the model; the assembled cone is checked apart
+        model = minus_twist_knot(9)
+        f = flip(model)
+        seen = []
+        monkeypatch.setattr(algebra, "check_complex",
+                            lambda c: seen.append(c) or check_complex(c))
+        build_dual_cone(model, f, 1)
+        assert sum(c is model for c in seen) == 1
 
     def test_staircase_decorations(self):
         dc = dual_for(staircase(), 1)

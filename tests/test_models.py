@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from floercone.algebra import check_complex, homology, hat_slice
+from floercone.algebra import (
+    FilteredComplex,
+    GradedRanks,
+    check_complex,
+    hat_slice,
+    homology,
+    j_graded,
+)
+from floercone import models
 from floercone.errors import BadParameter, UnsupportedModel
 from floercone.models import (
     FlipMap,
@@ -17,9 +25,7 @@ from floercone.models import (
     flip_violations,
     hat_column,
     hat_knot_homology,
-    hat_manifold_homology,
     hfk_minus,
-    hfk_minus_module,
     minus_twist_knot,
     mirror,
     poly_string,
@@ -28,6 +34,16 @@ from floercone.models import (
 )
 
 from oracles import twist_knot_alexander
+
+
+def hat_manifold_homology(c: FilteredComplex) -> GradedRanks:
+    """Homology of the i = 0 column: the ambient manifold's hat invariant."""
+    return homology(hat_slice(c), ("maslov",))
+
+
+def hfk_minus_module(c: FilteredComplex, keys=("alexander", "maslov")) -> GradedRanks:
+    """Minus-flavor knot homology as a GF(2)[U]-module (all s at once)."""
+    return homology(j_graded(c), keys)
 
 
 ALL_MODELS = {
@@ -152,6 +168,14 @@ class TestFlip:
         f = flip(c)
         assert isinstance(f, FlipMap)
         assert len(f.pairing) == len(c) and not flip_violations(c, f.pairing)
+
+    def test_found_pairing_is_checked_once(self, monkeypatch):
+        # the search leaf returns FlipMap at once; FlipMap.__init__ runs the check
+        calls = []
+        monkeypatch.setattr(models, "flip_violations",
+                            lambda c, pairing: calls.append(c) or flip_violations(c, pairing))
+        flip(minus_twist_knot(9))
+        assert len(calls) == 1
 
 
 class TestSymmetry:
