@@ -3,11 +3,10 @@
 Everything here is exact rational bookkeeping: continued-fraction
 expansions converting rational contact surgeries into sequences of
 (+1)/(-1)-surgeries on stabilized push-offs, the classical-invariant
-updates, evaluation of the first-Chern
-pairing formulas, and the case analysis that propagates "different
-contact invariants" from the two homologically verified situations
-(framing +1 dual cone; the -(k+1)/k cone inclusion) to every negative
-rational coefficient except -1.
+updates, evaluation of the first-Chern pairing formulas, and the case
+analysis that propagates "different contact invariants" from the two
+homologically verified situations (framing +1 dual cone; the -(k+1)/k
+cone inclusion) to every negative rational coefficient except -1.
 """
 
 from __future__ import annotations
