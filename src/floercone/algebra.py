@@ -73,12 +73,14 @@ class FilteredComplex:
         self._by_name = {g.name: g for g in self.generators}
         if len(self._by_name) != len(self.generators):
             raise BadParameter("duplicate generator names")
-        self._order = {g.name: i for i, g in enumerate(self.generators)}
+        self._order = order = {g.name: i for i, g in enumerate(self.generators)}
         diff: DiffMap = {}
         for src, row in differential.items():
             row = {tgt: int(k) for tgt, k in row.items()}
+            if len(row) > 1:
+                row = dict(sorted(row.items(), key=lambda it: order.get(it[0], -1)))
             if row:
-                diff[src] = dict(sorted(row.items(), key=lambda it: self._order.get(it[0], -1)))
+                diff[src] = row
         self.differential: DiffMap = diff
 
     # -- queries ---------------------------------------------------------
@@ -487,15 +489,6 @@ def bigraded_slice(c: FilteredComplex) -> FilteredComplex:
     """Entries preserving both filtrations; computes hat-flavor knot homology."""
     diff = {
         s: {t: k for t, k in row.items() if k == 0 and c.j_drop(s, t, k) == 0}
-        for s, row in c.differential.items()
-    }
-    return FilteredComplex(c.generators, diff)
-
-
-def j_graded(c: FilteredComplex) -> FilteredComplex:
-    """The j-preserving (Alexander-associated-graded) part of d."""
-    diff = {
-        s: {t: k for t, k in row.items() if c.j_drop(s, t, k) == 0}
         for s, row in c.differential.items()
     }
     return FilteredComplex(c.generators, diff)

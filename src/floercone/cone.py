@@ -1,4 +1,4 @@
-"""Surgery mapping cones: assembly, hat flavor, sectors, truncation.
+"""Surgery mapping cones: assembly, sectors from vertex homology, truncation.
 
 For coprime p, q (q > 0) the cone has one copy of the input complex per
 vertex (t, A_s) and (t, B_s), s = floor(t/q).  Edges are v_t (the
@@ -8,9 +8,22 @@ Everything is stored through the I = 0 translate of each copy, where
     I = max(i, j - s)   on A-vertices,        I = i   on B-vertices,
 
 so a cone element for generator g of Alexander grading A sits at U-offset
-max(0, A - s) in an A-copy and offset 0 in a B-copy, and every assembled
-differential entry automatically has a nonnegative U-power equal to its
-I-drop.  The hat flavor is the I-preserving part on those translates.
+max(0, A - s) in an A-copy and offset 0 in a B-copy, and every differential
+entry automatically has a nonnegative U-power equal to its I-drop.  The hat
+flavor is the I-preserving part on those translates.  `_edges` is the one
+place that rule is written down: every A_s with the same s shares it.
+
+Sector ranks.  Over a field, the cone of D: (+)A_s -> (+)B has in each
+Maslov degree m
+
+    dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
+
+where D_m is D on source degree m (D lowers Maslov by 1).  So
+`sector_homology` reduces each distinct A_s once, and B once, reads v and
+h on their homology with `induced_map`, and ranks one GF(2) matrix per
+degree between those homology bases, shifted by phi.  No sector is
+flattened.  The flattened cone (`total_complex`, `hat_complex`) remains for
+the dual cone, `include_B` and the checks.
 
 Vertex ranges.  The t-window must satisfy two constraints so that the
 omitted vertices cancel in (A_t, B_t) pairs via v (an isomorphism once
@@ -31,10 +44,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+from . import gf2
 from .algebra import (
+    DiffMap,
     FilteredComplex,
     Generator,
     GradedRanks,
+    ReducedForm,
+    apply_map,
     grading_key,
     hat_slice,
     homology,
@@ -66,6 +83,21 @@ class ElementInfo(NamedTuple):
     offset: int  # U-power of the stored translate relative to the i = 0 one
 
 
+class VertexEdges(NamedTuple):
+    """One vertex copy of the source, indexed like the source generators."""
+    offsets: list[int]               # U-offset of each element
+    d: list[list[tuple[int, int]]]   # internal entries: (target index, U-power)
+    v: list[int]                     # A only: v-edge U-power to the same index of B_t
+    h: list[tuple[int, int]]         # A only: h-edge (target index in B_(t+p), U-power)
+
+
+class VertexHomology(NamedTuple):
+    """Homology of one vertex copy; A-vertices also carry v and h on it."""
+    reduced: ReducedForm             # zero differential: a homology basis, graded before phi
+    v: list[int]                     # A only: columns as bitsets over B's basis
+    h: list[int]
+
+
 class MappingCone:
     def __init__(self, source: FilteredComplex, flip: FlipMap, p: int, q: int,
                  a_ts: Iterable[int], b_ts: Iterable[int], range_mode: str = "custom"):
@@ -82,6 +114,16 @@ class MappingCone:
         self.b_ts = tuple(sorted(set(b_ts)))
         self._b_set = set(self.b_ts)
         self._phi: dict[tuple[str, int], Fraction] | None = None
+        self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
+        # per-generator source tables, read by _edges
+        gens = source.generators
+        self._alex = [int(g.alexander) for g in gens]  # integral: checked by effective_genus
+        order = source._order
+        self._rows = [[(order[t], k) for t, k in source.differential.get(g.name, {}).items()]
+                      for g in gens]
+        self._flipped = [(order[partner], fpow) for partner, fpow in (flip(g.name) for g in gens)]
+        self._edge_cache: dict[int | None, VertexEdges] = {}  # keyed by s, None for B
+        self._homology: dict[tuple[str, int | None], VertexHomology] = {}  # (flavor, s)
 
     # -- construction -----------------------------------------------------
 
@@ -110,6 +152,15 @@ class MappingCone:
     @property
     def sectors(self) -> range:
         return range(abs(self.p))
+
+    def _sector_ts(self, sector: int) -> tuple[list[int], list[int]]:
+        """The ascending A- and B-vertex ts of one sector; grouped once per cone."""
+        if self._sectors is None:
+            self._sectors = {}
+            for k, ts in enumerate((self.a_ts, self.b_ts)):
+                for t in ts:
+                    self._sectors.setdefault(self.spin_c(t), ([], []))[k].append(t)
+        return self._sectors.get(sector, ([], []))
 
     def vertices(self) -> list[ConeVertex]:
         return [ConeVertex("A", t, self.s_of(t)) for t in self.a_ts] + \
@@ -159,6 +210,22 @@ class MappingCone:
     def element_name(segment: str, t: int, base: str) -> str:
         return f"{segment}{t}.{base}"
 
+    def _edges(self, segment: str, t: int) -> VertexEdges:
+        """Element offsets and edge powers of vertex (segment, t): the offset
+        rule max(0, A - s) on A_s, 0 on B, and each entry's I-drop."""
+        s = self.s_of(t) if segment == "A" else None
+        e = self._edge_cache.get(s)
+        if e is None:
+            if s is None:
+                offs, v, h = [0] * len(self._alex), [], []
+            else:
+                offs = [max(0, a - s) for a in self._alex]
+                v = offs
+                h = [(j, s + fpow + off) for (j, fpow), off in zip(self._flipped, offs)]
+            d = [[(j, k + off - offs[j]) for j, k in row] for row, off in zip(self._rows, offs)]
+            e = self._edge_cache[s] = VertexEdges(offs, d, v, h)
+        return e
+
     def total_complex(self, sector: int | None = None,
                       alexander_fn: Callable[[str, int, Generator, int], Fraction] | None = None,
                       ) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
@@ -170,53 +237,48 @@ class MappingCone:
         (the I-drop) constrains the differential.
         """
         phi = self.phi()
-        wanted = [(segment, t) for segment, ts in (("A", self.a_ts), ("B", self.b_ts))
-                  for t in ts if sector is None or self.spin_c(t) == sector]
+        a_ts, b_ts = (self.a_ts, self.b_ts) if sector is None else self._sector_ts(sector)
         source = self.source.generators
-        alex = [int(g.alexander) for g in source]  # integral: checked by effective_genus
         grade: dict[Fraction, int] = {}
         grades = [grade.setdefault(g.maslov, len(grade)) for g in source]
         zero = Fraction(0)
         gens: list[Generator] = []
         table: dict[str, ElementInfo] = {}
-        # per vertex: element names and U-offsets, indexed like source
-        vertex: dict[tuple[str, int], tuple[list[str], list[int]]] = {}
-        for segment, t in wanted:
-            names = [self.element_name(segment, t, g.name) for g in source]
-            s = self.s_of(t)
-            offs = [max(0, a - s) for a in alex] if segment == "A" else [0] * len(alex)
-            maslov: dict[tuple[int, int], Fraction] = {}  # (grade, offset) -> Maslov
-            for g, grade_id, name, off in zip(source, grades, names, offs):
-                m = maslov.get((grade_id, off))
-                if m is None:
-                    m = maslov[(grade_id, off)] = g.maslov - 2 * off + phi[(segment, t)]
-                a = zero if alexander_fn is None else alexander_fn(segment, t, g, off)
-                gens.append(Generator(name, a, m))
-                table[name] = ElementInfo(segment, t, off)
-            vertex[(segment, t)] = names, offs
+        # per vertex: element names, indexed like source, and its edges
+        vertex: dict[tuple[str, int], tuple[list[str], VertexEdges]] = {}
+        for segment, ts in (("A", a_ts), ("B", b_ts)):
+            for t in ts:
+                names = [self.element_name(segment, t, g.name) for g in source]
+                e = self._edges(segment, t)
+                maslov: dict[tuple[int, int], Fraction] = {}  # (grade, offset) -> Maslov
+                for g, grade_id, name, off in zip(source, grades, names, e.offsets):
+                    m = maslov.get((grade_id, off))
+                    if m is None:
+                        m = maslov[(grade_id, off)] = g.maslov - 2 * off + phi[(segment, t)]
+                    a = zero if alexander_fn is None else alexander_fn(segment, t, g, off)
+                    gens.append(Generator(name, a, m))
+                    table[name] = ElementInfo(segment, t, off)
+                vertex[(segment, t)] = names, e
 
         diff: dict[str, dict[str, int]] = {}
 
         def put(src: str, tgt: str, power: int) -> None:
-            assert power >= 0, "cone entry with illegal power"
+            if power < 0:
+                raise AssertionError(f"cone entry {src} -> {tgt} with power {power}")
             diff.setdefault(src, {})[tgt] = power
 
-        order = self.source._order
-        rows = [[(order[t], k) for t, k in self.source.differential.get(g.name, {}).items()]
-                for g in source]
-        flipped = [(order[partner], fpow) for partner, fpow in (self.flip(g.name) for g in source)]
-        for (segment, t), (names, offs) in vertex.items():
+        for (segment, t), (names, e) in vertex.items():
             # B_t and B_(t+p) share the sector of A_t, so they are here if in the cone
             v_edge = segment == "A" and vertex.get(("B", t))
             h_edge = segment == "A" and vertex.get(("B", t + self.p))
-            for i, (src, off) in enumerate(zip(names, offs)):
-                for j, k in rows[i]:
-                    put(src, names[j], k + off - offs[j])
+            for i, src in enumerate(names):
+                for j, k in e.d[i]:
+                    put(src, names[j], k)
                 if v_edge:
-                    put(src, v_edge[0][i], off)
+                    put(src, v_edge[0][i], e.v[i])
                 if h_edge:
-                    j, fpow = flipped[i]
-                    put(src, h_edge[0][j], self.s_of(t) + fpow + off)
+                    j, k = e.h[i]
+                    put(src, h_edge[0][j], k)
         return FilteredComplex(gens, diff), table
 
     def hat_complex(self, sector: int | None = None) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
@@ -226,20 +288,88 @@ class MappingCone:
 
     # -- derived quantities ---------------------------------------------------
 
+    def _vertex_homology(self, segment: str, t: int, flavor: str) -> VertexHomology:
+        """Homology of vertex (segment, t) in source coordinates, reduced once
+        per distinct s; an A-vertex also gets v and h into B's basis."""
+        s = self.s_of(t) if segment == "A" else None
+        found = self._homology.get((flavor, s))
+        if found is not None:
+            return found
+        hat = flavor == "hat"
+        names = [g.name for g in self.source.generators]
+
+        def as_map(rows: Iterable[list[tuple[int, int]]]) -> DiffMap:
+            # hat keeps the I-preserving (U^0) entries only
+            return {names[i]: {names[j]: k for j, k in row if not (hat and k)}
+                    for i, row in enumerate(rows)}
+
+        e = self._edges(segment, t)
+        gens = [Generator(name, 0, g.maslov - 2 * off)
+                for name, g, off in zip(names, self.source.generators, e.offsets)]
+        rf = reduce(FilteredComplex(gens, as_map(e.d)), "over_U_units" if hat else "full_field")
+        if rf.complex.differential:
+            raise AssertionError(f"vertex {segment}{t} keeps a differential after reduction")
+        v: list[int] = []
+        h: list[int] = []
+        if segment == "A":
+            b = self._vertex_homology("B", t, flavor).reduced
+
+            def on_homology(edge: list[list[tuple[int, int]]]) -> list[int]:
+                # the induced map's columns as bitsets over B's homology basis
+                chain_map = as_map(edge)
+                _, matrix = induced_map(rf, b, lambda chain: apply_map(chain_map, chain))
+                return [sum(row[col] << r for r, row in enumerate(matrix))
+                        for col in range(len(rf.complex))]
+
+            v = on_homology([[(i, k)] for i, k in enumerate(e.v)])
+            h = on_homology([[jk] for jk in e.h])
+        found = VertexHomology(rf, v, h)
+        self._homology[(flavor, s)] = found
+        return found
+
     def sector_homology(self, sector: int, flavor: str = "hat") -> GradedRanks:
+        """Ranks of one sector from its vertices' homology and the exact triangle.
+
+        Hat keys by Maslov grading.  Infinity keys by Maslov parity, which D
+        flips; every entry of D is a homogeneous monomial, so its rank over
+        GF(2)[U,U^-1] is the GF(2) rank of its 0/1 support.
+        """
         if flavor == "hat":
-            ranks = homology(self.hat_complex(sector)[0], ("maslov",))
-            assert not ranks.torsion
-            return ranks
-        if flavor == "infinity":
-            total, _ = self.total_complex(sector)
-            survivors = reduce(total, "full_field").complex.generators
-            ranks: dict[tuple, int] = {}
-            for g in survivors:
-                key = grading_key(g, ("maslov_parity",))
-                ranks[key] = ranks.get(key, 0) + 1
-            return GradedRanks(ranks)
-        raise BadCoefficient(f"unknown flavor {flavor!r}")
+            key, keys = (lambda m: m), ("maslov",)
+        elif flavor == "infinity":
+            key, keys = (lambda m: m % 2), ("maslov_parity",)
+        else:
+            raise BadCoefficient(f"unknown flavor {flavor!r}")
+        phi = self.phi()
+        a_ts, b_ts = self._sector_ts(sector)
+        count: dict[Fraction, int] = {}  # key -> dim H(A) + dim H(B)
+        first_row: dict[int, int] = {}   # B-vertex t -> its block of rows
+        n_rows = 0
+        for t in b_ts:
+            b = self._vertex_homology("B", t, flavor).reduced.complex
+            first_row[t] = n_rows
+            n_rows += len(b)
+            for g in b.generators:
+                k = key(g.maslov + phi[("B", t)])
+                count[k] = count.get(k, 0) + 1
+        columns: dict[Fraction, list[int]] = {}  # source key of D -> its columns
+        for t in a_ts:
+            a = self._vertex_homology("A", t, flavor)
+            v_row, h_row = first_row.get(t), first_row.get(t + self.p)
+            for g, v, h in zip(a.reduced.complex.generators, a.v, a.h):
+                k = key(g.maslov + phi[("A", t)])
+                count[k] = count.get(k, 0) + 1
+                col = 0 if v_row is None else v << v_row
+                if h_row is not None:
+                    col |= h << h_row
+                columns.setdefault(k, []).append(col)
+        d_rank = {k: gf2.rank(cols) for k, cols in columns.items()}
+        ranks = {}
+        for k, n in count.items():
+            r = n - d_rank.get(k, 0) - d_rank.get(key(k + 1), 0)
+            if r:  # keyed exactly as grading_key keys the flattened cone
+                ranks[grading_key(Generator("", 0, k), keys)] = r
+        return GradedRanks(ranks)
 
     def all_sector_ranks(self, flavor: str = "hat") -> dict[int, int]:
         return {i: self.sector_homology(i, flavor).total_rank for i in self.sectors}

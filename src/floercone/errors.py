@@ -53,10 +53,6 @@ class ParityError(DomainError):
     pass
 
 
-class ZeroCoefficient(DomainError):
-    pass
-
-
 class NonIntegral(DomainError):
     pass
 

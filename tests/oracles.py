@@ -5,7 +5,8 @@
 * two-bridge Alexander polynomials from the classical alternating-sum
   formula on the fraction (Minkus), cross-checking the models' graded
   Euler characteristics;
-* brute-force enumeration of (i,j)-plane translates for hat-vertex counts.
+* brute-force enumeration of (i,j)-plane translates for hat-vertex counts;
+* the j-preserving slice, whose homology is the minus-flavor knot homology.
 """
 
 from __future__ import annotations
@@ -124,3 +125,15 @@ def enumerate_hat_A_elements(c: FilteredComplex, s: int, span: int = 20) -> list
 def enumerate_hat_B_elements(c: FilteredComplex, span: int = 20) -> list[tuple[str, int]]:
     """Brute force: translates U^k g with i = -k = 0."""
     return [(g.name, 0) for g in c.generators]
+
+
+# -- associated graded -----------------------------------------------------------
+
+
+def j_graded(c: FilteredComplex) -> FilteredComplex:
+    """The j-preserving (Alexander-associated-graded) part of d."""
+    diff = {
+        s: {t: k for t, k in row.items() if c.j_drop(s, t, k) == 0}
+        for s, row in c.differential.items()
+    }
+    return FilteredComplex(c.generators, diff)

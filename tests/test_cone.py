@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from floercone.algebra import check_complex, homology
+from floercone import cone as cone_module
+from floercone.algebra import GradedRanks, check_complex, grading_key, homology, reduce
 from floercone.cone import (
     MappingCone,
     effective_genus,
@@ -180,6 +181,83 @@ class TestSectorHomology:
                 got = {Fraction(k[0]): v
                        for k, v in cone.sector_homology(i).ranks.items()}
                 assert got == dense_homology_by_maslov(hat)
+
+
+def flattened_sector_homology(cone, i, flavor):
+    """The sector's ranks read off its flattened complex."""
+    if flavor == "hat":
+        return homology(cone.hat_complex(i)[0], ("maslov",))
+    ranks = {}
+    for g in reduce(cone.total_complex(i)[0], "full_field").complex.generators:
+        key = grading_key(g, ("maslov_parity",))
+        ranks[key] = ranks.get(key, 0) + 1
+    return GradedRanks(ranks)
+
+
+class TestSectorsFromVertexHomology:
+    """sector_homology assembles each sector on vertex homology through the
+    exact triangle; the flattened cone is the reference."""
+
+    MODELS = {
+        "twist1": lambda: minus_twist_knot(1),
+        "twist3": lambda: minus_twist_knot(3),
+        "twist5": lambda: minus_twist_knot(5),
+        "twist9": lambda: minus_twist_knot(9),
+        "twist21": lambda: minus_twist_knot(21),
+        "mirror9": lambda: mirror(minus_twist_knot(9)),
+        "staircase": staircase,
+        "mirror_staircase": lambda: mirror(staircase()),
+        "unknot": unknot,
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_flattened_sector(self, name):
+        c = self.MODELS[name]()
+        f = flip(c)
+        for p, q in [(1, 1), (-1, 1), (2, 1), (-3, 2), (5, 3), (-7, 5), (4, 7), (13, 11)]:
+            for mode in ("paper", "full"):
+                cone = MappingCone.build(c, f, p, q, mode)
+                for flavor in ("hat", "infinity"):
+                    for i in cone.sectors:
+                        assert cone.sector_homology(i, flavor) == \
+                            flattened_sector_homology(cone, i, flavor), (p, q, mode, flavor, i)
+
+    def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
+        calls = {"reduce": 0, "homology": 0, "total_complex": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cone_module, "reduce", counting("reduce", cone_module.reduce))
+        monkeypatch.setattr(cone_module, "homology", counting("homology", cone_module.homology))
+        monkeypatch.setattr(MappingCone, "total_complex",
+                            counting("total_complex", MappingCone.total_complex))
+        c = minus_twist_knot(9)
+        cone = cone_for(c, -7, 3, "full")
+        distinct_s = len({cone.s_of(t) for t in cone.a_ts})
+        for flavor in ("hat", "infinity"):
+            cone.all_sector_ranks(flavor)
+            cone.all_sector_ranks(flavor)  # the vertex homology is kept on the cone
+        assert calls == {"reduce": 2 * (distinct_s + 1), "homology": 0, "total_complex": 0}
+
+    def test_unknown_flavor(self):
+        with pytest.raises(BadCoefficient):
+            cone_for(staircase(), 3, 1).sector_homology(0, "minus")
+
+    def test_closed_forms_beyond_the_dense_oracle(self):
+        # 253,139 flattened elements: every sector of a rational homology
+        # sphere has odd hat rank with Euler characteristic +-1, and rank 1
+        # over GF(2)[U,U^-1]
+        c = minus_twist_knot(81)
+        cone = cone_for(c, 301, 11, "full")
+        for i in cone.sectors:
+            ranks = cone.sector_homology(i, "hat")
+            assert ranks.total_rank % 2 == 1
+            assert abs(sum((-1) ** int(m) * r for (m,), r in ranks.ranks.items())) == 1
+            assert cone.sector_homology(i, "infinity").total_rank == 1
 
 
 class TestFullWindowAndTruncation:

@@ -21,9 +21,9 @@ from floercone.contact import (
 from floercone.errors import (
     BadCoefficient,
     BadParameter,
+    DomainError,
     ExcludedCoefficient,
     ParityError,
-    ZeroCoefficient,
 )
 
 from random_complexes import default_seed
@@ -31,6 +31,10 @@ from random_complexes import default_seed
 
 def stabilize_negative(l: LegendrianData, times: int = 1) -> LegendrianData:
     return LegendrianData(l.tb - times, l.rot - times, l.order, l.label)
+
+
+class ZeroCoefficient(DomainError):
+    pass
 
 
 def smooth_coefficient(l: LegendrianData, r) -> Fraction:

@@ -10,7 +10,6 @@ from floercone.algebra import (
     check_complex,
     hat_slice,
     homology,
-    j_graded,
 )
 from floercone import models
 from floercone.errors import BadParameter, UnsupportedModel
@@ -33,7 +32,7 @@ from floercone.models import (
     unknot,
 )
 
-from oracles import twist_knot_alexander
+from oracles import j_graded, twist_knot_alexander
 
 
 def hat_manifold_homology(c: FilteredComplex) -> GradedRanks:

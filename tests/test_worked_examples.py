@@ -2,7 +2,7 @@
 
 import pytest
 
-from floercone.algebra import check_complex, homology, cancel_pair, j_graded, reduce
+from floercone.algebra import check_complex, homology, cancel_pair, reduce
 from floercone.cone import MappingCone, include_B
 from floercone.dual import build_dual_cone
 from floercone.errors import NoUnitEntry, NotTruncatable
@@ -12,6 +12,8 @@ from floercone.models import (
     minus_twist_knot,
     staircase,
 )
+
+from oracles import j_graded
 
 
 class TestCancelPairOnNormalForm:
