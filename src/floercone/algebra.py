@@ -48,21 +48,29 @@ Chain = dict[str, int]  # generator name -> U-power, GF(2) coefficients implicit
 DiffMap = dict[str, dict[str, int]]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x) -> int | Fraction:
+    """x as an int when it is integral, as a Fraction only when it is not."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class Generator:
-    """A free GF(2)[U]-generator with its bigrading."""
+    """A free GF(2)[U]-generator with its bigrading.
+
+    Each grading is stored as an int when it is integral and as a Fraction
+    only when it is not, so equal gradings always have the same type.
+    """
 
     name: str
-    alexander: Fraction
-    maslov: Fraction
+    alexander: int | Fraction
+    maslov: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alexander", _frac(self.alexander))
-        object.__setattr__(self, "maslov", _frac(self.maslov))
+        object.__setattr__(self, "alexander", _exact(self.alexander))
+        object.__setattr__(self, "maslov", _exact(self.maslov))
 
 
 class FilteredComplex:
@@ -102,7 +110,7 @@ class FilteredComplex:
             for tgt, k in self.differential[src].items():
                 yield src, tgt, k
 
-    def j_drop(self, src: str, tgt: str, k: int) -> Fraction:
+    def j_drop(self, src: str, tgt: str, k: int) -> int | Fraction:
         return self._by_name[src].alexander - self._by_name[tgt].alexander + k
 
     def boundary(self, chain: Chain) -> Chain:
@@ -403,7 +411,7 @@ class GradedRanks:
         return sum(self.ranks.values())
 
     def rank(self, *key) -> int:
-        return self.ranks.get(tuple(_plain(k) for k in key), 0)
+        return self.ranks.get(key, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedRanks):
@@ -414,21 +422,15 @@ class GradedRanks:
         return hash((frozenset(self.ranks.items()), frozenset(self.torsion.items())))
 
 
-def _plain(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 def grading_key(g: Generator, keys: Sequence[str]) -> tuple:
     parts = []
     for k in keys:
         if k == "alexander":
-            parts.append(_plain(g.alexander))
+            parts.append(g.alexander)
         elif k == "maslov":
-            parts.append(_plain(g.maslov))
+            parts.append(g.maslov)
         elif k == "maslov_parity":
-            parts.append(_plain(g.maslov - 2 * (g.maslov / 2).__floor__()))
+            parts.append(g.maslov % 2)
         else:
             raise BadParameter(f"unknown grading key {k!r}")
     return tuple(parts)

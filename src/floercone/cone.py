@@ -51,15 +51,15 @@ from .algebra import (
     Generator,
     GradedRanks,
     ReducedForm,
+    _exact,
     apply_map,
-    grading_key,
     hat_slice,
     homology,
     induced_map,
     reduce,
     require_valid,
 )
-from .errors import BadCoefficient, NoSuchVertex, NotTruncatable
+from .errors import BadCoefficient, BadParameter, NoSuchVertex, NotTruncatable
 from .models import FlipMap
 
 
@@ -68,7 +68,7 @@ def effective_genus(c: FilteredComplex) -> int:
     Every Alexander grading must be an integer, so cone offsets are ints."""
     if any(g.alexander.denominator != 1 for g in c.generators):
         raise BadCoefficient("model has non-integral Alexander gradings")
-    return max(1, int(max((g.alexander for g in c.generators), default=0)))
+    return max(1, max((g.alexander for g in c.generators), default=0))
 
 
 class ConeVertex(NamedTuple):
@@ -104,6 +104,9 @@ class MappingCone:
         if q <= 0 or p == 0 or gcd(p, q) != 1:
             raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
         require_valid(source)
+        if flip.source is not source and (flip.source.generators != source.generators
+                                          or flip.source.differential != source.differential):
+            raise BadParameter("the flip map belongs to another complex")
         self.source = source
         self.flip = flip
         self.p = p
@@ -113,11 +116,11 @@ class MappingCone:
         self.a_ts = tuple(sorted(set(a_ts)))
         self.b_ts = tuple(sorted(set(b_ts)))
         self._b_set = set(self.b_ts)
-        self._phi: dict[tuple[str, int], Fraction] | None = None
+        self._phi: dict[tuple[str, int], int | Fraction] | None = None
         self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
         # per-generator source tables, read by _edges
         gens = source.generators
-        self._alex = [int(g.alexander) for g in gens]  # integral: checked by effective_genus
+        self._alex = [g.alexander for g in gens]  # ints: checked by effective_genus
         order = source._order
         self._rows = [[(order[t], k) for t, k in source.differential.get(g.name, {}).items()]
                       for g in gens]
@@ -168,7 +171,7 @@ class MappingCone:
 
     # -- Maslov bookkeeping -------------------------------------------------
 
-    def phi(self) -> Mapping[tuple[str, int], Fraction]:
+    def phi(self) -> Mapping[tuple[str, int], int | Fraction]:
         """Per-vertex Maslov shift making every cone edge drop the grading by 1.
 
         For q = 1 these are the absolute dual-knot grading corrections for
@@ -177,25 +180,26 @@ class MappingCone:
         """
         if self._phi is not None:
             return self._phi
-        shifts: dict[tuple[str, int], Fraction] = {}
+        shifts: dict[tuple[str, int], int | Fraction] = {}
         if self.q == 1:
             n = self.p
             sign = 1 if n > 0 else -1
+            # (2t - n)^2 / 4n + (2 - 3 sign) / 4 on A_t, one less on B_t
             for t in self.a_ts:
-                shifts[("A", t)] = Fraction((2 * t - n) ** 2, 4 * n) + Fraction(2 - 3 * sign, 4)
+                shifts[("A", t)] = _exact(Fraction((2 * t - n) ** 2 + (2 - 3 * sign) * n, 4 * n))
             for t in self.b_ts:
-                shifts[("B", t)] = Fraction((2 * t - n) ** 2, 4 * n) + Fraction(-2 - 3 * sign, 4)
+                shifts[("B", t)] = _exact(Fraction((2 * t - n) ** 2 + (-2 - 3 * sign) * n, 4 * n))
         else:
             # window-independent solution of the relations
             #   phi(B,t) = phi(A,t) - 1,  phi(B,t+p) = phi(A,t) - 1 + 2*s(t),
             # anchored at phi(A, t mod |p|) = 0 so that different t-windows
             # of the same cone carry identical (relative) gradings.
-            def phi_a(t: int) -> Fraction:
+            def phi_a(t: int) -> int:
                 i0 = t % abs(self.p)
                 j = (t - i0) // self.p
                 if j >= 0:
-                    return Fraction(2 * sum(self.s_of(i0 + m * self.p) for m in range(j)))
-                return Fraction(-2 * sum(self.s_of(i0 + m * self.p) for m in range(j, 0)))
+                    return 2 * sum(self.s_of(i0 + m * self.p) for m in range(j))
+                return -2 * sum(self.s_of(i0 + m * self.p) for m in range(j, 0))
 
             for t in self.a_ts:
                 shifts[("A", t)] = phi_a(t)
@@ -227,7 +231,7 @@ class MappingCone:
         return e
 
     def total_complex(self, sector: int | None = None,
-                      alexander_fn: Callable[[str, int, Generator, int], Fraction] | None = None,
+                      alexander_fn: Callable[[str, int, Generator, int], int | Fraction] | None = None,
                       ) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
         """Flatten the cone (or one Spin^c sector) to a single complex.
 
@@ -239,9 +243,6 @@ class MappingCone:
         phi = self.phi()
         a_ts, b_ts = (self.a_ts, self.b_ts) if sector is None else self._sector_ts(sector)
         source = self.source.generators
-        grade: dict[Fraction, int] = {}
-        grades = [grade.setdefault(g.maslov, len(grade)) for g in source]
-        zero = Fraction(0)
         gens: list[Generator] = []
         table: dict[str, ElementInfo] = {}
         # per vertex: element names, indexed like source, and its edges
@@ -250,13 +251,10 @@ class MappingCone:
             for t in ts:
                 names = [self.element_name(segment, t, g.name) for g in source]
                 e = self._edges(segment, t)
-                maslov: dict[tuple[int, int], Fraction] = {}  # (grade, offset) -> Maslov
-                for g, grade_id, name, off in zip(source, grades, names, e.offsets):
-                    m = maslov.get((grade_id, off))
-                    if m is None:
-                        m = maslov[(grade_id, off)] = g.maslov - 2 * off + phi[(segment, t)]
-                    a = zero if alexander_fn is None else alexander_fn(segment, t, g, off)
-                    gens.append(Generator(name, a, m))
+                shift = phi[(segment, t)]
+                for g, name, off in zip(source, names, e.offsets):
+                    a = 0 if alexander_fn is None else alexander_fn(segment, t, g, off)
+                    gens.append(Generator(name, a, g.maslov - 2 * off + shift))
                     table[name] = ElementInfo(segment, t, off)
                 vertex[(segment, t)] = names, e
 
@@ -335,14 +333,14 @@ class MappingCone:
         GF(2)[U,U^-1] is the GF(2) rank of its 0/1 support.
         """
         if flavor == "hat":
-            key, keys = (lambda m: m), ("maslov",)
+            key = _exact
         elif flavor == "infinity":
-            key, keys = (lambda m: m % 2), ("maslov_parity",)
+            key = lambda m: _exact(m % 2)
         else:
             raise BadCoefficient(f"unknown flavor {flavor!r}")
         phi = self.phi()
         a_ts, b_ts = self._sector_ts(sector)
-        count: dict[Fraction, int] = {}  # key -> dim H(A) + dim H(B)
+        count: dict[int | Fraction, int] = {}  # key -> dim H(A) + dim H(B)
         first_row: dict[int, int] = {}   # B-vertex t -> its block of rows
         n_rows = 0
         for t in b_ts:
@@ -352,7 +350,7 @@ class MappingCone:
             for g in b.generators:
                 k = key(g.maslov + phi[("B", t)])
                 count[k] = count.get(k, 0) + 1
-        columns: dict[Fraction, list[int]] = {}  # source key of D -> its columns
+        columns: dict[int | Fraction, list[int]] = {}  # source key of D -> its columns
         for t in a_ts:
             a = self._vertex_homology("A", t, flavor)
             v_row, h_row = first_row.get(t), first_row.get(t + self.p)
@@ -367,8 +365,8 @@ class MappingCone:
         ranks = {}
         for k, n in count.items():
             r = n - d_rank.get(k, 0) - d_rank.get(key(k + 1), 0)
-            if r:  # keyed exactly as grading_key keys the flattened cone
-                ranks[grading_key(Generator("", 0, k), keys)] = r
+            if r:
+                ranks[(k,)] = r
         return GradedRanks(ranks)
 
     def all_sector_ranks(self, flavor: str = "hat") -> dict[int, int]:

@@ -107,7 +107,8 @@ def negative_expansion(r) -> DgsExpansion:
         raise BadCoefficient(f"negative_expansion needs r < 0, got {r}")
     terms = negative_cf(r)
     a = [terms[0] - 1] + terms[1:]
-    assert all(ai <= -2 for ai in a), a
+    if not all(ai <= -2 for ai in a):
+        raise AssertionError(f"expansion entry above -2 in {a}")
     stab = tuple(abs(ai + 2) for ai in a)
     return DgsExpansion(r, "negative", tuple(a), 0, stab, tuple([-1] * len(a)))
 
@@ -123,9 +124,11 @@ def positive_expansion(r) -> DgsExpansion:
         return DgsExpansion(r, "positive", (), y, (), tuple([1] * y))
     e = y // x + 1
     rest = Fraction(x, y - e * x)
-    assert rest < -1
+    if rest >= -1:
+        raise AssertionError(f"remainder {rest} is not below -1")
     a = negative_cf(rest)
-    assert all(ai <= -2 for ai in a), a
+    if not all(ai <= -2 for ai in a):
+        raise AssertionError(f"expansion entry above -2 in {a}")
     stab = (abs(a[0] + 1),) + tuple(abs(ai + 2) for ai in a[1:])
     signs = tuple([1] * e + [-1] * len(a))
     return DgsExpansion(r, "positive", tuple(a), e, stab, signs)
@@ -245,7 +248,8 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
     report.steps.append(PipelineStep(
         "computed", "U = 1 map injective in the top Alexander grading",
         {"alexander": top, "domain_dim": gm.domain_dim, "rank": gm.map_rank}, True))
-    assert m >= 2, "n > 3 guarantees at least two vertical summands"
+    if m < 2:
+        raise AssertionError("n > 3 guarantees at least two vertical summands")
     verticals = [s.names[0] for s in nf.summands if s.kind == "vertical"]
     class_a = [verticals[0]]
     class_b = [verticals[0], verticals[1]]
@@ -335,7 +339,8 @@ def distinctness_pipeline(n: int, r, m: int = 1) -> PipelineReport:
                 "trusted", "surgery on one link component preserves distinctness",
                 {"component": j + 1, "stabilizations": count, "coefficient": -1}, None))
     else:
-        assert ell is not None and ell >= 2
+        if ell is None or ell < 2:
+            raise AssertionError(f"case iv needs r = -1/l with l >= 2, got l = {ell}")
         target = r - 1
         meridian_c1 = c1_positive_integer_surgery(LegendrianData(0, -1, order=1), 2)
         report.case = f"case iv (r = -1/{ell}) -> {target}"

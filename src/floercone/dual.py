@@ -59,7 +59,7 @@ def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
     def second_filtration(segment: str, t: int, gen: Generator, offset: int) -> Fraction:
         frac = Fraction(2 * t + n - 1, 2 * n)
         if segment == "A":
-            j0 = max(Fraction(-1), gen.alexander - t) + frac
+            j0 = max(-1, gen.alexander - t) + frac
         else:
             j0 = frac - 1
         return j0 - offset
@@ -157,16 +157,16 @@ def normal_form(dc: DualCone) -> NormalFormResult:
             f"summand counts (free, horizontal, vertical) = "
             f"({len(by_kind['free'])}, {m}, {len(by_kind['vertical'])})")
     o = by_kind["free"][0]
-    if o.position != ((Fraction(0), Fraction(0)),):
+    if o.position != ((0, 0),):
         raise NormalFormMismatch(f"free generator at {o.position}, expected the origin")
     for s in by_kind["horizontal"]:
-        if s.position != ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1))):
+        if s.position != ((-1, 0), (0, 1)):
             raise NormalFormMismatch(f"horizontal pair at {s.position}")
         y, x = s.names
         if split.complex.differential[y][x] != 1:
             raise NormalFormMismatch("horizontal pair without U-power 1")
     for s in by_kind["vertical"]:
-        if s.position != ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))):
+        if s.position != ((1, 2), (0, 1)):
             raise NormalFormMismatch(f"vertical pair at {s.position}")
     return NormalFormResult(combined, summands)
 
@@ -176,7 +176,7 @@ def normal_form(dc: DualCone) -> NormalFormResult:
 
 @dataclass
 class GMapReport:
-    alexander: Fraction
+    alexander: int | Fraction
     domain_dim: int
     codomain_dim: int
     matrix: list[list[int]]
@@ -197,9 +197,7 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     homology to the homology of the j = 0 column.
     """
     require_valid(c)
-    if alexander is None:
-        alexander = max(g.alexander for g in c.generators)
-    s = Fraction(alexander)
+    s = max(g.alexander for g in c.generators) if alexander is None else alexander
     domain = minus_slice(c, s)
     codomain = hat_column(c)
     rf_dom = reduce(domain, "over_U_units")
@@ -213,9 +211,7 @@ def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None,
     """Whether two slice cycles, given as generator names, have different
     U = 1 images in the homology of the j = 0 column.  codomain, if given,
     is that column already reduced (GMapReport.codomain of the same c)."""
-    if alexander is None:
-        alexander = max(g.alexander for g in c.generators)
-    s = Fraction(alexander)
+    s = max(g.alexander for g in c.generators) if alexander is None else alexander
     domain = minus_slice(c, s)
     chains = []
     for names in (cycle_a, cycle_b):

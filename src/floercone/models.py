@@ -123,7 +123,7 @@ class FlipMap:
         power = -g.alexander
         if power.denominator != 1:
             raise NonIntegral(f"flip power for {name} is not an integer")
-        return self.pairing[name], int(power)
+        return self.pairing[name], power
 
 
 def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
@@ -157,7 +157,7 @@ def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
 def flip(c: FilteredComplex) -> FlipMap:
     """Search for a reflection basis; UnsupportedModel if none exists."""
     require_valid(c)
-    by_grading: dict[tuple[Fraction, Fraction], list[str]] = {}
+    by_grading: dict[tuple[int | Fraction, int | Fraction], list[str]] = {}
     for h in c.generators:
         by_grading.setdefault((h.alexander, h.maslov), []).append(h.name)
     candidates: dict[str, list[str]] = {}
@@ -166,7 +166,7 @@ def flip(c: FilteredComplex) -> FlipMap:
         if not cands:
             raise UnsupportedModel(f"no reflection partner for {g.name}")
         candidates[g.name] = cands
-    touching: dict[str, list[tuple[str, str, Fraction]]] = {g.name: [] for g in c.generators}
+    touching: dict[str, list[tuple[str, str, int | Fraction]]] = {g.name: [] for g in c.generators}
     for src, tgt, k in c.entries():
         for end in (src, tgt):
             touching[end].append((src, tgt, c.j_drop(src, tgt, k)))
@@ -242,7 +242,6 @@ def hat_column(c: FilteredComplex) -> FilteredComplex:
 def minus_slice(c: FilteredComplex, s) -> FilteredComplex:
     """The {i <= 0, j = s} slice: translates U^(A-s) g for A(g) >= s with the
     j-preserving differential, renamed by their generators."""
-    s = Fraction(s)
     keep = {g.name for g in c.generators if g.alexander >= s}
     gens = [Generator(g.name, g.alexander, g.maslov - 2 * (g.alexander - s))
             for g in c.generators if g.name in keep]

@@ -21,8 +21,7 @@ from .algebra import FilteredComplex, Generator, GradedRanks
 from .errors import NonIntegral, ParseError
 
 
-def fraction_json(x) -> Any:
-    x = Fraction(x)
+def fraction_json(x: int | Fraction) -> Any:
     if x.denominator == 1:
         return int(x)
     return {"num": x.numerator, "den": x.denominator}
@@ -36,7 +35,7 @@ def complex_to_json(c: FilteredComplex) -> dict:
         m4 = g.maslov * 4
         if m4.denominator != 1:
             raise NonIntegral(f"generator {g.name} has Maslov grading off the 1/4 lattice")
-        gens.append({"name": g.name, "alexander": int(g.alexander), "maslov_x4": int(m4)})
+        gens.append({"name": g.name, "alexander": g.alexander, "maslov_x4": int(m4)})
     entries = [
         {"from": src, "to": tgt, "u_power": k}
         for src, tgt, k in sorted(c.entries(), key=lambda e: (c.order(e[0]), c.order(e[1])))
@@ -65,18 +64,14 @@ def complex_from_json(data) -> FilteredComplex:
 
 def ranks_json(ranks: GradedRanks, keys: tuple[str, ...]) -> dict:
     table = []
-    for key, rank in sorted(ranks.ranks.items(), key=lambda it: _sort_key(it[0])):
+    for key, rank in sorted(ranks.ranks.items()):
         table.append({"key": {name: fraction_json(v) for name, v in zip(keys, key)},
                       "rank": rank})
     torsion = []
-    for key, orders in sorted(ranks.torsion.items(), key=lambda it: _sort_key(it[0])):
+    for key, orders in sorted(ranks.torsion.items()):
         torsion.append({"key": {name: fraction_json(v) for name, v in zip(keys, key)},
                         "orders": list(orders)})
     return {"ranks": table, "torsion": torsion, "total_rank": ranks.total_rank}
-
-
-def _sort_key(key: tuple):
-    return tuple(Fraction(v) for v in key)
 
 
 def dumps(payload) -> str:

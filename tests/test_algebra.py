@@ -3,10 +3,11 @@
 import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from floercone import algebra, cone as cone_module, gf2
+from floercone import algebra, gf2
 from floercone.algebra import (
     FilteredComplex,
     Generator,
@@ -38,6 +39,15 @@ def shuffled_unit_reduction(c: FilteredComplex, seed: int) -> ReducedForm:
 def two_step(k: int = 0) -> FilteredComplex:
     gens = [Generator("e", k, 1), Generator("f", 0, 2 * k)]
     return FilteredComplex(gens, {"e": {"f": k}})
+
+
+class TestGenerator:
+    def test_grading_is_int_when_integral(self):
+        g = Generator("g", Fraction(4, 2), Fraction(3, 4))
+        assert type(g.alexander) is int and g.alexander == 2
+        assert type(g.maslov) is Fraction and g.maslov == Fraction(3, 4)
+        h = Generator("h", True, 2.5)  # other inputs go through Fraction(x)
+        assert (type(h.alexander), h.maslov) == (int, Fraction(5, 2))
 
 
 class TestCheckComplex:
@@ -390,8 +400,10 @@ class TestGf2Rank:
 
 
 def test_engine_invariants_are_not_asserts():
-    # assert statements vanish under python -O; the engine's checks must not
-    for module in (algebra, cone_module):
-        tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    # assert statements vanish under python -O; the package's checks must not
+    modules = sorted(Path(algebra.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not found, (module.__name__, found)
+        assert not found, (path.name, found)

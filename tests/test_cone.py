@@ -13,7 +13,8 @@ from floercone.cone import (
     hat_map_is_quasi_iso,
     include_B,
 )
-from floercone.errors import BadCoefficient, NoSuchVertex
+from floercone.dual import build_dual_cone
+from floercone.errors import BadCoefficient, BadParameter, NoSuchVertex
 from floercone.models import (
     box,
     dual_normal_form_model,
@@ -38,6 +39,19 @@ class TestAssembly:
         for p, q in [(0, 1), (2, 0), (2, -1), (4, 2)]:
             with pytest.raises(BadCoefficient):
                 MappingCone.build(c, f, p, q)
+
+    def test_flip_of_another_complex_rejected(self):
+        a = staircase()
+        with pytest.raises(BadParameter):
+            MappingCone(a, flip(mirror(a)), 3, 1, range(-4, 4), range(-1, 4))
+        with pytest.raises(BadParameter):
+            MappingCone.build(minus_twist_knot(5), flip(minus_twist_knot(3)), 3, 1)
+
+    def test_flip_of_an_equal_copy_accepted(self):
+        c = minus_twist_knot(5)
+        cone = MappingCone.build(c, flip(minus_twist_knot(5)), 3, 1)
+        assert cone.all_sector_ranks() == cone_for(c, 3, 1).all_sector_ranks()
+        assert check_complex(build_dual_cone(c, flip(minus_twist_knot(5)), 1).complex).ok
 
     def test_paper_ranges_match_minimal_truncation(self):
         cone = cone_for(minus_twist_knot(5), 1, 1)
@@ -192,6 +206,26 @@ def flattened_sector_homology(cone, i, flavor):
         key = grading_key(g, ("maslov_parity",))
         ranks[key] = ranks.get(key, 0) + 1
     return GradedRanks(ranks)
+
+
+class TestSectorKeyTypes:
+    """A grading key is an int when integral and a Fraction only when not."""
+
+    @staticmethod
+    def keys(cone):
+        return [k for i in cone.sectors for flavor in ("hat", "infinity")
+                for (k,) in cone.sector_homology(i, flavor).ranks]
+
+    @pytest.mark.parametrize("p,q", [(5, 2), (-7, 3), (13, 11)])
+    def test_ints_when_q_above_one(self, p, q):
+        keys = self.keys(cone_for(minus_twist_knot(9), p, q, "full"))
+        assert keys and all(type(k) is int for k in keys)
+
+    @pytest.mark.parametrize("p", [3, -5, 2])
+    def test_fractions_only_when_not_integral(self, p):
+        keys = self.keys(cone_for(staircase(), p, 1))
+        assert any(type(k) is Fraction for k in keys)
+        assert all(type(k) is int or k.denominator != 1 for k in keys)
 
 
 class TestSectorsFromVertexHomology:

@@ -72,6 +72,12 @@ class TestBuildDualCone:
         assert nfr.summands[0].kind == "free"
         assert nfr.summands[0].position == ((Fraction(0), Fraction(0)),)
 
+    def test_framing_one_gradings_are_ints(self):
+        dc = dual_for(minus_twist_knot(5), 1)
+        for c in (dc.complex, normal_form(dc).form.complex):
+            assert all(type(g.alexander) is int and type(g.maslov) is int
+                       for g in c.generators)
+
     def test_fractional_gradings_for_other_framings(self):
         dc = dual_for(staircase(), 3)
         assert any(g.alexander.denominator > 1 for g in dc.complex.generators)

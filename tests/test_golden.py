@@ -1,9 +1,10 @@
 """Golden stdout bytes for the README command examples and larger reports.
 
 Each case is a shell pipeline of CLI invocations: every stage reads the
-previous stage's stdout.  The SHA-256 of the last stage's stdout is pinned,
-so any change in generator names, pivot order or formatting shows up here
-even where the structural tests still pass.
+previous stage's stdout, or, for a stage named in INPUTS, is that literal
+text.  The SHA-256 of the last stage's stdout is pinned, so any change in
+generator names, pivot order or formatting shows up here even where the
+structural tests still pass.
 """
 
 import hashlib
@@ -12,6 +13,17 @@ import io
 import pytest
 
 from floercone.cli import main
+
+INPUTS = {
+    # the staircase with every maslov_x4 raised by 1: quarter-integral Maslov
+    # gradings, which stay Fractions and can sum with phi to an integer
+    "quarter-staircase.json": (
+        '{"generators":[{"name":"x","alexander":1,"maslov_x4":9},'
+        '{"name":"y","alexander":0,"maslov_x4":5},{"name":"z","alexander":-1,"maslov_x4":1}],'
+        '"differential":[{"from":"x","to":"y","u_power":0},{"from":"z","to":"y","u_power":1}]}'),
+}
+
+QUARTER = "quarter-staircase.json"
 
 GOLDEN = [
     ([["model", "--minus-en", "5"]],
@@ -53,12 +65,27 @@ GOLDEN = [
      "459d21bd4d9d6020da0871a80ad41a31380c31e19568b392bb2390c547fcc14f"),
     ([["knot-homology", "--minus-en", "33"]],
      "ae17fd03ce5ce8dd4bd0046f32bc5e57617f96c7e96e901c44a7fb986afd57fc"),
+    ([QUARTER, ["surgery", "--p", "3", "--q", "1"]],
+     "bf846a92f2fd57c71d4099998b874915d7cd85f32b7966837c7be1c2c01cef67"),
+    ([QUARTER, ["surgery", "--p", "3", "--q", "1", "--flavor", "infinity"]],
+     "52fab361c48dc89371fd963aab57836a4223092446c06bd17f04fe317fe1d822"),
+    ([QUARTER, ["surgery", "--p", "5", "--q", "2", "--range", "full"]],
+     "613e8b3a386a39d66d6628c5522b0d9882bd0edd6286cecb56b80364a0dc4f4d"),
+    ([QUARTER, ["surgery", "--p", "2", "--q", "1"]],
+     "30860c20b720f0641faaa8ef670085220c559887f9806a7b422074518446f837"),
+    ([QUARTER, ["surgery", "--p", "2", "--q", "1", "--flavor", "infinity", "--range", "full"]],
+     "9669b46572bd5f3d9ed98b047ca1a11efd79460ebcef88221acd3fab9e885b3a"),
+    ([QUARTER, ["validate"]],
+     "b94acfbfe36fd90a0d6d90c17c345f271eda56991878bf80979952aa0fef28d8"),
 ]
 
 
 def run_chain(chain, capsys, monkeypatch) -> str:
     text = ""
     for argv in chain:
+        if isinstance(argv, str):
+            text = INPUTS[argv]
+            continue
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code = main(argv)
         text, err = capsys.readouterr()
@@ -67,7 +94,8 @@ def run_chain(chain, capsys, monkeypatch) -> str:
 
 
 @pytest.mark.parametrize("chain,digest", GOLDEN,
-                         ids=[" | ".join(" ".join(a) for a in c) for c, _ in GOLDEN])
+                         ids=[" | ".join(a if isinstance(a, str) else " ".join(a) for a in c)
+                              for c, _ in GOLDEN])
 def test_stdout_bytes(chain, digest, capsys, monkeypatch):
     out = run_chain(chain, capsys, monkeypatch)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
