@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import gf2
-from .errors import BadParameter, NoUnitEntry
+from .errors import BadParameter, InternalError, NoUnitEntry
 
 Chain = dict[str, int]  # generator name -> U-power, GF(2) coefficients implicit
 DiffMap = dict[str, dict[str, int]]
@@ -117,24 +117,13 @@ class FilteredComplex:
         """d of a GF(2)[U]-chain given as {name: power}."""
         return apply_map(self.differential, chain)
 
-    def with_generators(self, names: Iterable[str]) -> "FilteredComplex":
-        """Full subcomplex on a subset of generators (entries inside it)."""
-        keep = set(names)
-        gens = [g for g in self.generators if g.name in keep]
-        diff = {
-            s: {t: k for t, k in row.items() if t in keep}
-            for s, row in self.differential.items()
-            if s in keep
-        }
-        return FilteredComplex(gens, diff)
-
 
 def _toggle(row: dict[str, int], key: str, power: int) -> None:
     # GF(2): inserting an existing monomial cancels it.  Gradedness means a
-    # (source, target) pair admits a single power, which we assert.
+    # (source, target) pair admits a single power, which we check.
     if key in row:
         if row[key] != power:
-            raise AssertionError(f"non-graded toggle on {key}: {row[key]} vs {power}")
+            raise InternalError(f"non-graded toggle on {key}: {row[key]} vs {power}")
         del row[key]
     else:
         row[key] = power
@@ -245,10 +234,10 @@ class _Reduction:
         self.c = c
         self.gens: dict[str, Generator] = {g.name: g for g in c.generators}
         self.diff: DiffMap = {s: dict(r) for s, r in c.differential.items()}
-        self.sources: dict[str, set[str]] = {}
+        self.sources: dict[str, dict[str, None]] = {}  # columns, walked in insertion order
         for s, row in self.diff.items():
             for t in row:
-                self.sources.setdefault(t, set()).add(s)
+                self.sources.setdefault(t, {})[s] = None
         self.moves: list[tuple[str, str, int]] = []  # the trace, see ReducedForm
         self.enqueue: Callable[[str, str, int], None] = lambda s, t, k: None  # eliminate's feed
 
@@ -258,43 +247,43 @@ class _Reduction:
         row = self.diff.setdefault(src, {})
         _toggle(row, tgt, power)
         if tgt in row:
-            self.sources.setdefault(tgt, set()).add(src)
+            self.sources.setdefault(tgt, {})[src] = None
             self.enqueue(src, tgt, power)
         else:
-            self.sources.get(tgt, set()).discard(src)
+            self.sources.get(tgt, {}).pop(src, None)
             if not row:
                 del self.diff[src]
 
     def basis_change(self, u: str, v: str, m: int) -> None:
         """Replace u by u + U^m v (GF(2), so it is its own inverse)."""
         if u == v:
-            raise AssertionError(f"basis change of {u} against itself")
+            raise InternalError(f"basis change of {u} against itself")
         for tgt, k in list(self.diff.get(v, {}).items()):
             self._set(u, tgt, k + m)
-        for s in list(self.sources.get(u, set())):
+        for s in list(self.sources.get(u, {})):
             self._set(s, v, self.diff[s][u] + m)
         self.moves.append((u, v, m))
 
     def isolate(self, e: str, f: str) -> None:
         """Clear row e / column f against the pivot entry d(e) = U^c f."""
         c = self.diff[e][f]
-        for s in list(self.sources.get(f, set())):
+        for s in list(self.sources.get(f, {})):
             if s != e:
                 self.basis_change(s, e, self.diff[s][f] - c)
         for h, d in list(self.diff.get(e, {}).items()):
             if h != f:
                 self.basis_change(f, h, d - c)
         if set(self.diff[e]) != {f}:
-            raise AssertionError(f"row of {e} not cleared")
-        if self.sources[f] != {e}:
-            raise AssertionError(f"column of {f} not cleared")
+            raise InternalError(f"row of {e} not cleared")
+        if self.sources[f].keys() != {e}:
+            raise InternalError(f"column of {f} not cleared")
 
     def remove_pair(self, e: str, f: str) -> None:
         """Drop a summand d(e) = U^c f that isolate has cleared."""
         if self.sources.get(e):
-            raise AssertionError(f"unexpected entries into {e}")
+            raise InternalError(f"unexpected entries into {e}")
         if self.diff.get(f):
-            raise AssertionError(f"unexpected entries out of {f}")
+            raise InternalError(f"unexpected entries out of {f}")
         del self.diff[e]
         self.sources.pop(f, None)
         self.sources.pop(e, None)

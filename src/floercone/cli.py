@@ -1,7 +1,9 @@
 """Command line driver: model building, surgery, dual knots, contact arithmetic.
 
 Exit codes: 0 success, 1 domain errors (bad parameters, excluded
-coefficients, unsupported models), 2 malformed input or I/O failure.
+coefficients, unsupported models), 2 malformed input or I/O failure, 3 a
+failed internal invariant (a fault in the package, reported as
+"error: internal: ..." without a traceback).
 Output is deterministic: identical invocations emit identical bytes.
 """
 
@@ -25,7 +27,7 @@ from .contact import (
     positive_expansion,
 )
 from .dual import build_dual_cone, g_map, loss_grading, normal_form
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalError, ParseError
 from .models import (
     alexander_polynomial,
     box,
@@ -344,6 +346,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except InternalError as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return 3
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

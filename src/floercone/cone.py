@@ -21,9 +21,9 @@ Maslov degree m
 where D_m is D on source degree m (D lowers Maslov by 1).  So
 `sector_homology` reduces each distinct A_s once, and B once, reads v and
 h on their homology with `induced_map`, and ranks one GF(2) matrix per
-degree between those homology bases, shifted by phi.  No sector is
-flattened.  The flattened cone (`total_complex`, `hat_complex`) remains for
-the dual cone, `include_B` and the checks.
+degree between those homology bases, shifted by phi.  `include_B` reads
+the same data.  No sector is flattened; the flattened whole cone
+(`total_complex`, `hat_complex`) remains for the dual cone and the checks.
 
 Vertex ranges.  The t-window must satisfy two constraints so that the
 omitted vertices cancel in (A_t, B_t) pairs via v (an isomorphism once
@@ -54,12 +54,11 @@ from .algebra import (
     _exact,
     apply_map,
     hat_slice,
-    homology,
     induced_map,
     reduce,
     require_valid,
 )
-from .errors import BadCoefficient, BadParameter, NoSuchVertex, NotTruncatable
+from .errors import BadCoefficient, BadParameter, InternalError, NoSuchVertex, NotTruncatable
 from .models import FlipMap
 
 
@@ -157,7 +156,7 @@ class MappingCone:
         return range(abs(self.p))
 
     def _sector_ts(self, sector: int) -> tuple[list[int], list[int]]:
-        """The ascending A- and B-vertex ts of one sector; grouped once per cone."""
+        """The ascending A- and B-vertex ts of one sector for `_triangle`; grouped once."""
         if self._sectors is None:
             self._sectors = {}
             for k, ts in enumerate((self.a_ts, self.b_ts)):
@@ -230,10 +229,10 @@ class MappingCone:
             e = self._edge_cache[s] = VertexEdges(offs, d, v, h)
         return e
 
-    def total_complex(self, sector: int | None = None,
+    def total_complex(self,
                       alexander_fn: Callable[[str, int, Generator, int], int | Fraction] | None = None,
                       ) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
-        """Flatten the cone (or one Spin^c sector) to a single complex.
+        """Flatten the whole cone: A-vertices, then B-vertices, each by ascending t.
 
         alexander_fn assigns the Alexander field of each element (the dual
         construction passes its second filtration); plain cones use 0, so
@@ -241,13 +240,12 @@ class MappingCone:
         (the I-drop) constrains the differential.
         """
         phi = self.phi()
-        a_ts, b_ts = (self.a_ts, self.b_ts) if sector is None else self._sector_ts(sector)
         source = self.source.generators
         gens: list[Generator] = []
         table: dict[str, ElementInfo] = {}
         # per vertex: element names, indexed like source, and its edges
         vertex: dict[tuple[str, int], tuple[list[str], VertexEdges]] = {}
-        for segment, ts in (("A", a_ts), ("B", b_ts)):
+        for segment, ts in (("A", self.a_ts), ("B", self.b_ts)):
             for t in ts:
                 names = [self.element_name(segment, t, g.name) for g in source]
                 e = self._edges(segment, t)
@@ -262,7 +260,7 @@ class MappingCone:
 
         def put(src: str, tgt: str, power: int) -> None:
             if power < 0:
-                raise AssertionError(f"cone entry {src} -> {tgt} with power {power}")
+                raise InternalError(f"cone entry {src} -> {tgt} with power {power}")
             diff.setdefault(src, {})[tgt] = power
 
         for (segment, t), (names, e) in vertex.items():
@@ -279,9 +277,9 @@ class MappingCone:
                     put(src, h_edge[0][j], k)
         return FilteredComplex(gens, diff), table
 
-    def hat_complex(self, sector: int | None = None) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
+    def hat_complex(self) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
         """The I = 0 part: same elements, only the U-power-0 entries."""
-        total, table = self.total_complex(sector)
+        total, table = self.total_complex()
         return hat_slice(total), table
 
     # -- derived quantities ---------------------------------------------------
@@ -306,7 +304,7 @@ class MappingCone:
                 for name, g, off in zip(names, self.source.generators, e.offsets)]
         rf = reduce(FilteredComplex(gens, as_map(e.d)), "over_U_units" if hat else "full_field")
         if rf.complex.differential:
-            raise AssertionError(f"vertex {segment}{t} keeps a differential after reduction")
+            raise InternalError(f"vertex {segment}{t} keeps a differential after reduction")
         v: list[int] = []
         h: list[int] = []
         if segment == "A":
@@ -325,19 +323,10 @@ class MappingCone:
         self._homology[(flavor, s)] = found
         return found
 
-    def sector_homology(self, sector: int, flavor: str = "hat") -> GradedRanks:
-        """Ranks of one sector from its vertices' homology and the exact triangle.
-
-        Hat keys by Maslov grading.  Infinity keys by Maslov parity, which D
-        flips; every entry of D is a homogeneous monomial, so its rank over
-        GF(2)[U,U^-1] is the GF(2) rank of its 0/1 support.
-        """
-        if flavor == "hat":
-            key = _exact
-        elif flavor == "infinity":
-            key = lambda m: _exact(m % 2)
-        else:
-            raise BadCoefficient(f"unknown flavor {flavor!r}")
+    def _triangle(self, sector: int, flavor: str, key: Callable) -> tuple[dict, dict, dict]:
+        """The exact-triangle data of one sector, keyed by key(Maslov): per key,
+        dim H(A) + dim H(B); per source key, the columns of D as bitsets over
+        the B-homology basis; per B-vertex t, the first row of its block."""
         phi = self.phi()
         a_ts, b_ts = self._sector_ts(sector)
         count: dict[int | Fraction, int] = {}  # key -> dim H(A) + dim H(B)
@@ -361,6 +350,22 @@ class MappingCone:
                 if h_row is not None:
                     col |= h << h_row
                 columns.setdefault(k, []).append(col)
+        return count, columns, first_row
+
+    def sector_homology(self, sector: int, flavor: str = "hat") -> GradedRanks:
+        """Ranks of one sector from its vertices' homology and the exact triangle.
+
+        Hat keys by Maslov grading.  Infinity keys by Maslov parity, which D
+        flips; every entry of D is a homogeneous monomial, so its rank over
+        GF(2)[U,U^-1] is the GF(2) rank of its 0/1 support.
+        """
+        if flavor == "hat":
+            key = _exact
+        elif flavor == "infinity":
+            key = lambda m: _exact(m % 2)
+        else:
+            raise BadCoefficient(f"unknown flavor {flavor!r}")
+        count, columns, _ = self._triangle(sector, flavor, key)
         d_rank = {k: gf2.rank(cols) for k, cols in columns.items()}
         ranks = {}
         for k, n in count.items():
@@ -410,21 +415,17 @@ class MappingCone:
 
 def hat_map_is_quasi_iso(c: FilteredComplex, flip: FlipMap, s: int, kind: str) -> bool:
     """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
-    if kind == "v":
-        cone = MappingCone(c, flip, 1, 1, [s], [s])
-    elif kind == "h":
-        cone = MappingCone(c, flip, 1, 1, [s], [s + 1])
-    else:
+    if kind not in ("v", "h"):
         raise BadCoefficient(f"kind must be 'v' or 'h', got {kind!r}")
-    hat, _ = cone.hat_complex()
-    return homology(hat, ("maslov",)).total_rank == 0
+    cone = MappingCone(c, flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
+    return cone.sector_homology(0).total_rank == 0
 
 
 @dataclass
 class IncludeBReport:
+    """Ranks of the map H(B_t) -> H(sector) on hat homology."""
     t: int
     sector: int
-    matrix: list[list[int]]  # rows: sector homology basis, cols: vertex homology basis
     domain_rank: int
     codomain_rank: int
     map_rank: int
@@ -439,20 +440,18 @@ class IncludeBReport:
 
 
 def include_B(cone: MappingCone, t: int) -> IncludeBReport:
-    """Induced map on hat homology of the inclusion of vertex (t, B) in its sector."""
+    """Induced map on hat homology of the inclusion of vertex (t, B) in its sector.
+
+    Its kernel is H(B_t) meet im D_*, so its rank is rank [D | H(B_t)] - rank D;
+    the sector has rank sum(dim H(A) + dim H(B)) - 2 rank D.
+    """
     if t not in cone._b_set:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
     sector = cone.spin_c(t)
-    hat, table = cone.hat_complex(sector)
-    vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
-    rf_vertex = reduce(hat.with_generators(vertex), "over_U_units")
-    rf_sector = reduce(hat, "over_U_units")
-    map_rank, matrix = induced_map(rf_vertex, rf_sector, lambda chain: chain)
-    return IncludeBReport(
-        t=t,
-        sector=sector,
-        matrix=matrix,
-        domain_rank=len(rf_vertex.complex),
-        codomain_rank=len(rf_sector.complex),
-        map_rank=map_rank,
-    )
+    count, columns, first_row = cone._triangle(sector, "hat", _exact)
+    d = [col for cols in columns.values() for col in cols]
+    d_rank = gf2.rank(d)
+    domain = len(cone._vertex_homology("B", t, "hat").reduced.complex)
+    units = [1 << row for row in range(first_row[t], first_row[t] + domain)]
+    return IncludeBReport(t, sector, domain, sum(count.values()) - 2 * d_rank,
+                          gf2.rank(units + d) - d_rank)

@@ -20,6 +20,7 @@ from .errors import (
     BadCoefficient,
     BadParameter,
     ExcludedCoefficient,
+    InternalError,
     ParityError,
 )
 from .models import flip, minus_twist_knot
@@ -40,10 +41,6 @@ class LegendrianData:
     tb: int
     rot: int
     order: int = 1
-    label: str = ""
-
-    def push_off(self, label: str = "") -> "LegendrianData":
-        return LegendrianData(self.tb, self.rot, self.order, label or self.label)
 
 
 # -- continued fractions -------------------------------------------------------
@@ -108,7 +105,7 @@ def negative_expansion(r) -> DgsExpansion:
     terms = negative_cf(r)
     a = [terms[0] - 1] + terms[1:]
     if not all(ai <= -2 for ai in a):
-        raise AssertionError(f"expansion entry above -2 in {a}")
+        raise InternalError(f"expansion entry above -2 in {a}")
     stab = tuple(abs(ai + 2) for ai in a)
     return DgsExpansion(r, "negative", tuple(a), 0, stab, tuple([-1] * len(a)))
 
@@ -125,10 +122,10 @@ def positive_expansion(r) -> DgsExpansion:
     e = y // x + 1
     rest = Fraction(x, y - e * x)
     if rest >= -1:
-        raise AssertionError(f"remainder {rest} is not below -1")
+        raise InternalError(f"remainder {rest} is not below -1")
     a = negative_cf(rest)
     if not all(ai <= -2 for ai in a):
-        raise AssertionError(f"expansion entry above -2 in {a}")
+        raise InternalError(f"expansion entry above -2 in {a}")
     stab = (abs(a[0] + 1),) + tuple(abs(ai + 2) for ai in a[1:])
     signs = tuple([1] * e + [-1] * len(a))
     return DgsExpansion(r, "positive", tuple(a), e, stab, signs)
@@ -236,7 +233,7 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
     dc = build_dual_cone(model, flip(model), 1)
     nf = normal_form(dc)
     m = nf.count("vertical")
-    push_off = LegendrianData(0, -1, label="push-off of the stabilized knot")
+    push_off = LegendrianData(0, -1)  # the push-off of the stabilized knot
     top = loss_grading(push_off.tb, push_off.rot)
     report.steps.append(PipelineStep(
         "computed", "dual-knot complex in normal form",
@@ -244,12 +241,12 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
          "generators": len(nf.form.complex)}, True))
     gm = g_map(nf.form.complex, top)
     if not gm.injective:
-        raise AssertionError("U = 1 map unexpectedly fails injectivity")
+        raise InternalError("U = 1 map unexpectedly fails injectivity")
     report.steps.append(PipelineStep(
         "computed", "U = 1 map injective in the top Alexander grading",
         {"alexander": top, "domain_dim": gm.domain_dim, "rank": gm.map_rank}, True))
     if m < 2:
-        raise AssertionError("n > 3 guarantees at least two vertical summands")
+        raise InternalError("n > 3 guarantees at least two vertical summands")
     verticals = [s.names[0] for s in nf.summands if s.kind == "vertical"]
     class_a = [verticals[0]]
     class_b = [verticals[0], verticals[1]]
@@ -258,7 +255,7 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
         "computed", "images of the two invariant classes differ",
         {"class_a": class_a, "class_b": class_b, "distinct": distinct}, distinct))
     if not distinct:
-        raise AssertionError("top-grading classes unexpectedly merge")
+        raise InternalError("top-grading classes unexpectedly merge")
     return nf
 
 
@@ -282,7 +279,7 @@ def _case_minus_two_minus_k(n: int, k: int, report: PipelineReport) -> None:
          "domain": rep.domain_rank, "codomain": rep.codomain_rank,
          "isomorphism": rep.isomorphism}, rep.isomorphism))
     if not rep.isomorphism:
-        raise AssertionError("cone inclusion failed to be an isomorphism")
+        raise InternalError("cone inclusion failed to be an isomorphism")
 
 
 def distinctness_pipeline(n: int, r, m: int = 1) -> PipelineReport:
@@ -340,7 +337,7 @@ def distinctness_pipeline(n: int, r, m: int = 1) -> PipelineReport:
                 {"component": j + 1, "stabilizations": count, "coefficient": -1}, None))
     else:
         if ell is None or ell < 2:
-            raise AssertionError(f"case iv needs r = -1/l with l >= 2, got l = {ell}")
+            raise InternalError(f"case iv needs r = -1/l with l >= 2, got l = {ell}")
         target = r - 1
         meridian_c1 = c1_positive_integer_surgery(LegendrianData(0, -1, order=1), 2)
         report.case = f"case iv (r = -1/{ell}) -> {target}"

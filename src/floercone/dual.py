@@ -25,6 +25,7 @@ from .algebra import (
     Generator,
     ReducedForm,
     _Reduction,
+    _exact,
     _toggle,
     check_complex,
     induced_map,
@@ -32,7 +33,7 @@ from .algebra import (
     require_valid,
 )
 from .cone import MappingCone, effective_genus
-from .errors import BadFraming, NonIntegral, NormalFormMismatch, NotCycles
+from .errors import BadFraming, InternalError, NonIntegral, NormalFormMismatch, NotCycles
 from .models import FlipMap, hat_column, minus_slice
 
 
@@ -56,18 +57,20 @@ def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
     b_ts = range(lo + n, g + 1)
     cone = MappingCone(c, flip, n, 1, a_ts, b_ts, range_mode="dual")
 
-    def second_filtration(segment: str, t: int, gen: Generator, offset: int) -> Fraction:
-        frac = Fraction(2 * t + n - 1, 2 * n)
+    # the J offset (2t+n-1)/(2n) of each vertex, an int at n = 1
+    j_offset = {t: _exact(Fraction(2 * t + n - 1, 2 * n)) for t in (*a_ts, *b_ts)}
+
+    def second_filtration(segment: str, t: int, gen: Generator, offset: int) -> int | Fraction:
         if segment == "A":
-            j0 = max(-1, gen.alexander - t) + frac
+            j0 = max(-1, gen.alexander - t) + j_offset[t]
         else:
-            j0 = frac - 1
+            j0 = j_offset[t] - 1
         return j0 - offset
 
     total, _ = cone.total_complex(alexander_fn=second_filtration)
     report = check_complex(total)
     if not report.ok:
-        raise AssertionError("dual cone failed build-time verification:\n" + str(report))
+        raise InternalError("dual cone failed build-time verification:\n" + str(report))
     return DualCone(n, g, c, cone, total)
 
 

@@ -13,6 +13,10 @@ class ParseError(FloerconeError):
     """Malformed file or JSON payload (CLI exit 2)."""
 
 
+class InternalError(FloerconeError):
+    """An internal invariant failed: a fault in this package, not in the input (CLI exit 3)."""
+
+
 class BadParameter(DomainError):
     pass
 

@@ -6,14 +6,16 @@
   formula on the fraction (Minkus), cross-checking the models' graded
   Euler characteristics;
 * brute-force enumeration of (i,j)-plane translates for hat-vertex counts;
-* the j-preserving slice, whose homology is the minus-flavor knot homology.
+* the j-preserving slice, whose homology is the minus-flavor knot homology;
+* Spin^c sectors restricted from the flattened cone, and the vertex
+  inclusion read off them by reducing the sector and the vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from floercone.algebra import FilteredComplex
+from floercone.algebra import FilteredComplex, induced_map, reduce
 
 
 # -- dense GF(2) homology -----------------------------------------------------
@@ -137,3 +139,35 @@ def j_graded(c: FilteredComplex) -> FilteredComplex:
         for s, row in c.differential.items()
     }
     return FilteredComplex(c.generators, diff)
+
+
+# -- flattened sectors -----------------------------------------------------------
+
+
+def restrict(c: FilteredComplex, names) -> FilteredComplex:
+    """Full subcomplex of c on the named generators (entries inside it), in c's order."""
+    keep = set(names)
+    gens = [g for g in c.generators if g.name in keep]
+    diff = {s: {t: k for t, k in row.items() if t in keep}
+            for s, row in c.differential.items() if s in keep}
+    return FilteredComplex(gens, diff)
+
+
+def flattened_sectors(cone, hat: bool = True) -> dict[int, tuple[FilteredComplex, dict]]:
+    """Every Spin^c sector of the cone as (complex, element table), restricted
+    from one flattening of the whole cone (its hat flavor when hat)."""
+    whole, table = cone.hat_complex() if hat else cone.total_complex()
+    names: dict[int, list[str]] = {i: [] for i in cone.sectors}
+    for name, info in table.items():
+        names[cone.spin_c(info.t)].append(name)
+    return {i: (restrict(whole, ns), {n: table[n] for n in ns}) for i, ns in names.items()}
+
+
+def include_B_by_flattening(hat: FilteredComplex, table: dict, t: int) -> tuple[int, int, int]:
+    """(domain, codomain, map rank) of the inclusion of vertex (t, B) into its
+    flattened hat sector: both reduced over U-units, the rank by induced_map."""
+    vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
+    rf_vertex = reduce(restrict(hat, vertex), "over_U_units")
+    rf_sector = reduce(hat, "over_U_units")
+    map_rank, _ = induced_map(rf_vertex, rf_sector, lambda chain: chain)
+    return len(rf_vertex.complex), len(rf_sector.complex), map_rank

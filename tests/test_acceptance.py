@@ -40,7 +40,7 @@ from floercone.models import (
     unknot,
 )
 
-from oracles import dense_homology_by_maslov
+from oracles import dense_homology_by_maslov, flattened_sectors
 from random_complexes import default_seed
 
 _module_start = time.monotonic()
@@ -153,8 +153,7 @@ def test_criterion_6_oracle_equivalence():
                 if p == 0 or gcd(p, q) != 1:
                     continue
                 cone = MappingCone.build(c, f, p, q, "paper")
-                for i in cone.sectors:
-                    hat, _ = cone.hat_complex(i)
+                for i, (hat, _) in flattened_sectors(cone).items():
                     engine = {Fraction(k[0]): v
                               for k, v in cone.sector_homology(i).ranks.items()}
                     ok &= engine == dense_homology_by_maslov(hat)

@@ -1,7 +1,10 @@
 """Core engine tests: validation, cancellation, reduction, homology."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from floercone.dual import build_dual_cone, split_to_summands
 from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
 from floercone.models import box, flip, minus_twist_knot, staircase, unknot
 
-from oracles import dense_homology_by_maslov, gf2_matrix_rank, j_graded
+from oracles import dense_homology_by_maslov, flattened_sectors, gf2_matrix_rank, j_graded
 from random_complexes import default_seed, random_filtered_complex, reference_eliminate
 
 
@@ -354,11 +357,11 @@ class TestAcceptCalls:
 
     def test_surgery_cone_every_sector(self, monkeypatch):
         model = minus_twist_knot(33)
-        cone = MappingCone.build(model, flip(model), 5, 1, "full")
+        sectors = flattened_sectors(MappingCone.build(model, flip(model), 5, 1, "full"))
 
         def run():
-            for i in cone.sectors:
-                homology(cone.hat_complex(i)[0], ("maslov",))
+            for hat, _ in sectors.values():
+                homology(hat, ("maslov",))
         calls, budget = accept_calls(monkeypatch, run)
         assert 0 < calls <= budget
 
@@ -399,11 +402,39 @@ class TestGf2Rank:
             assert gf2.rank(self.columns(rows)) == gf2_matrix_rank(rows)
 
 
+def test_reduction_trace_does_not_depend_on_hash_seed():
+    # columns are walked in insertion order, so the basis changes come out the
+    # same in every process, not only the reduced complex
+    script = ("import hashlib\n"
+              "from floercone.dual import build_dual_cone, normal_form\n"
+              "from floercone.models import flip, minus_twist_knot\n"
+              "c = minus_twist_knot(41)\n"
+              "moves = normal_form(build_dual_cone(c, flip(c), 1)).form.moves\n"
+              "print(hashlib.sha256(repr(moves).encode()).hexdigest())\n")
+    src = str(Path(algebra.__file__).parent.parent)
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1, digests
+
+
 def test_engine_invariants_are_not_asserts():
-    # assert statements vanish under python -O; the package's checks must not
+    # assert statements vanish under python -O; the package's checks must not.
+    # A failed check raises the typed InternalError, never AssertionError.
+    def raises_assertion_error(node: ast.AST) -> bool:
+        exc = getattr(node, "exc", None)
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return isinstance(node, ast.Raise) and isinstance(exc, ast.Name) \
+            and exc.id == "AssertionError"
+
     modules = sorted(Path(algebra.__file__).parent.glob("*.py"))
     assert modules
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert) or raises_assertion_error(node)]
         assert not found, (path.name, found)

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from floercone import cone
+from floercone.algebra import ReducedForm
 from floercone.cli import main
 from floercone.models import dual_normal_form_model, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
@@ -237,3 +239,15 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert payload["alexander_polynomial_str"] == "3t - 5 + 3t^-1"
         assert payload["hat_ranks"]["total_rank"] == 11
+
+
+class TestInternalError:
+    def test_failed_invariant_exits_three(self, cli, monkeypatch):
+        # a vertex reduction that leaves its differential trips the check in
+        # the cone's vertex homology, on the way to include_B
+        monkeypatch.setattr(cone, "reduce", lambda c, mode: ReducedForm(c, []))
+        code, out, err = cli(["pipeline", "--n", "5", "--r=-3"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal: vertex ")
+        assert "Traceback" not in err

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from floercone import algebra as algebra_module
 from floercone import cone as cone_module
 from floercone.algebra import GradedRanks, check_complex, grading_key, homology, reduce
 from floercone.cone import (
@@ -25,7 +26,12 @@ from floercone.models import (
     unknot,
 )
 
-from oracles import dense_homology_by_maslov, enumerate_hat_A_elements
+from oracles import (
+    dense_homology_by_maslov,
+    enumerate_hat_A_elements,
+    flattened_sectors,
+    include_B_by_flattening,
+)
 
 
 def cone_for(c, p, q, mode="paper"):
@@ -84,14 +90,16 @@ class TestAssembly:
     @pytest.mark.parametrize("mode", ["paper", "full"])
     @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (-7, 3)])
     def test_sector_complex_is_restriction_of_whole(self, p, q, mode):
+        # a cone on one sector's vertices alone flattens to that sector of the whole
         cone = cone_for(minus_twist_knot(5), p, q, mode)
-        whole, whole_table = cone.total_complex()
-        for i in cone.sectors:
-            part, table = cone.total_complex(i)
-            restricted = whole.with_generators(table)
-            assert part.generators == restricted.generators
-            assert part.differential == restricted.differential
-            assert table == {n: whole_table[n] for n in table}
+        for i, (part, table) in flattened_sectors(cone, hat=False).items():
+            alone = MappingCone(cone.source, cone.flip, p, q,
+                                [t for t in cone.a_ts if cone.spin_c(t) == i],
+                                [t for t in cone.b_ts if cone.spin_c(t) == i])
+            own, own_table = alone.total_complex()
+            assert part.generators == own.generators
+            assert part.differential == own.differential
+            assert table == own_table
 
     def test_hat_vertex_element_counts_match_enumeration(self):
         c = staircase()
@@ -190,22 +198,25 @@ class TestSectorHomology:
     def test_hat_ranks_against_dense_oracle(self):
         for p, q in [(1, 1), (-1, 1), (2, 1), (-3, 2)]:
             cone = cone_for(minus_twist_knot(5), p, q)
-            for i in cone.sectors:
-                hat, _ = cone.hat_complex(i)
+            for i, (hat, _) in flattened_sectors(cone).items():
                 got = {Fraction(k[0]): v
                        for k, v in cone.sector_homology(i).ranks.items()}
                 assert got == dense_homology_by_maslov(hat)
 
 
-def flattened_sector_homology(cone, i, flavor):
-    """The sector's ranks read off its flattened complex."""
-    if flavor == "hat":
-        return homology(cone.hat_complex(i)[0], ("maslov",))
-    ranks = {}
-    for g in reduce(cone.total_complex(i)[0], "full_field").complex.generators:
-        key = grading_key(g, ("maslov_parity",))
-        ranks[key] = ranks.get(key, 0) + 1
-    return GradedRanks(ranks)
+def flattened_sector_homology(cone, flavor):
+    """Every sector's ranks read off the flattened cone."""
+    out = {}
+    for i, (c, _) in flattened_sectors(cone, flavor == "hat").items():
+        if flavor == "hat":
+            out[i] = homology(c, ("maslov",))
+            continue
+        ranks = {}
+        for g in reduce(c, "full_field").complex.generators:
+            key = grading_key(g, ("maslov_parity",))
+            ranks[key] = ranks.get(key, 0) + 1
+        out[i] = GradedRanks(ranks)
+    return out
 
 
 class TestSectorKeyTypes:
@@ -252,9 +263,9 @@ class TestSectorsFromVertexHomology:
             for mode in ("paper", "full"):
                 cone = MappingCone.build(c, f, p, q, mode)
                 for flavor in ("hat", "infinity"):
+                    flat = flattened_sector_homology(cone, flavor)
                     for i in cone.sectors:
-                        assert cone.sector_homology(i, flavor) == \
-                            flattened_sector_homology(cone, i, flavor), (p, q, mode, flavor, i)
+                        assert cone.sector_homology(i, flavor) == flat[i], (p, q, mode, flavor, i)
 
     def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
         calls = {"reduce": 0, "homology": 0, "total_complex": 0}
@@ -266,7 +277,8 @@ class TestSectorsFromVertexHomology:
             return wrapped
 
         monkeypatch.setattr(cone_module, "reduce", counting("reduce", cone_module.reduce))
-        monkeypatch.setattr(cone_module, "homology", counting("homology", cone_module.homology))
+        # cone does not import homology, so any call would go through algebra
+        monkeypatch.setattr(algebra_module, "homology", counting("homology", algebra_module.homology))
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
         c = minus_twist_knot(9)
@@ -342,10 +354,47 @@ class TestIncludeB:
         sector = (-1) % (k + 1)
         ts = {(v.segment, v.t) for v in cone.vertices() if cone.spin_c(v.t) == sector}
         assert ("A", -1) in ts and ("A", k) in ts and ("B", -1) in ts
-        total, table = cone.total_complex(sector)
+        total, table = flattened_sectors(cone, hat=False)[sector]
         crossing = [(s, t) for s, t, _ in total.entries()
                     if table[s].segment == "A" and table[s].t == k
                     and table[t].segment == "B" and table[t].t == -1]
         assert crossing
         rep = include_B(cone, -1)
         assert rep.isomorphism
+
+    MODELS = {
+        "twist3": lambda: minus_twist_knot(3),
+        "twist5": lambda: minus_twist_knot(5),
+        "mirror5": lambda: mirror(minus_twist_knot(5)),
+        "staircase": staircase,
+        "box": box,
+        "dual5": lambda: dual_normal_form_model(5),
+        "mirror_dual3": lambda: mirror(dual_normal_form_model(3)),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_flattened_sector(self, name):
+        # every B vertex, against reducing the flattened sector and the vertex
+        c = self.MODELS[name]()
+        f = flip(c)
+        for p, q in [(1, 1), (-2, 1), (3, 2), (-3, 2), (5, 3), (-4, 3)]:
+            for mode in ("paper", "full"):
+                cone = MappingCone.build(c, f, p, q, mode)
+                sectors = flattened_sectors(cone)
+                for t in cone.b_ts:
+                    rep = include_B(cone, t)
+                    assert rep.sector == cone.spin_c(t)
+                    got = (rep.domain_rank, rep.codomain_rank, rep.map_rank)
+                    assert got == include_B_by_flattening(*sectors[rep.sector], t), (p, q, mode, t)
+
+    def test_nothing_flattened(self, monkeypatch):
+        calls = []
+        total_complex = MappingCone.total_complex
+        monkeypatch.setattr(MappingCone, "total_complex",
+                            lambda *a, **k: calls.append(1) or total_complex(*a, **k))
+        model = dual_normal_form_model(5)
+        cone = cone_for(model, -3, 2, "full")
+        assert all(include_B(cone, t).sector == cone.spin_c(t) for t in cone.b_ts)
+        f = flip(model)
+        assert hat_map_is_quasi_iso(model, f, 2, "v") and hat_map_is_quasi_iso(model, f, -2, "h")
+        assert calls == []

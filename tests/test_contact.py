@@ -30,7 +30,7 @@ from random_complexes import default_seed
 
 
 def stabilize_negative(l: LegendrianData, times: int = 1) -> LegendrianData:
-    return LegendrianData(l.tb - times, l.rot - times, l.order, l.label)
+    return LegendrianData(l.tb - times, l.rot - times, l.order)
 
 
 class ZeroCoefficient(DomainError):
@@ -134,7 +134,6 @@ class TestLegendrianBookkeeping:
         l = LegendrianData(1, 0)
         assert stabilize_negative(l).tb == 0
         assert stabilize_negative(l, 3) == LegendrianData(-2, -3)
-        assert l.push_off() == l
 
     def test_smooth_coefficient(self):
         assert smooth_coefficient(LegendrianData(1, 0), -2) == -1

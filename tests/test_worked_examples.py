@@ -63,8 +63,6 @@ class TestIncludeBExamples:
         cone = MappingCone.build(model, flip(model), -2, 1)
         rep = include_B(cone, -1)
         assert rep.isomorphism
-        n = rep.domain_rank
-        assert rep.matrix == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def test_report_on_minus_one_surgery_cone(self):
         c = minus_twist_knot(5)
