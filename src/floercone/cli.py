@@ -119,7 +119,7 @@ def cmd_validate(args) -> int:
 
 def cmd_surgery(args) -> int:
     c = _read_complex(args.infile)
-    cone = MappingCone.build(c, flip(c), args.p, args.q, args.range)
+    cone = MappingCone.build(flip(c), args.p, args.q, args.range)
     sectors = [args.sector % abs(args.p)] if args.sector is not None else list(cone.sectors)
     table = {}
     for i in sectors:
@@ -149,7 +149,7 @@ def cmd_dualknot(args) -> int:
         c = staircase()
     else:
         c = _read_complex(args.model)
-    dc = build_dual_cone(c, flip(c), args.n)
+    dc = build_dual_cone(flip(c), args.n)
     payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.genus}
     nf = normal_form(dc)
     if args.check == "normalform":

@@ -1,8 +1,8 @@
 """Surgery mapping cones: assembly, sectors from vertex homology, truncation.
 
-For coprime p, q (q > 0) the cone has one copy of the input complex per
-vertex (t, A_s) and (t, B_s), s = floor(t/q).  Edges are v_t (the
-identity A_t -> B_t) and h_t (U^s after the flip map, A_t -> B_{t+p}).
+For coprime p, q (q > 0) the cone over a FlipMap has one copy of the model
+it checked per vertex (t, A_s) and (t, B_s), s = floor(t/q).  Edges are v_t
+(the identity A_t -> B_t) and h_t (U^s after the flip map, A_t -> B_{t+p}).
 Everything is stored through the I = 0 translate of each copy, where
 
     I = max(i, j - s)   on A-vertices,        I = i   on B-vertices,
@@ -56,18 +56,9 @@ from .algebra import (
     hat_slice,
     induced_map,
     reduce,
-    require_valid,
 )
-from .errors import BadCoefficient, BadParameter, InternalError, NoSuchVertex, NotTruncatable
+from .errors import BadCoefficient, InternalError, NoSuchVertex, NotTruncatable
 from .models import FlipMap
-
-
-def effective_genus(c: FilteredComplex) -> int:
-    """Seifert genus read off the model as max Alexander grading, floored at 1.
-    Every Alexander grading must be an integer, so cone offsets are ints."""
-    if any(g.alexander.denominator != 1 for g in c.generators):
-        raise BadCoefficient("model has non-integral Alexander gradings")
-    return max(1, max((g.alexander for g in c.generators), default=0))
 
 
 class ConeVertex(NamedTuple):
@@ -98,20 +89,16 @@ class VertexHomology(NamedTuple):
 
 
 class MappingCone:
-    def __init__(self, source: FilteredComplex, flip: FlipMap, p: int, q: int,
-                 a_ts: Iterable[int], b_ts: Iterable[int], range_mode: str = "custom"):
+    """The p/q cone over flip.source on the A-vertices a_ts and B-vertices b_ts."""
+
+    def __init__(self, flip: FlipMap, p: int, q: int, a_ts: Iterable[int], b_ts: Iterable[int]):
         if q <= 0 or p == 0 or gcd(p, q) != 1:
             raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
-        require_valid(source)
-        if flip.source is not source and (flip.source.generators != source.generators
-                                          or flip.source.differential != source.differential):
-            raise BadParameter("the flip map belongs to another complex")
-        self.source = source
+        self.source = source = flip.source
         self.flip = flip
         self.p = p
         self.q = q
-        self.range_mode = range_mode
-        self.genus = effective_genus(source)
+        self.genus = flip.genus
         self.a_ts = tuple(sorted(set(a_ts)))
         self.b_ts = tuple(sorted(set(b_ts)))
         self._b_set = set(self.b_ts)
@@ -119,7 +106,7 @@ class MappingCone:
         self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
         # per-generator source tables, read by _edges
         gens = source.generators
-        self._alex = [g.alexander for g in gens]  # ints: checked by effective_genus
+        self._alex = [g.alexander for g in gens]  # ints: checked by FlipMap
         order = source._order
         self._rows = [[(order[t], k) for t, k in source.differential.get(g.name, {}).items()]
                       for g in gens]
@@ -130,9 +117,8 @@ class MappingCone:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, source: FilteredComplex, flip: FlipMap, p: int, q: int,
-              range_mode: str = "paper") -> "MappingCone":
-        g = effective_genus(source)
+    def build(cls, flip: FlipMap, p: int, q: int, range_mode: str = "paper") -> "MappingCone":
+        g = flip.genus
         lo = min((1 - g) * q, g * q - p)
         hi = g * q - 1
         if range_mode == "full":
@@ -143,7 +129,7 @@ class MappingCone:
             raise BadCoefficient(f"unknown range mode {range_mode!r}")
         a_ts = range(lo, hi + 1)
         b_ts = range(lo + p, hi + 1)
-        return cls(source, flip, p, q, a_ts, b_ts, range_mode)
+        return cls(flip, p, q, a_ts, b_ts)
 
     def s_of(self, t: int) -> int:
         return t // self.q
@@ -386,7 +372,7 @@ class MappingCone:
         a bijection on hat elements; afterwards equality of all sector hat
         ranks is checked outright.
         """
-        target = MappingCone.build(self.source, self.flip, self.p, self.q, "paper")
+        target = MappingCone.build(self.flip, self.p, self.q, "paper")
         if set(target.a_ts) == set(self.a_ts) and set(target.b_ts) == set(self._b_set):
             return self
         if not (set(target.a_ts) <= set(self.a_ts) and set(target.b_ts) <= self._b_set):
@@ -413,11 +399,11 @@ class MappingCone:
         return target
 
 
-def hat_map_is_quasi_iso(c: FilteredComplex, flip: FlipMap, s: int, kind: str) -> bool:
+def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:
     """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
     if kind not in ("v", "h"):
         raise BadCoefficient(f"kind must be 'v' or 'h', got {kind!r}")
-    cone = MappingCone(c, flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
+    cone = MappingCone(flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
     return cone.sector_homology(0).total_rank == 0
 
 

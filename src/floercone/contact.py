@@ -230,7 +230,7 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
     """Framing +1 computation: distinct Legendrian invariants stay distinct.
     Returns the dual-knot normal form it verified."""
     model = minus_twist_knot(n)
-    dc = build_dual_cone(model, flip(model), 1)
+    dc = build_dual_cone(flip(model), 1)
     nf = normal_form(dc)
     m = nf.count("vertical")
     push_off = LegendrianData(0, -1)  # the push-off of the stabilized knot
@@ -270,8 +270,7 @@ def _case_minus_two_minus_k(n: int, k: int, report: PipelineReport) -> None:
         "computed", "contact class located in the surgery cone",
         {"p": p, "q": q, "t": loc.t, "vertex": loc.vertex, "c1": c1,
          "self_conjugate": c1 == 0}, True))
-    dual_complex = nf.form.complex
-    cone = MappingCone.build(dual_complex, flip(dual_complex), p, q, "full")
+    cone = MappingCone.build(flip(nf.form.complex), p, q, "full")
     rep = include_B(cone, loc.t)
     report.steps.append(PipelineStep(
         "computed", "vertex inclusion is a homology isomorphism",

@@ -1,8 +1,8 @@
 """The dual-knot mapping cone: double filtration, normal form, U = 1 map.
 
-For integer framing n != 0 the cone runs over A_s, s in [1-g, g] and B_s,
-s in [1-g+n, g], and carries a second filtration J and an absolute Maslov
-grading alongside the cone filtration I:
+For integer framing n != 0 the cone over a FlipMap of genus g runs over
+A_s, s in [1-g, g] and B_s, s in [1-g+n, g], with a second filtration J
+and an absolute Maslov grading alongside the cone filtration I:
 
     A-elements:  I = max(i, j - s),  J = max(i - 1, j - s) + (2s+n-1)/(2n)
     B-elements:  I = i,              J = i - 1 + (2s+n-1)/(2n)
@@ -32,7 +32,7 @@ from .algebra import (
     reduce,
     require_valid,
 )
-from .cone import MappingCone, effective_genus
+from .cone import MappingCone
 from .errors import BadFraming, InternalError, NonIntegral, NormalFormMismatch, NotCycles
 from .models import FlipMap, hat_column, minus_slice
 
@@ -46,16 +46,16 @@ class DualCone:
     complex: FilteredComplex           # flattened, (I,J)-decorated
 
 
-def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
-    """Assemble and verify the framing-n dual-knot cone over the model c."""
+def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
+    """The framing-n dual-knot cone over flip's checked model, verified flattened."""
     if not isinstance(n, int) or n == 0:
         raise BadFraming(f"framing must be a nonzero integer, got {n!r}")
-    g = effective_genus(c)
+    g = flip.genus
     # floor lowered from 1-g when n >= 2g so every Spin^c sector keeps a vertex
     lo = min(1 - g, g - n + 1)
     a_ts = range(lo, g + 1)
     b_ts = range(lo + n, g + 1)
-    cone = MappingCone(c, flip, n, 1, a_ts, b_ts, range_mode="dual")
+    cone = MappingCone(flip, n, 1, a_ts, b_ts)
 
     # the J offset (2t+n-1)/(2n) of each vertex, an int at n = 1
     j_offset = {t: _exact(Fraction(2 * t + n - 1, 2 * n)) for t in (*a_ts, *b_ts)}
@@ -71,7 +71,7 @@ def build_dual_cone(c: FilteredComplex, flip: FlipMap, n: int) -> DualCone:
     report = check_complex(total)
     if not report.ok:
         raise InternalError("dual cone failed build-time verification:\n" + str(report))
-    return DualCone(n, g, c, cone, total)
+    return DualCone(n, g, flip.source, cone, total)
 
 
 # -- normal form -------------------------------------------------------------

@@ -21,7 +21,7 @@ from .algebra import (
     homology,
     require_valid,
 )
-from .errors import BadParameter, NonIntegral, UnsupportedModel
+from .errors import BadCoefficient, BadParameter, NonIntegral, UnsupportedModel
 
 
 def staircase() -> FilteredComplex:
@@ -102,28 +102,29 @@ def mirror(c: FilteredComplex) -> FilteredComplex:
 
 
 class FlipMap:
-    """Reflection along i = j, encoded by a generator involution.
-
-    The pairing sigma must satisfy alexander(sigma g) = -alexander(g) and
-    maslov(sigma g) = maslov(g) - 2 alexander(g); the induced module map
-    g -> U^(-alexander(g)) sigma(g) is then a skew-filtered chain
-    isomorphism squaring to the identity.
+    """The checked model: a valid complex with integral Alexander gradings and
+    a reflection along i = j, a generator involution sigma with alexander(sigma g)
+    = -alexander(g) and maslov(sigma g) = maslov(g) - 2 alexander(g).  The module
+    map g -> U^(-alexander(g)) sigma(g) is then a skew-filtered chain isomorphism
+    squaring to the identity.  Every cone takes a FlipMap alone; genus is the
+    max Alexander grading, floored at 1.
     """
 
     def __init__(self, c: FilteredComplex, pairing: dict[str, str]):
+        require_valid(c)
         violations = flip_violations(c, pairing)
         if violations:
             raise UnsupportedModel("invalid flip pairing: " + "; ".join(violations))
+        alexander = [g.alexander for g in c.generators]
+        if any(isinstance(a, Fraction) for a in alexander):  # a Fraction is never integral
+            raise BadCoefficient("model has non-integral Alexander gradings")
         self.source = c
         self.pairing = dict(pairing)
+        self.genus: int = max(1, max(alexander, default=0))
 
     def __call__(self, name: str) -> tuple[str, int]:
         """Image of a stored generator, as (generator, U-power)."""
-        g = self.source.generator(name)
-        power = -g.alexander
-        if power.denominator != 1:
-            raise NonIntegral(f"flip power for {name} is not an integer")
-        return self.pairing[name], power
+        return self.pairing[name], -self.source.generator(name).alexander
 
 
 def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
@@ -141,37 +142,53 @@ def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
             bad.append(f"{name}: image Maslov grading mismatch")
     if bad:
         return bad
-    # chain map: g -> U^k h must correspond to sigma(g) -> U^(jdrop) sigma(h)
+    # chain map: g -> U^k h must correspond to sigma(g) -> U^(jdrop) sigma(h);
+    # (s, t) -> (sigma s, sigma t) is injective, so it is onto the entries too
     for src, tgt, k in c.entries():
         jd = c.j_drop(src, tgt, k)
         image_row = c.differential.get(pairing[src], {})
         if image_row.get(pairing[tgt]) != jd:
             bad.append(f"entry {src} -> U^{k} {tgt} has no mirror entry")
-    expected = sum(len(r) for r in c.differential.values())
-    got = sum(len(c.differential.get(pairing[s], {})) for s in c.differential)
-    if not bad and expected != got:
-        bad.append("extra entries in the reflected differential")
     return bad
 
 
 def flip(c: FilteredComplex) -> FlipMap:
-    """Search for a reflection basis; UnsupportedModel if none exists."""
-    require_valid(c)
-    by_grading: dict[tuple[int | Fraction, int | Fraction], list[str]] = {}
-    for h in c.generators:
-        by_grading.setdefault((h.alexander, h.maslov), []).append(h.name)
-    candidates: dict[str, list[str]] = {}
-    for g in c.generators:
-        cands = by_grading.get((-g.alexander, g.maslov - 2 * g.alexander))
-        if not cands:
-            raise UnsupportedModel(f"no reflection partner for {g.name}")
-        candidates[g.name] = cands
-    touching: dict[str, list[tuple[str, str, int | Fraction]]] = {g.name: [] for g in c.generators}
+    """Search for a reflection basis; the FlipMap found checks the model.  If
+    none exists, UnsupportedModel, after reporting an invalid complex first."""
+    # entries with an end that is not a generator are left to the FlipMap
+    touching: dict[str, list[tuple]] = {g.name: [] for g in c.generators}
+    ends: dict[str, tuple[list, list]] = {g.name: ([], []) for g in c.generators}
     for src, tgt, k in c.entries():
-        for end in (src, tgt):
-            touching[end].append((src, tgt, c.j_drop(src, tgt, k)))
+        if src in c and tgt in c:
+            jd = c.j_drop(src, tgt, k)
+            touching[src].append((src, tgt, jd))
+            touching[tgt].append((src, tgt, jd))
+            ends[src][0].append((k, jd))
+            ends[tgt][1].append((k, jd))
 
-    order = sorted(candidates, key=lambda n: (len(candidates[n]), c.order(n)))
+    # sigma maps the entries out of (into) g onto those out of (into) sigma g
+    # and swaps each one's U-power and j-drop, so a partner of g has g's sorted
+    # (U-power, j-drop) pairs, swapped, on both sides
+    per_grading: dict[tuple, int] = {}
+    by_drops: dict[tuple, list[str]] = {}
+    for h in c.generators:
+        out, into = ends[h.name]
+        per_grading[h.alexander, h.maslov] = per_grading.get((h.alexander, h.maslov), 0) + 1
+        key = (h.alexander, h.maslov, tuple(sorted(out)), tuple(sorted(into)))
+        by_drops.setdefault(key, []).append(h.name)
+    candidates: dict[str, list[str]] = {}
+    width: dict[str, int] = {}  # partners of the right bigrading, before the drops test
+    for g in c.generators:
+        out, into = ends[g.name]
+        grading = (-g.alexander, g.maslov - 2 * g.alexander)
+        candidates[g.name] = by_drops.get((*grading, tuple(sorted([(jd, k) for k, jd in out])),
+                                           tuple(sorted([(jd, k) for k, jd in into]))), [])
+        if not candidates[g.name]:
+            require_valid(c)
+            raise UnsupportedModel(f"no reflection partner for {g.name}")
+        width[g.name] = per_grading[grading]
+
+    order = sorted(candidates, key=lambda n: (width[n], c.order(n)))
     pairing: dict[str, str] = {}
 
     def consistent(*pair: str) -> bool:
@@ -204,6 +221,7 @@ def flip(c: FilteredComplex) -> FlipMap:
             pairing.pop(pairing.pop(order[i]), None)
             j += 1
         else:
+            require_valid(c)
             raise UnsupportedModel("no reflection basis found for this complex")
 
 

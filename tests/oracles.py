@@ -44,7 +44,8 @@ def gf2_matrix_rank(rows: list[list[int]]) -> int:
 def dense_homology_by_maslov(c: FilteredComplex) -> dict[Fraction, int]:
     """Homology ranks of a finite GF(2) complex (all entries U-power 0),
     graded by Maslov, via dense rank computations per graded piece."""
-    assert all(k == 0 for _, _, k in c.entries()), "dense oracle wants U-power-0 entries"
+    if any(k != 0 for _, _, k in c.entries()):
+        raise ValueError("dense oracle wants U-power-0 entries")
     by_m: dict[Fraction, list[str]] = {}
     for g in c.generators:
         by_m.setdefault(Fraction(g.maslov), []).append(g.name)
@@ -82,7 +83,8 @@ def two_bridge_alexander(alpha: int, beta: int) -> dict[int, int]:
     """Alexander polynomial of the two-bridge knot of fraction alpha/beta,
     normalized symmetric, via Delta = sum_i (-1)^i t^(sum_{j<=i} eps_j) with
     eps_j = (-1)^floor(j*beta/alpha) and beta taken odd mod 2*alpha."""
-    assert alpha % 2 == 1 and alpha > 0
+    if alpha % 2 != 1 or alpha <= 0:
+        raise ValueError(f"two-bridge knots need a positive odd alpha, got {alpha}")
     b = beta % (2 * alpha)
     if b % 2 == 0:
         b += alpha
@@ -97,7 +99,8 @@ def two_bridge_alexander(alpha: int, beta: int) -> dict[int, int]:
     # symmetrize: shift so that coefficients satisfy a_k = a_{-k}
     lo, hi = min(poly), max(poly)
     shift = -(lo + hi) // 2
-    assert (lo + hi) % 2 == 0
+    if (lo + hi) % 2:
+        raise RuntimeError(f"exponents {lo}..{hi} have no symmetric center")
     out = {a + shift: coef for a, coef in poly.items() if coef}
     # overall sign convention: positive leading coefficient away from 0
     top = max(out)

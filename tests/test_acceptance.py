@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 from floercone.algebra import check_complex, homology
-from floercone.cone import MappingCone, effective_genus, hat_map_is_quasi_iso, include_B
+from floercone.cone import MappingCone, hat_map_is_quasi_iso, include_B
 from floercone.contact import (
     LegendrianData,
     c1_surgery_cobordism,
@@ -56,7 +56,7 @@ def test_criterion_1_normal_form_golden():
     ok = True
     for n in (5, 7, 9, 11, 13):
         start = time.monotonic()
-        nfr = normal_form(build_dual_cone(minus_twist_knot(n), flip(minus_twist_knot(n)), 1))
+        nfr = normal_form(build_dual_cone(flip(minus_twist_knot(n)), 1))
         elapsed = time.monotonic() - start
         m = (n + 1) // 2
         ok &= nfr.count("free") == 1
@@ -77,7 +77,7 @@ def test_criterion_2_g_map_full_column_rank():
     """The U = 1 matrix has full column rank (n+1)/2 in the top grading."""
     ok = True
     for n in (5, 7, 9, 11, 13):
-        nfr = normal_form(build_dual_cone(minus_twist_knot(n), flip(minus_twist_knot(n)), 1))
+        nfr = normal_form(build_dual_cone(flip(minus_twist_knot(n)), 1))
         rep = g_map(nfr.form.complex)
         ok &= rep.alexander == 1
         ok &= rep.domain_dim == (n + 1) // 2
@@ -92,16 +92,17 @@ def test_criterion_3_truncation_inclusion_isomorphism():
     for n in (5, 7):
         model = dual_normal_form_model(n)
         f = flip(model)
-        assert effective_genus(model) == 1
+        assert f.genus == 1
         for k in range(1, 7):
             start = time.monotonic()
-            cone = MappingCone.build(model, f, -(k + 1), k, "full")
+            cone = MappingCone.build(f, -(k + 1), k, "full")
             loc = locate_contact_class(LegendrianData(0, -1), -(k + 1), k)
             ok &= loc.t == -1
             rep = include_B(cone, loc.t)
             ok &= rep.isomorphism
             ok &= rep.domain_rank == rep.codomain_rank == rep.map_rank
-            ok &= cone.truncate().range_mode == "paper"
+            truncated, paper = cone.truncate(), MappingCone.build(f, -(k + 1), k, "paper")
+            ok &= (truncated.a_ts, truncated.b_ts) == (paper.a_ts, paper.b_ts)
             ok &= time.monotonic() - start < 5.0
     _verdict("3 (inclusion of B at t=-1 is a homology isomorphism, k in 1..6)", ok)
 
@@ -152,7 +153,7 @@ def test_criterion_6_oracle_equivalence():
             for q in (1, 2, 3):
                 if p == 0 or gcd(p, q) != 1:
                     continue
-                cone = MappingCone.build(c, f, p, q, "paper")
+                cone = MappingCone.build(f, p, q, "paper")
                 for i, (hat, _) in flattened_sectors(cone).items():
                     engine = {Fraction(k[0]): v
                               for k, v in cone.sector_homology(i).ranks.items()}
@@ -176,10 +177,10 @@ def test_criterion_7_invariant_suites():
     for build in (staircase, box, lambda: minus_twist_knot(5)):
         c = build()
         f = flip(c)
-        g = effective_genus(c)
-        ok &= hat_map_is_quasi_iso(c, f, g, "v")
-        ok &= hat_map_is_quasi_iso(c, f, -g, "h")
-        total, _ = MappingCone.build(c, f, 2, 1, "paper").total_complex()
+        g = f.genus
+        ok &= hat_map_is_quasi_iso(f, g, "v")
+        ok &= hat_map_is_quasi_iso(f, -g, "h")
+        total, _ = MappingCone.build(f, 2, 1, "paper").total_complex()
         ok &= check_complex(total).ok
     for n in (1, 3, 5, 7, 9, 11, 13):
         poly = alexander_polynomial(minus_twist_knot(n))
@@ -187,7 +188,7 @@ def test_criterion_7_invariant_suites():
         ok &= abs(evaluate_poly(poly, Fraction(-1))) == 2 * n + 1
     # dual-cone decorations: every entry drops the decorated grading by 1
     for n in (1, -2, 3):
-        dc = build_dual_cone(minus_twist_knot(5), flip(minus_twist_knot(5)), n)
+        dc = build_dual_cone(flip(minus_twist_knot(5)), n)
         ok &= check_complex(dc.complex).ok
     _verdict("7 (invariant suites and determinant 2n+1)", ok)
 

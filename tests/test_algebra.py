@@ -28,7 +28,13 @@ from floercone.dual import build_dual_cone, split_to_summands
 from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
 from floercone.models import box, flip, minus_twist_knot, staircase, unknot
 
-from oracles import dense_homology_by_maslov, flattened_sectors, gf2_matrix_rank, j_graded
+from oracles import (
+    dense_homology_by_maslov,
+    flattened_sectors,
+    gf2_matrix_rank,
+    j_graded,
+    two_bridge_alexander,
+)
 from random_complexes import default_seed, random_filtered_complex, reference_eliminate
 
 
@@ -319,7 +325,7 @@ class TestPivotOrder:
 
     def test_dual_cone_split(self, monkeypatch):
         model = minus_twist_knot(7)
-        filtered = reduce(build_dual_cone(model, flip(model), 1).complex, "filtered").complex
+        filtered = reduce(build_dual_cone(flip(model), 1).complex, "filtered").complex
         run = lambda: split_to_summands(filtered)
         got = pivot_lists(monkeypatch, ELIMINATE, run)
         assert got == pivot_lists(monkeypatch, reference_eliminate, run)
@@ -357,7 +363,7 @@ class TestAcceptCalls:
 
     def test_surgery_cone_every_sector(self, monkeypatch):
         model = minus_twist_knot(33)
-        sectors = flattened_sectors(MappingCone.build(model, flip(model), 5, 1, "full"))
+        sectors = flattened_sectors(MappingCone.build(flip(model), 5, 1, "full"))
 
         def run():
             for hat, _ in sectors.values():
@@ -409,7 +415,7 @@ def test_reduction_trace_does_not_depend_on_hash_seed():
               "from floercone.dual import build_dual_cone, normal_form\n"
               "from floercone.models import flip, minus_twist_knot\n"
               "c = minus_twist_knot(41)\n"
-              "moves = normal_form(build_dual_cone(c, flip(c), 1)).form.moves\n"
+              "moves = normal_form(build_dual_cone(flip(c), 1)).form.moves\n"
               "print(hashlib.sha256(repr(moves).encode()).hexdigest())\n")
     src = str(Path(algebra.__file__).parent.parent)
     digests = set()
@@ -438,3 +444,16 @@ def test_engine_invariants_are_not_asserts():
         found = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert) or raises_assertion_error(node)]
         assert not found, (path.name, found)
+
+
+def test_oracle_preconditions_hold_under_optimization():
+    # pytest rewrites only test modules, so an assert in a helper would
+    # vanish under python -O; the helpers raise instead
+    with pytest.raises(ValueError, match="U-power-0"):
+        dense_homology_by_maslov(staircase())
+    for alpha in (0, 4, -3):
+        with pytest.raises(ValueError, match="positive odd alpha"):
+            two_bridge_alexander(alpha, 1)
+    for helper in ("oracles.py", "random_complexes.py"):
+        tree = ast.parse((Path(__file__).parent / helper).read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], helper

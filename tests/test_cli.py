@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from floercone import cone
-from floercone.algebra import ReducedForm
+from floercone import algebra, cli as cli_module, cone, dual
+from floercone.algebra import FilteredComplex, Generator, ReducedForm, check_complex
 from floercone.cli import main
 from floercone.models import dual_normal_form_model, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
@@ -142,6 +142,15 @@ class TestSurgeryCommand:
         _, report, _ = cli(["surgery", "--p", "2", "--q", "1"], stdin_text=model_out)
         assert dumps(loads(report)) == report
 
+    def test_invalid_unreflectable_model_reports_invalid(self, cli):
+        # Maslov drop 2, and no generator sits where x would reflect to
+        broken = FilteredComplex([Generator("x", 1, 2), Generator("y", 0, 0)], {"x": {"y": 0}})
+        code, out, err = cli(["surgery", "--p", "3"], stdin_text=dumps(complex_to_json(broken)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid complex:")
+        assert "Maslov drop is not 1" in err
+
 
 class TestDualknotCommand:
     def test_normal_form_counts(self, cli):
@@ -230,6 +239,17 @@ class TestPipelineCommand:
         assert code == 1
         assert "excluded" in err
 
+    def test_pipeline_checks_four_complexes(self, cli, monkeypatch):
+        # the 31-generator model by its FlipMap, the flattened dual cone once
+        # built, the 33-generator normal form by g_map and by its FlipMap
+        calls = []
+        for module in (algebra, dual, cli_module):
+            monkeypatch.setattr(module, "check_complex",
+                                lambda c: calls.append(len(c)) or check_complex(c))
+        code, _, _ = cli(["pipeline", "--n", "15", "--r=-5"])
+        assert code == 0
+        assert calls == [31, 93, 33, 33]
+
     def test_loss_command(self, cli):
         _, out, _ = cli(["loss", "--tb", "0", "--rot", "-1"])
         assert json.loads(out)["alexander"] == 1
@@ -251,3 +271,4 @@ class TestInternalError:
         assert out == ""
         assert err.startswith("error: internal: vertex ")
         assert "Traceback" not in err
+

@@ -10,12 +10,10 @@ from floercone import cone as cone_module
 from floercone.algebra import GradedRanks, check_complex, grading_key, homology, reduce
 from floercone.cone import (
     MappingCone,
-    effective_genus,
     hat_map_is_quasi_iso,
     include_B,
 )
-from floercone.dual import build_dual_cone
-from floercone.errors import BadCoefficient, BadParameter, NoSuchVertex
+from floercone.errors import BadCoefficient, NoSuchVertex
 from floercone.models import (
     box,
     dual_normal_form_model,
@@ -35,7 +33,7 @@ from oracles import (
 
 
 def cone_for(c, p, q, mode="paper"):
-    return MappingCone.build(c, flip(c), p, q, mode)
+    return MappingCone.build(flip(c), p, q, mode)
 
 
 class TestAssembly:
@@ -44,20 +42,7 @@ class TestAssembly:
         f = flip(c)
         for p, q in [(0, 1), (2, 0), (2, -1), (4, 2)]:
             with pytest.raises(BadCoefficient):
-                MappingCone.build(c, f, p, q)
-
-    def test_flip_of_another_complex_rejected(self):
-        a = staircase()
-        with pytest.raises(BadParameter):
-            MappingCone(a, flip(mirror(a)), 3, 1, range(-4, 4), range(-1, 4))
-        with pytest.raises(BadParameter):
-            MappingCone.build(minus_twist_knot(5), flip(minus_twist_knot(3)), 3, 1)
-
-    def test_flip_of_an_equal_copy_accepted(self):
-        c = minus_twist_knot(5)
-        cone = MappingCone.build(c, flip(minus_twist_knot(5)), 3, 1)
-        assert cone.all_sector_ranks() == cone_for(c, 3, 1).all_sector_ranks()
-        assert check_complex(build_dual_cone(c, flip(minus_twist_knot(5)), 1).complex).ok
+                MappingCone.build(f, p, q)
 
     def test_paper_ranges_match_minimal_truncation(self):
         cone = cone_for(minus_twist_knot(5), 1, 1)
@@ -93,7 +78,7 @@ class TestAssembly:
         # a cone on one sector's vertices alone flattens to that sector of the whole
         cone = cone_for(minus_twist_knot(5), p, q, mode)
         for i, (part, table) in flattened_sectors(cone, hat=False).items():
-            alone = MappingCone(cone.source, cone.flip, p, q,
+            alone = MappingCone(cone.flip, p, q,
                                 [t for t in cone.a_ts if cone.spin_c(t) == i],
                                 [t for t in cone.b_ts if cone.spin_c(t) == i])
             own, own_table = alone.total_complex()
@@ -103,7 +88,7 @@ class TestAssembly:
 
     def test_hat_vertex_element_counts_match_enumeration(self):
         c = staircase()
-        cone = MappingCone(c, flip(c), 1, 1, [0], [0])
+        cone = MappingCone(flip(c), 1, 1, [0], [0])
         hat, table = cone.hat_complex()
         a_elements = [n for n, info in table.items() if info.segment == "A"]
         assert len(a_elements) == len(enumerate_hat_A_elements(c, 0)) == 3
@@ -112,7 +97,7 @@ class TestAssembly:
 
     def test_box_hat_vertex_count(self):
         c = box()
-        cone = MappingCone(c, flip(c), 1, 1, [0], [])
+        cone = MappingCone(flip(c), 1, 1, [0], [])
         assert len(cone.hat_complex()[0]) == len(enumerate_hat_A_elements(c, 0)) == 4
 
 
@@ -126,13 +111,13 @@ class TestQuasiIsoRange:
     def test_v_and_h_hat_maps(self, name, build):
         c = build()
         f = flip(c)
-        g = effective_genus(c)
+        g = f.genus
         for s in range(g, g + 3):
-            assert hat_map_is_quasi_iso(c, f, s, "v")
+            assert hat_map_is_quasi_iso(f, s, "v")
         for s in range(-g - 2, -g + 1):
-            assert hat_map_is_quasi_iso(c, f, s, "h")
+            assert hat_map_is_quasi_iso(f, s, "h")
         # inside the window neither map needs to be one
-        assert not hat_map_is_quasi_iso(c, f, 0, "v") or not hat_map_is_quasi_iso(c, f, 0, "h") \
+        assert not hat_map_is_quasi_iso(f, 0, "v") or not hat_map_is_quasi_iso(f, 0, "h") \
             or len(c) == 1
 
 
@@ -261,7 +246,7 @@ class TestSectorsFromVertexHomology:
         f = flip(c)
         for p, q in [(1, 1), (-1, 1), (2, 1), (-3, 2), (5, 3), (-7, 5), (4, 7), (13, 11)]:
             for mode in ("paper", "full"):
-                cone = MappingCone.build(c, f, p, q, mode)
+                cone = MappingCone.build(f, p, q, mode)
                 for flavor in ("hat", "infinity"):
                     flat = flattened_sector_homology(cone, flavor)
                     for i in cone.sectors:
@@ -314,12 +299,14 @@ class TestFullWindowAndTruncation:
             pytest.skip("not coprime")
         full = cone_for(staircase(), p, q, "full")
         truncated = full.truncate()  # verifies per-sector rank equality
-        assert truncated.range_mode == "paper"
+        paper = MappingCone.build(full.flip, p, q, "paper")
+        assert (truncated.a_ts, truncated.b_ts) == (paper.a_ts, paper.b_ts)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (-2, 1), (3, 2)])
     def test_full_and_paper_agree_on_box(self, p, q):
         full = cone_for(box(), p, q, "full")
-        assert full.truncate().range_mode == "paper"
+        truncated, paper = full.truncate(), MappingCone.build(full.flip, p, q, "paper")
+        assert (truncated.a_ts, truncated.b_ts) == (paper.a_ts, paper.b_ts)
 
     def test_truncate_fixed_point(self):
         cone = cone_for(staircase(), 2, 1)
@@ -379,7 +366,7 @@ class TestIncludeB:
         f = flip(c)
         for p, q in [(1, 1), (-2, 1), (3, 2), (-3, 2), (5, 3), (-4, 3)]:
             for mode in ("paper", "full"):
-                cone = MappingCone.build(c, f, p, q, mode)
+                cone = MappingCone.build(f, p, q, mode)
                 sectors = flattened_sectors(cone)
                 for t in cone.b_ts:
                     rep = include_B(cone, t)
@@ -396,5 +383,5 @@ class TestIncludeB:
         cone = cone_for(model, -3, 2, "full")
         assert all(include_B(cone, t).sector == cone.spin_c(t) for t in cone.b_ts)
         f = flip(model)
-        assert hat_map_is_quasi_iso(model, f, 2, "v") and hat_map_is_quasi_iso(model, f, -2, "h")
+        assert hat_map_is_quasi_iso(f, 2, "v") and hat_map_is_quasi_iso(f, -2, "h")
         assert calls == []

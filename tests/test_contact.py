@@ -205,7 +205,7 @@ class TestPipeline:
         from floercone.models import flip, hat_column, minus_twist_knot
 
         model = minus_twist_knot(9)
-        nf = dual.normal_form(dual.build_dual_cone(model, flip(model), 1))
+        nf = dual.normal_form(dual.build_dual_cone(flip(model), 1))
         column = hat_column(nf.form.complex)
         key = lambda c: (c.generators, c.differential)
         reduced = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from floercone import algebra
+from floercone import algebra, dual
 from floercone.algebra import FilteredComplex, Generator, check_complex, homology, reduce
 from floercone.cone import MappingCone
 from floercone.dual import (
@@ -31,7 +31,7 @@ from oracles import flattened_sectors
 
 
 def dual_for(c, n=1):
-    return build_dual_cone(c, flip(c), n)
+    return build_dual_cone(flip(c), n)
 
 
 class TestBuildDualCone:
@@ -50,14 +50,15 @@ class TestBuildDualCone:
             assert check_complex(dc.complex).ok
 
     def test_model_is_checked_once(self, monkeypatch):
-        # MappingCone.__init__ validates the model; the assembled cone is checked apart
+        # the FlipMap validates the model; the assembled cone is checked apart
         model = minus_twist_knot(9)
-        f = flip(model)
         seen = []
-        monkeypatch.setattr(algebra, "check_complex",
-                            lambda c: seen.append(c) or check_complex(c))
-        build_dual_cone(model, f, 1)
+        for module in (algebra, dual):
+            monkeypatch.setattr(module, "check_complex",
+                                lambda c: seen.append(c) or check_complex(c))
+        dc = build_dual_cone(flip(model), 1)
         assert sum(c is model for c in seen) == 1
+        assert seen == [model, dc.complex]
 
     def test_staircase_decorations(self):
         dc = dual_for(staircase(), 1)
@@ -91,7 +92,7 @@ class TestJCollapse:
     def test_dual_cone_matches_plain_cone_ranks(self, n):
         c = minus_twist_knot(5)
         dc = dual_for(c, n)
-        plain = MappingCone.build(c, flip(c), n, 1, "full")
+        plain = MappingCone.build(flip(c), n, 1, "full")
         # hat-level comparison: I-preserving part of the dual complex per sector
         for i, (hat_dual, _) in flattened_sectors(dc.cone).items():
             assert homology(hat_dual, ("maslov",)).total_rank == \

@@ -6,13 +6,15 @@ import pytest
 
 from floercone.algebra import (
     FilteredComplex,
+    Generator,
     GradedRanks,
+    _Reduction,
     check_complex,
     hat_slice,
     homology,
 )
 from floercone import models
-from floercone.errors import BadParameter, UnsupportedModel
+from floercone.errors import BadCoefficient, BadParameter, UnsupportedModel
 from floercone.models import (
     FlipMap,
     alexander_polynomial,
@@ -146,7 +148,6 @@ class TestFlip:
         assert f.pairing["o"] == "o"
 
     def test_unsymmetric_complex_rejected(self):
-        from floercone.algebra import FilteredComplex, Generator
         lopsided = FilteredComplex([Generator("g", 2, 0)], {})
         with pytest.raises(UnsupportedModel):
             flip(lopsided)
@@ -167,6 +168,43 @@ class TestFlip:
         f = flip(c)
         assert isinstance(f, FlipMap)
         assert len(f.pairing) == len(c) and not flip_violations(c, f.pairing)
+
+    def test_flip_map_checks_the_complex_first(self):
+        dangling = FilteredComplex([Generator("o", 0, 0)], {"o": {"ghost": 0}})
+        with pytest.raises(BadParameter, match="invalid complex"):
+            FlipMap(dangling, {"o": "o"})
+        with pytest.raises(BadParameter, match="invalid complex"):
+            flip(dangling)
+
+    def test_non_integral_alexander_rejected_at_flip(self):
+        halves = FilteredComplex([Generator("g", Fraction(1, 2), 0),
+                                  Generator("h", Fraction(-1, 2), -1)], {})
+        with pytest.raises(BadCoefficient, match="non-integral Alexander"):
+            flip(halves)
+
+    def test_genus_is_max_alexander_floored_at_one(self):
+        assert flip(unknot()).genus == 1
+        assert flip(minus_twist_knot(5)).genus == 1
+        assert flip(FilteredComplex([Generator("g", 2, 4), Generator("h", -2, 0)], {})).genus == 2
+
+    def test_partners_whose_entries_cannot_mirror_are_pruned(self):
+        # four dual models, one scrambled so that yv2_2 -> xv2_2 + xh1_2: no
+        # partner has two entries out of it, and the search would otherwise
+        # backtrack through the same-bigraded generators of all four copies
+        copies = []
+        for i in range(4):
+            c = dual_normal_form_model(3)
+            copies.append(FilteredComplex(
+                [Generator(f"{g.name}_{i}", g.alexander, g.maslov) for g in c.generators],
+                {f"{s}_{i}": {f"{t}_{i}": k for t, k in row.items()}
+                 for s, row in c.differential.items()}))
+        state = _Reduction(direct_sum(*copies))
+        state.basis_change("xv2_2", "xh1_2", 0)
+        scrambled = state.finish().complex
+        assert check_complex(scrambled).ok
+        assert len(scrambled) == 36 and len(list(scrambled.entries())) == 17
+        with pytest.raises(UnsupportedModel, match="no reflection partner for yv2_2"):
+            flip(scrambled)
 
     def test_found_pairing_is_checked_once(self, monkeypatch):
         # the search leaf returns FlipMap at once; FlipMap.__init__ runs the check
