@@ -31,7 +31,7 @@ backward carries reduced chains back to input cycles.
 
 Every map on homology is computed by one routine, `induced_map`: it pushes
 the cycles of one reduced complex through a chain map into another and
-reads off the rank and the 0/1 matrix over GF(2).
+reads off the map's columns as GF(2) bitsets.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import gf2
 from .errors import BadParameter, InternalError, NoUnitEntry
 
 Chain = dict[str, int]  # generator name -> U-power, GF(2) coefficients implicit
@@ -151,6 +150,8 @@ def check_complex(c: FilteredComplex) -> ValidationReport:
         if tgt not in c:
             bad.append(f"entry {src} -> {tgt}: unknown target")
             continue
+        if src not in c:
+            continue  # reported with its row below
         g, h = c.generator(src), c.generator(tgt)
         if k < 0:
             bad.append(f"entry {src} -> U^{k} {tgt}: negative power")
@@ -418,8 +419,6 @@ def grading_key(g: Generator, keys: Sequence[str]) -> tuple:
             parts.append(g.alexander)
         elif k == "maslov":
             parts.append(g.maslov)
-        elif k == "maslov_parity":
-            parts.append(g.maslov % 2)
         else:
             raise BadParameter(f"unknown grading key {k!r}")
     return tuple(parts)
@@ -451,11 +450,11 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
 
 
 def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm,
-                chain_map: Callable[[Chain], Chain]) -> tuple[int, list[list[int]]]:
-    """Rank and 0/1 matrix (rows: rf_cod basis, columns: rf_dom basis) of the
-    map chain_map induces on homology, both reduced forms having zero
-    differential: each rf_dom generator is pulled back to a cycle of its
-    source, mapped, and pushed into rf_cod's basis."""
+                chain_map: Callable[[Chain], Chain]) -> list[int]:
+    """The map chain_map induces on homology, both reduced forms having zero
+    differential: one column per rf_dom generator, as a bitset over rf_cod's
+    basis (bit i = generator i).  Each rf_dom generator is pulled back to a
+    cycle of its source, mapped, and pushed into rf_cod's basis."""
     cod_index = {g.name: i for i, g in enumerate(rf_cod.complex.generators)}
     columns: list[int] = []
     for b in rf_dom.complex.generators:
@@ -463,8 +462,7 @@ def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm,
         for name in rf_cod.push(chain_map(rf_dom.pull({b.name: 0}))):
             bits |= 1 << cod_index[name]
         columns.append(bits)
-    matrix = [[col >> i & 1 for col in columns] for i in range(len(cod_index))]
-    return gf2.rank(columns), matrix
+    return columns
 
 
 # -- graded slices ---------------------------------------------------------

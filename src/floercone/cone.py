@@ -1,4 +1,4 @@
-"""Surgery mapping cones: assembly, sectors from vertex homology, truncation.
+"""Surgery mapping cones: assembly and sectors from vertex homology.
 
 For coprime p, q (q > 0) the cone over a FlipMap has one copy of the model
 it checked per vertex (t, A_s) and (t, B_s), s = floor(t/q).  Edges are v_t
@@ -33,8 +33,8 @@ hi >= gq - 1 and lo <= (1-g)q, and the B-window is then [lo + p, hi].
 The "paper" mode is the minimal such window written out by hand, with
 the floor lowered to
 gq - p when p > (2g-1)q so that every Spin^c sector keeps its surviving
-vertex; "full" pads both ends and is the safety net that truncation is
-checked against.
+vertex; "full" pads both ends, and the tests check that both windows give
+the same sectors.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .algebra import (
     induced_map,
     reduce,
 )
-from .errors import BadCoefficient, InternalError, NoSuchVertex, NotTruncatable
+from .errors import BadCoefficient, InternalError, NoSuchVertex
 from .models import FlipMap
 
 
@@ -297,11 +297,8 @@ class MappingCone:
             b = self._vertex_homology("B", t, flavor).reduced
 
             def on_homology(edge: list[list[tuple[int, int]]]) -> list[int]:
-                # the induced map's columns as bitsets over B's homology basis
                 chain_map = as_map(edge)
-                _, matrix = induced_map(rf, b, lambda chain: apply_map(chain_map, chain))
-                return [sum(row[col] << r for r, row in enumerate(matrix))
-                        for col in range(len(rf.complex))]
+                return induced_map(rf, b, lambda chain: apply_map(chain_map, chain))
 
             v = on_homology([[(i, k)] for i, k in enumerate(e.v)])
             h = on_homology([[jk] for jk in e.h])
@@ -359,52 +356,6 @@ class MappingCone:
             if r:
                 ranks[(k,)] = r
         return GradedRanks(ranks)
-
-    def all_sector_ranks(self, flavor: str = "hat") -> dict[int, int]:
-        return {i: self.sector_homology(i, flavor).total_rank for i in self.sectors}
-
-    # -- truncation -------------------------------------------------------------
-
-    def truncate(self) -> "MappingCone":
-        """Shrink to the minimal window after verifying the dropped vertices cancel.
-
-        Every dropped A-vertex must have v (s >= genus) or h (s <= -genus)
-        a bijection on hat elements; afterwards equality of all sector hat
-        ranks is checked outright.
-        """
-        target = MappingCone.build(self.flip, self.p, self.q, "paper")
-        if set(target.a_ts) == set(self.a_ts) and set(target.b_ts) == set(self._b_set):
-            return self
-        if not (set(target.a_ts) <= set(self.a_ts) and set(target.b_ts) <= self._b_set):
-            raise NotTruncatable("cone is smaller than the minimal window")
-        g = self.genus
-        alex = [gen.alexander for gen in self.source.generators]
-        lo_a, hi_a = min(alex), max(alex)
-        for t in self.a_ts:
-            if t in target.a_ts:
-                continue
-            s = self.s_of(t)
-            if s >= g:
-                # v is a bijection iff no element needs a positive offset
-                if hi_a > s or t not in self._b_set:
-                    raise NotTruncatable(f"v at t={t} (s={s}) is not an isomorphism")
-            elif s <= -g:
-                if lo_a < s or (t + self.p) not in self._b_set:
-                    raise NotTruncatable(f"h at t={t} (s={s}) is not an isomorphism")
-            else:
-                raise NotTruncatable(f"dropped vertex t={t} has |s| < genus")
-        for i in self.sectors:
-            if self.sector_homology(i) != target.sector_homology(i):
-                raise NotTruncatable(f"sector {i} homology changed under truncation")
-        return target
-
-
-def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:
-    """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
-    if kind not in ("v", "h"):
-        raise BadCoefficient(f"kind must be 'v' or 'h', got {kind!r}")
-    cone = MappingCone(flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
-    return cone.sector_homology(0).total_rank == 0
 
 
 @dataclass

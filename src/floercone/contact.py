@@ -250,7 +250,7 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
     verticals = [s.names[0] for s in nf.summands if s.kind == "vertical"]
     class_a = [verticals[0]]
     class_b = [verticals[0], verticals[1]]
-    distinct = distinct_classes(nf.form.complex, class_a, class_b, top, gm.codomain)
+    distinct = distinct_classes(gm, class_a, class_b)
     report.steps.append(PipelineStep(
         "computed", "images of the two invariant classes differ",
         {"class_a": class_a, "class_b": class_b, "distinct": distinct}, distinct))

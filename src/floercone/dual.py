@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import gf2
 from .algebra import (
     Chain,
     FilteredComplex,
@@ -41,7 +42,6 @@ from .models import FlipMap, hat_column, minus_slice
 class DualCone:
     framing: int
     genus: int
-    source: FilteredComplex
     cone: MappingCone
     complex: FilteredComplex           # flattened, (I,J)-decorated
 
@@ -71,7 +71,7 @@ def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
     report = check_complex(total)
     if not report.ok:
         raise InternalError("dual cone failed build-time verification:\n" + str(report))
-    return DualCone(n, g, flip.source, cone, total)
+    return DualCone(n, g, cone, total)
 
 
 # -- normal form -------------------------------------------------------------
@@ -182,9 +182,10 @@ class GMapReport:
     alexander: int | Fraction
     domain_dim: int
     codomain_dim: int
-    matrix: list[list[int]]
+    matrix: list[list[int]]    # rows: codomain basis, columns: domain basis
     map_rank: int
-    codomain: ReducedForm  # the reduced j = 0 column, reusable by distinct_classes
+    domain: FilteredComplex    # the Alexander slice the map starts from
+    codomain: ReducedForm      # the reduced j = 0 column
 
     @property
     def injective(self) -> bool:
@@ -202,34 +203,30 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     require_valid(c)
     s = max(g.alexander for g in c.generators) if alexander is None else alexander
     domain = minus_slice(c, s)
-    codomain = hat_column(c)
     rf_dom = reduce(domain, "over_U_units")
-    rf_cod = reduce(codomain, "over_U_units")
-    map_rank, matrix = induced_map(rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
-    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, map_rank, rf_cod)
+    rf_cod = reduce(hat_column(c), "over_U_units")
+    columns = induced_map(rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
+    matrix = [[col >> i & 1 for col in columns] for i in range(len(rf_cod.complex))]
+    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, gf2.rank(columns),
+                      domain, rf_cod)
 
 
-def distinct_classes(c: FilteredComplex, cycle_a, cycle_b, alexander=None,
-                     codomain: ReducedForm | None = None) -> bool:
-    """Whether two slice cycles, given as generator names, have different
-    U = 1 images in the homology of the j = 0 column.  codomain, if given,
-    is that column already reduced (GMapReport.codomain of the same c)."""
-    s = max(g.alexander for g in c.generators) if alexander is None else alexander
-    domain = minus_slice(c, s)
+def distinct_classes(gm: GMapReport, cycle_a, cycle_b) -> bool:
+    """Whether two cycles of gm's slice, given as generator names, have
+    different U = 1 images in the homology of the j = 0 column."""
     chains = []
     for names in (cycle_a, cycle_b):
         chain: Chain = {}
         for name in names:
             _toggle(chain, name, 0)
         for name in chain:
-            if name not in domain:
-                raise NotCycles(f"{name} is not in the Alexander-{s} slice")
-        bdy = domain.boundary(chain)
+            if name not in gm.domain:
+                raise NotCycles(f"{name} is not in the Alexander-{gm.alexander} slice")
+        bdy = gm.domain.boundary(chain)
         if bdy:
             raise NotCycles(f"chain has nonzero boundary {sorted(bdy)}")
         chains.append(chain)
-    rf_cod = codomain or reduce(hat_column(c), "over_U_units")
-    return rf_cod.push(chains[0]) != rf_cod.push(chains[1])
+    return gm.codomain.push(chains[0]) != gm.codomain.push(chains[1])
 
 
 def loss_grading(tb: int, rot: int) -> int:

@@ -41,10 +41,6 @@ class NoSuchVertex(DomainError):
     pass
 
 
-class NotTruncatable(DomainError):
-    pass
-
-
 class NormalFormMismatch(DomainError):
     pass
 

@@ -288,10 +288,6 @@ def alexander_polynomial(c: FilteredComplex) -> dict[int, int]:
     return {a: coef for a, coef in sorted(poly.items()) if coef}
 
 
-def evaluate_poly(poly: dict[int, int], t: Fraction) -> Fraction:
-    return sum((coef * Fraction(t) ** a for a, coef in poly.items()), Fraction(0))
-
-
 def poly_string(poly: dict[int, int]) -> str:
     if not poly:
         return "0"

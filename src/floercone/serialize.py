@@ -6,7 +6,9 @@ Complexes serialize as
      "differential": [{"from": str, "to": str, "u_power": int}, ...]}
 
 with generators in complex order and differential entries sorted by
-(source, target) order, so emit -> parse -> emit is byte identical.
+(source, target) order, so emit -> parse -> emit is byte identical.  The
+reader takes each value only with exactly its JSON type: an int field
+rejects 1.0, true and "1", and a name must be a string.
 Reports never contain floats; non-integral rationals appear as
 {"num": int, "den": int}.
 """
@@ -43,18 +45,26 @@ def complex_to_json(c: FilteredComplex) -> dict:
     return {"generators": gens, "differential": entries}
 
 
+def _typed(value, kind: type):
+    """value when its type is exactly kind, so a bool or a float is no int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def complex_from_json(data) -> FilteredComplex:
     if not isinstance(data, dict) or "generators" not in data or "differential" not in data:
         raise ParseError("complex JSON needs 'generators' and 'differential'")
     gens = []
     try:
-        for item in data["generators"]:
-            gens.append(Generator(str(item["name"]), int(item["alexander"]),
-                                  Fraction(int(item["maslov_x4"]), 4)))
+        for item in _typed(data["generators"], list):
+            gens.append(Generator(_typed(item["name"], str), _typed(item["alexander"], int),
+                                  Fraction(_typed(item["maslov_x4"], int), 4)))
         diff: dict[str, dict[str, int]] = {}
-        for item in data["differential"]:
-            diff.setdefault(str(item["from"]), {})[str(item["to"])] = int(item["u_power"])
-    except (KeyError, TypeError, ValueError) as exc:
+        for item in _typed(data["differential"], list):
+            diff.setdefault(_typed(item["from"], str), {})[_typed(item["to"], str)] = \
+                _typed(item["u_power"], int)
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed complex JSON: {exc}") from exc
     try:
         return FilteredComplex(gens, diff)

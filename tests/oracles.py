@@ -8,14 +8,19 @@
 * brute-force enumeration of (i,j)-plane translates for hat-vertex counts;
 * the j-preserving slice, whose homology is the minus-flavor knot homology;
 * Spin^c sectors restricted from the flattened cone, and the vertex
-  inclusion read off them by reducing the sector and the vertex.
+  inclusion read off them by reducing the sector and the vertex;
+* the window argument of the surgery cone: whether the hat v- or h-map
+  out of one A-vertex is a quasi-isomorphism.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from floercone import gf2
 from floercone.algebra import FilteredComplex, induced_map, reduce
+from floercone.cone import MappingCone
+from floercone.models import FlipMap
 
 
 # -- dense GF(2) homology -----------------------------------------------------
@@ -172,5 +177,11 @@ def include_B_by_flattening(hat: FilteredComplex, table: dict, t: int) -> tuple[
     vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
     rf_vertex = reduce(restrict(hat, vertex), "over_U_units")
     rf_sector = reduce(hat, "over_U_units")
-    map_rank, _ = induced_map(rf_vertex, rf_sector, lambda chain: chain)
+    map_rank = gf2.rank(induced_map(rf_vertex, rf_sector, lambda chain: chain))
     return len(rf_vertex.complex), len(rf_sector.complex), map_rank
+
+
+def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:
+    """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
+    cone = MappingCone(flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
+    return cone.sector_homology(0).total_rank == 0

@@ -111,6 +111,30 @@ class TestValidateCommand:
         code, _, _ = cli(["validate"], stdin_text="{not json")
         assert code == 2
 
+    def test_row_of_unknown_generator_is_reported(self, cli):
+        # an entry out of an unknown generator into a known one: the row is
+        # reported, and the unknown source is never looked up
+        payload = complex_to_json(staircase())
+        payload["differential"].append({"from": "w", "to": "y", "u_power": 0})
+        for argv in (["validate"], ["surgery", "--p", "1"]):
+            code, out, err = cli(argv, stdin_text=dumps(payload))
+            assert (code, out) == (1, "")
+            assert "differential row for unknown generator w" in err
+
+    @pytest.mark.parametrize("value", ["0.5", "true", "1e400", '"0"'])
+    @pytest.mark.parametrize("field", ["alexander", "maslov_x4", "u_power"])
+    def test_non_integer_value_is_exit_two(self, cli, field, value):
+        # int() would truncate 0.5, read true as 1, parse "0", and raise
+        # OverflowError on 1e400, which JSON reads as float infinity
+        payload = complex_to_json(staircase())
+        part = "differential" if field == "u_power" else "generators"
+        payload[part][0][field] = "<value>"
+        text = dumps(payload).replace('"<value>"', value)
+        for argv in (["validate"], ["surgery", "--p", "1"]):
+            code, out, err = cli(argv, stdin_text=text)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: malformed complex JSON: expected int, got ")
+
 
 class TestSurgeryCommand:
     def test_lens_space_ranks(self, cli):

@@ -1,4 +1,4 @@
-"""Surgery cone assembly, sectors, truncation, vertex inclusion."""
+"""Surgery cone assembly, sectors, the full and paper windows, vertex inclusion."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,12 +7,8 @@ import pytest
 
 from floercone import algebra as algebra_module
 from floercone import cone as cone_module
-from floercone.algebra import GradedRanks, check_complex, grading_key, homology, reduce
-from floercone.cone import (
-    MappingCone,
-    hat_map_is_quasi_iso,
-    include_B,
-)
+from floercone.algebra import GradedRanks, check_complex, homology, reduce
+from floercone.cone import MappingCone, include_B
 from floercone.errors import BadCoefficient, NoSuchVertex
 from floercone.models import (
     box,
@@ -28,6 +24,7 @@ from oracles import (
     dense_homology_by_maslov,
     enumerate_hat_A_elements,
     flattened_sectors,
+    hat_map_is_quasi_iso,
     include_B_by_flattening,
 )
 
@@ -135,11 +132,11 @@ class TestSectorHomology:
     @pytest.mark.parametrize("p,q", [(3, 1), (5, 1), (3, 2), (-3, 2), (5, 2), (4, 3), (-5, 3)])
     def test_lens_spaces_have_rank_one_sectors(self, p, q):
         cone = cone_for(unknot(), p, q)
-        assert cone.all_sector_ranks() == {i: 1 for i in range(abs(p))}
+        assert [cone.sector_homology(i).total_rank for i in cone.sectors] == [1] * abs(p)
 
     def test_l_space_surgery_on_trefoil(self):
         cone = cone_for(mirror(staircase()), 3, 1)
-        assert cone.all_sector_ranks() == {0: 1, 1: 1, 2: 1}
+        assert [cone.sector_homology(i).total_rank for i in cone.sectors] == [1, 1, 1]
 
     def test_minus_one_matches_mirror_plus_one(self):
         c = minus_twist_knot(5)
@@ -151,8 +148,8 @@ class TestSectorHomology:
         for p, q in [(1, 1), (-1, 1), (3, 1), (3, 2), (-3, 2)]:
             for model in (staircase(), minus_twist_knot(5)):
                 cone = cone_for(model, p, q)
-                for rank in cone.all_sector_ranks().values():
-                    assert rank % 2 == 1
+                for i in cone.sectors:
+                    assert cone.sector_homology(i).total_rank % 2 == 1
 
     def test_infinity_flavor_rank_one_per_sector(self):
         for p, q in [(1, 1), (-2, 1), (3, 2)]:
@@ -198,7 +195,7 @@ def flattened_sector_homology(cone, flavor):
             continue
         ranks = {}
         for g in reduce(c, "full_field").complex.generators:
-            key = grading_key(g, ("maslov_parity",))
+            key = (g.maslov % 2,)
             ranks[key] = ranks.get(key, 0) + 1
         out[i] = GradedRanks(ranks)
     return out
@@ -270,8 +267,9 @@ class TestSectorsFromVertexHomology:
         cone = cone_for(c, -7, 3, "full")
         distinct_s = len({cone.s_of(t) for t in cone.a_ts})
         for flavor in ("hat", "infinity"):
-            cone.all_sector_ranks(flavor)
-            cone.all_sector_ranks(flavor)  # the vertex homology is kept on the cone
+            for _ in range(2):  # the vertex homology is kept on the cone
+                for i in cone.sectors:
+                    cone.sector_homology(i, flavor)
         assert calls == {"reduce": 2 * (distinct_s + 1), "homology": 0, "total_complex": 0}
 
     def test_unknown_flavor(self):
@@ -292,28 +290,31 @@ class TestSectorsFromVertexHomology:
 
 
 class TestFullWindowAndTruncation:
+    """The padded "full" window and the minimal "paper" one give the same
+    sectors: the vertices only "full" has cancel through v (s >= genus) or
+    h (s <= -genus)."""
+
+    @staticmethod
+    def assert_windows_agree(model, p, q):
+        f = flip(model)
+        full, paper = MappingCone.build(f, p, q, "full"), MappingCone.build(f, p, q, "paper")
+        assert set(paper.a_ts) < set(full.a_ts)
+        for i in full.sectors:
+            assert full.sector_homology(i) == paper.sector_homology(i), i
+
     @pytest.mark.parametrize("p", [1, -1, 2, -3, 5, 7, -7])
     @pytest.mark.parametrize("q", [1, 2, 3, 5])
     def test_full_and_paper_agree_on_staircase(self, p, q):
         if gcd(p, q) != 1:
             pytest.skip("not coprime")
-        full = cone_for(staircase(), p, q, "full")
-        truncated = full.truncate()  # verifies per-sector rank equality
-        paper = MappingCone.build(full.flip, p, q, "paper")
-        assert (truncated.a_ts, truncated.b_ts) == (paper.a_ts, paper.b_ts)
+        self.assert_windows_agree(staircase(), p, q)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (-2, 1), (3, 2)])
     def test_full_and_paper_agree_on_box(self, p, q):
-        full = cone_for(box(), p, q, "full")
-        truncated, paper = full.truncate(), MappingCone.build(full.flip, p, q, "paper")
-        assert (truncated.a_ts, truncated.b_ts) == (paper.a_ts, paper.b_ts)
-
-    def test_truncate_fixed_point(self):
-        cone = cone_for(staircase(), 2, 1)
-        assert cone.truncate() is cone
+        self.assert_windows_agree(box(), p, q)
 
     def test_truncated_cone_within_printed_window(self):
-        cone = cone_for(minus_twist_knot(5), -3, 1, "full").truncate()
+        cone = cone_for(minus_twist_knot(5), -3, 1)
         g, q = cone.genus, cone.q
         for v in cone.vertices():
             if v.segment == "A":

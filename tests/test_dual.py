@@ -186,35 +186,40 @@ class TestGMap:
 
 class TestDistinctClasses:
     def test_independent_top_classes_stay_distinct(self):
-        c = dual_normal_form_model(5)
-        assert distinct_classes(c, ["yv1"], ["yv1", "yv2"])
-        assert distinct_classes(c, ["yv1"], ["yv2"])
+        gm = g_map(dual_normal_form_model(5))
+        assert distinct_classes(gm, ["yv1"], ["yv1", "yv2"])
+        assert distinct_classes(gm, ["yv1"], ["yv2"])
 
     def test_identical_cycles_agree(self):
-        c = dual_normal_form_model(5)
-        assert not distinct_classes(c, ["yv1"], ["yv1"])
+        gm = g_map(dual_normal_form_model(5))
+        assert not distinct_classes(gm, ["yv1"], ["yv1"])
 
     def test_homologous_cycles_agree(self):
         # in the s = -1 slice the x-h translates are boundaries of the y-h ones
-        c = dual_normal_form_model(5)
-        assert not distinct_classes(c, ["yv1"], ["yv1", "xh1"], alexander=-1)
+        gm = g_map(dual_normal_form_model(5), -1)
+        assert not distinct_classes(gm, ["yv1"], ["yv1", "xh1"])
 
     def test_non_cycles_rejected(self):
         c = dual_normal_form_model(5)
         with pytest.raises(NotCycles):
-            distinct_classes(c, ["yh1"], ["yv1"], alexander=-1)
+            distinct_classes(g_map(c, -1), ["yh1"], ["yv1"])
         with pytest.raises(NotCycles):
-            distinct_classes(c, ["nope"], ["yv1"])
+            distinct_classes(g_map(c), ["nope"], ["yv1"])
+        # yh1 has Alexander -1, so it is outside the top slice
+        with pytest.raises(NotCycles, match="Alexander-1 slice"):
+            distinct_classes(g_map(c), ["yh1"], ["yv1"])
 
-    def test_reduced_codomain_from_g_map(self):
+    def test_reads_the_reports_slice_and_codomain(self, monkeypatch):
         c = dual_normal_form_model(5)
-        cod = g_map(c).codomain
-        assert distinct_classes(c, ["yv1"], ["yv2"], codomain=cod)
-        assert not distinct_classes(c, ["yv1"], ["yv1", "xh1"], -1, cod)
-        with pytest.raises(NotCycles):
-            distinct_classes(c, ["yh1"], ["yv1"], -1, cod)
-        with pytest.raises(NotCycles):
-            distinct_classes(c, ["nope"], ["yv1"], codomain=cod)
+        for s in (1, -1):
+            gm = g_map(c, s)
+            assert gm.domain.generators == minus_slice(c, s).generators
+            assert gm.domain.differential == minus_slice(c, s).differential
+        gm = g_map(c, -1)
+        monkeypatch.setattr(dual, "reduce", lambda *a: pytest.fail("reduced again"))
+        monkeypatch.setattr(dual, "minus_slice", lambda *a: pytest.fail("sliced again"))
+        assert distinct_classes(gm, ["yv1"], ["yv2"])
+        assert not distinct_classes(gm, ["yv1"], ["yv1", "xh1"])
 
 
 class TestLossGrading:
