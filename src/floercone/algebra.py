@@ -241,12 +241,15 @@ class _Reduction:
                 self.sources.setdefault(t, {})[s] = None
         self.moves: list[tuple[str, str, int]] = []  # the trace, see ReducedForm
         self.enqueue: Callable[[str, str, int], None] = lambda s, t, k: None  # eliminate's feed
+        self.touched: tuple[set[str], set[str]] = (set(), set())  # rows, columns _set changed
 
     # elementary moves ----------------------------------------------------
 
     def _set(self, src: str, tgt: str, power: int) -> None:
         row = self.diff.setdefault(src, {})
         _toggle(row, tgt, power)
+        self.touched[0].add(src)
+        self.touched[1].add(tgt)
         if tgt in row:
             self.sources.setdefault(tgt, {})[src] = None
             self.enqueue(src, tgt, power)
@@ -300,8 +303,9 @@ class _Reduction:
         (source, then target) that accept(src, tgt, k) admits; lowest_power
         takes the least U-power first.  Candidates wait in a heap that _set
         feeds, so accept runs once per inserted entry; with keep it reads the
-        live row and column, so it runs when a candidate is popped and
-        rejected ones go back.
+        live row and column, so it runs when a candidate is popped, and a
+        rejected one waits, filed under its row and its column, until a
+        pivot's isolate changes one of them.
         Each pivot e -> U^c f is isolated, then removed, or with keep left in
         place and skipped from then on.  Pivots are returned as (e, f, c).
         """
@@ -318,26 +322,37 @@ class _Reduction:
             _, _, _, s, t, k = x
             return self.diff.get(s, {}).get(t) == k and s not in kept and t not in kept
 
+        # keep mode: each rejected record, filed under its row and its column;
+        # accept reads only those two, so while neither changes it stays rejected
+        waiting: tuple[dict[str, set], dict[str, set]] = ({}, {})
+
         for s, row in self.diff.items():
             for t, k in row.items():
                 enqueue(s, t, k)
         self.enqueue = enqueue
         while True:
-            pivot, rejected = None, []
+            pivot = None
             while heap and pivot is None:
                 x = heappop(heap)
                 if live(x):
                     if keep and not accept(*x[3:]):
-                        rejected.append(x)
+                        for filed, g in zip(waiting, x[3:5]):
+                            filed.setdefault(g, set()).add(x)
                     else:
                         pivot = x[3:]
             if pivot is None:
                 return pivots
             e, f, _ = pivot
+            for names in self.touched:
+                names.clear()
             self.isolate(e, f)
             if keep:
                 kept.update((e, f))
-                for x in rejected:
+                due = {x for filed, names in zip(waiting, self.touched)
+                       for g in names & filed.keys() for x in filed[g]}
+                for x in due:
+                    for filed, g in zip(waiting, x[3:5]):
+                        filed[g].discard(x)
                     heappush(heap, x)
             else:
                 self.remove_pair(e, f)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import serialize
@@ -263,21 +264,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="floercone",
-        description="Exact mapping-cone computations for surgery on knot Floer models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("model", help="emit a model complex as JSON")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("validate", help="check a complex or report file")
+def _add_validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", default=None)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("surgery", help="mapping cone ranks for p/q surgery")
+
+def _add_surgery_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--flavor", choices=("hat", "infinity"), default="hat")
@@ -285,22 +276,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sector", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="complex JSON (default stdin)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_surgery)
 
-    p = sub.add_parser("dualknot", help="dual-knot cone reports")
+
+def _add_dualknot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="integer framing")
     p.add_argument("--model", default="-", help="minus-en:N, staircase, or a JSON path")
     p.add_argument("--check", choices=("normalform", "gmap"), default="normalform")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dualknot)
 
-    p = sub.add_parser("dgs", help="contact surgery continued-fraction expansion")
+
+def _add_dgs_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", required=True,
                    help="nonzero rational; write fractions as --r=-7/2")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dgs)
 
-    p = sub.add_parser("c1", help="first-Chern-class pairing formulas")
+
+def _add_c1_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", choices=("cobordism", "posint", "plusone"), required=True)
     p.add_argument("--tb", type=int, default=0)
     p.add_argument("--rot", type=int, default=0)
@@ -309,31 +300,57 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--y", type=int, default=1, help="order of the knot class")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_c1)
 
-    p = sub.add_parser("pipeline", help="distinctness pipeline for contact r-surgery")
+
+def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", required=True, help="negative rational; write fractions as --r=-5/2")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("loss", help="Alexander grading of the Legendrian invariant")
+
+def _add_loss_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tb", type=int, required=True)
     p.add_argument("--rot", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("knot-homology", help="hat knot homology and Alexander polynomial")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_knot_homology)
 
+# name -> (help, argument adder, handler), in the order the help lists them
+COMMANDS = {
+    "model": ("emit a model complex as JSON", _add_model_flags, cmd_model),
+    "validate": ("check a complex or report file", _add_validate_args, cmd_validate),
+    "surgery": ("mapping cone ranks for p/q surgery", _add_surgery_args, cmd_surgery),
+    "dualknot": ("dual-knot cone reports", _add_dualknot_args, cmd_dualknot),
+    "dgs": ("contact surgery continued-fraction expansion", _add_dgs_args, cmd_dgs),
+    "c1": ("first-Chern-class pairing formulas", _add_c1_args, cmd_c1),
+    "pipeline": ("distinctness pipeline for contact r-surgery", _add_pipeline_args,
+                 cmd_pipeline),
+    "loss": ("Alexander grading of the Legendrian invariant", _add_loss_args, cmd_loss),
+    "knot-homology": ("hat knot homology and Alexander polynomial", _add_model_flags,
+                      cmd_knot_homology),
+}
+
+
+def make_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="floercone",
+        description="Exact mapping-cone computations for surgery on knot Floer models.")
+    # only the invoked command's subparser, but a usage line that names them all
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, **(
+        {"metavar": "{" + ",".join(COMMANDS) + "}"} if len(names) == 1 else {}))
+    for name in names:
+        help_text, add_args, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = make_parser()
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = make_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring as _string
 from typing import Any
 
 from .algebra import FilteredComplex, Generator, GradedRanks
@@ -85,7 +86,26 @@ def ranks_json(ranks: GradedRanks, keys: tuple[str, ...]) -> dict:
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """json.dumps(payload, indent=2, ensure_ascii=False) + "\n", byte for byte."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(x, pad: str) -> str:
+    # indent would make json use its pure-Python encoder, so the text is
+    # written here; every value but a str, an int or a non-empty container
+    # goes through json.dumps, for the same text or the same TypeError
+    if isinstance(x, str):
+        return _string(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict) and x:  # json's own text, or TypeError, for a key not a str
+        return "{" + inner + ("," + inner).join([
+            (_string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": "
+            + _indented(v, inner) for k, v in x.items()]) + pad + "}"
+    if isinstance(x, (list, tuple)) and x:
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in x]) + pad + "]"
+    return json.dumps(x)
 
 
 def loads(text: str):

@@ -385,6 +385,71 @@ class TestAcceptCalls:
         assert 0 < calls <= budget
 
 
+def keep_accept_calls(monkeypatch, run) -> tuple[int, int]:
+    """(accept calls, budget) over the keep-mode eliminations run() makes.
+
+    There accept reads the live row and column of its entry, so it may see
+    an entry again, but only after a pivot changed that row or column: the
+    budget is the starting and inserted entries plus, after each pivot, the
+    entries of every row and column its isolate changed."""
+    calls, budget = [0], [0]
+    rows, cols = set(), set()
+    set_entry, isolate, eliminate = _Reduction._set, _Reduction.isolate, ELIMINATE
+
+    def counting_set(self, src, tgt, power):
+        set_entry(self, src, tgt, power)
+        budget[0] += tgt in self.diff.get(src, {})
+        rows.add(src)
+        cols.add(tgt)
+
+    def counting_isolate(self, e, f):
+        rows.clear()
+        cols.clear()
+        isolate(self, e, f)
+        budget[0] += sum(len(self.diff.get(s, {})) for s in rows)
+        budget[0] += sum(len(self.sources.get(t, {})) for t in cols)
+
+    def counting_eliminate(self, accept, **flags):
+        assert flags.get("keep")
+        budget[0] += sum(len(row) for row in self.diff.values())
+
+        def counted(s, t, k):
+            calls[0] += 1
+            return accept(s, t, k)
+        return eliminate(self, counted, **flags)
+
+    monkeypatch.setattr(_Reduction, "_set", counting_set)
+    monkeypatch.setattr(_Reduction, "isolate", counting_isolate)
+    monkeypatch.setattr(_Reduction, "eliminate", counting_eliminate)
+    run()
+    return calls[0], budget[0]
+
+
+class TestKeepAcceptCalls:
+    """In keep mode a rejected entry is tested again only once a pivot has
+    changed its row or column, not after every pivot."""
+
+    def test_dual_cone_split(self, monkeypatch):
+        model = minus_twist_knot(41)
+        filtered = reduce(build_dual_cone(flip(model), 1).complex, "filtered").complex
+        calls, budget = keep_accept_calls(monkeypatch, lambda: split_to_summands(filtered))
+        assert 0 < calls <= budget
+
+    def test_random_complexes(self, monkeypatch):
+        rng = random.Random(default_seed() + 10)
+        for _ in range(10):
+            c, _ = random_filtered_complex(rng, rng.randint(0, 4), rng.randint(4, 8),
+                                           rng.randint(20, 80))
+
+            def run():
+                try:
+                    split_to_summands(c)
+                except NormalFormMismatch:
+                    pass  # a random complex need not split; the calls up to there count
+            calls, budget = keep_accept_calls(monkeypatch, run)
+            assert calls <= budget
+
+
 class TestGf2Rank:
     @staticmethod
     def columns(rows: list[list[int]]) -> list[int]:

@@ -1,7 +1,15 @@
 """CLI surface: formats, round trips, exit codes, determinism."""
 
+import argparse
+import hashlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +18,8 @@ from floercone.algebra import FilteredComplex, Generator, ReducedForm, check_com
 from floercone.cli import main
 from floercone.models import dual_normal_form_model, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
+
+from random_complexes import default_seed
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -39,6 +49,48 @@ class TestSerialize:
         assert list(payload["generators"][0]) == ["name", "alexander", "maslov_x4"]
         assert list(payload["differential"][0]) == ["from", "to", "u_power"]
         assert payload["generators"][0]["maslov_x4"] == 8
+
+    def test_dumps_is_indented_json_dumps(self):
+        rng = random.Random(default_seed() + 11)
+        for _ in range(300):
+            payload = random_payload(rng, 4)
+            assert dumps(payload) == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("payload", [Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 3)]},
+                                         {(1, 2): 0}, [{"x": {3}}]])
+    def test_dumps_rejects_what_json_rejects(self, payload):
+        with pytest.raises(TypeError) as want:
+            json.dumps(payload, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError) as got:
+            dumps(payload)
+        assert str(got.value) == str(want.value)
+
+
+TEXTS = ["", "x", "a b", "é雪🙂", '"quoted" \\ back', "\x00\x1f\t\n\r", "\u2028\u2029", "\x7f"]
+
+
+def random_payload(rng: random.Random, depth: int):
+    """A JSON tree of the kinds reports hold, and of the edge cases of the encoder."""
+    kind = rng.randrange(9 if depth > 0 else 6)
+    if kind == 0:
+        return rng.choice(TEXTS) + rng.choice(TEXTS)
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(10 ** 40) - 3, 10 ** 39 + 11, rng.randint(-99, 99)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return {"num": rng.randint(-9, 9), "den": rng.randint(2, 9)}
+    if kind == 4:
+        return rng.choice([{}, [], (), 0.5, -2.25])
+    if kind == 5:
+        return rng.choice(TEXTS)
+    items = [random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = [rng.choice(TEXTS + [0, -3, 10 ** 40]) for _ in items]
+    return dict(zip(keys, items))
 
 
 class TestModelCommand:
@@ -296,3 +348,101 @@ class TestInternalError:
         assert err.startswith("error: internal: vertex ")
         assert "Traceback" not in err
 
+
+
+# Exit code and SHA-256 of stdout + "\0" + stderr at COLUMNS=80 for the
+# parser's own output: help, usage and error text.  Recorded when main still
+# built every subparser on each call, so the top-level usage line must stay
+# the same however the parser is now assembled.
+PARSER_BYTES = [
+    ([], 2, "12c270d54fc86a69d112a2314483be693d9a8e499d6ffc0390ae15ab26692fd9"),
+    (["-h"], 0, "064e2f9ba9cb4b895e3f72d307e1bf2a8e9c8dc78bd58096e9b3f5f529490cd2"),
+    (["bogus"], 2, "4c17de2fb6e99d7b0ccee7f7f686084217e1a330a2e630177fcf305ac62523d7"),
+    (["--"], 2, "12c270d54fc86a69d112a2314483be693d9a8e499d6ffc0390ae15ab26692fd9"),
+    (["surg"], 2, "1a44710d1712fcfd8386e2f6c867c685fefc4ae43bc08c15e22dacc855b3052a"),
+    (["model", "-h"], 0, "4c329e4e9e28e2ebe4197472f8c0d960cd420fc2493a11bf0e97f3cc62b2b04f"),
+    (["validate", "-h"], 0, "f473e4c306f80219462ebd0ed769b6e2fb8e2f335cc5aec8b01a2681ee7a3560"),
+    (["surgery", "-h"], 0, "33585de150d4f163791478161ba1322de0de95b1d83e4bad5073f51d0f28f85a"),
+    (["dualknot", "-h"], 0, "524971b4c58c929053abaf6841367f3a0d53e4c82f507d39ffcae4ffc7de5e8f"),
+    (["dgs", "-h"], 0, "e40bd81f1849c94b663c1eaf4e9af8b42c697a7b42bf79ae9a8c73eff97240a0"),
+    (["c1", "-h"], 0, "a3375319a25642688f026fb5e694c21574c25fed14720f405a832b54dce9782b"),
+    (["pipeline", "-h"], 0, "c2ff9209f8e74ef9aea1ebd468657b4d52a1f6029ae43b34bda43e03665e1d53"),
+    (["loss", "-h"], 0, "d7881a7420642ce427892934d81d9bc104c35449ae26959b021cbc7462d134e6"),
+    (["knot-homology", "-h"], 0,
+     "d008705847d8910b978aa621c8042e01ce9360a8dcc679dfa90e1ba6558d64a5"),
+    (["surgery"], 2, "0d5eaef08e7e3ea21271d3a6d1dd43b51dba80fd5ad2d835752ac2a520838c28"),
+    (["pipeline", "--n", "5"], 2,
+     "06a8fb9e69b26885f15471e67dae3f15ba47af653f361d90f3e9e4635c8109d4"),
+    (["loss", "--tb", "1"], 2, "c5a4294d35d993a949e340d9c81aad62f175b97cf8c90d2094fdaeefa342070d"),
+    (["surgery", "--p", "3", "--flavor", "bogus"], 2,
+     "a6f34ca5f239efcb96a22637ad5cad78bb6fdd52409d9aba779b25858b40db89"),
+    (["c1", "--formula", "x"], 2,
+     "ec0c078b4cd8839e4f4f1cd0e3c544a3c2d764c4869007a053a261390ce74c2e"),
+    (["dualknot", "--n", "1", "--check", "nf"], 2,
+     "e906a1c734c0eb0f5440bd381944d7b4350c5961e9c5e56509d4531486304a5f"),
+    (["loss", "--tb", "1", "--rot", "0", "extra"], 2,
+     "24ff1b7bfa24cd1c1e85666f6bc76370eab6381ef3fd62405fb43285bdb50dbe"),
+    (["pipeline", "--n", "5", "--r=-3", "--bogus"], 2,
+     "b2d0c43cf672568dad1b7d1d812c8a9df2b912e815e972f440f94fd073c8a3fe"),
+    (["dgs", "--r=-2", "--x", "1"], 2,
+     "8c3849deaa44ba964150d3a03657fc2c4299dbe83b66443d47d92cec3d02554b"),
+    (["model", "--minus-en", "x"], 2,
+     "2dc90a5f1508b3c6134758cd8f303269c8fe1c53e7d8d23bb7225cefb1460d55"),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv,code,digest", PARSER_BYTES,
+                             ids=[" ".join(argv) or "<none>" for argv, _, _ in PARSER_BYTES])
+    def test_help_usage_and_error_bytes(self, cli, monkeypatch, argv, code, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = cli(argv)
+        assert got == code
+        assert hashlib.sha256((out + "\0" + err).encode("utf-8")).hexdigest() == digest
+
+    @staticmethod
+    def subparsers_built(monkeypatch, run) -> list[str]:
+        add_parser = argparse._SubParsersAction.add_parser
+        names = []
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        run()
+        return names
+
+    @pytest.mark.parametrize("argv,built", [
+        (["loss", "--tb", "1", "--rot", "0"], 1),
+        (["pipeline", "--n", "5", "--r=-3"], 1),
+        (["surgery", "-h"], 1),
+        (["surgery"], 1),
+        (["-h"], 9),
+        ([], 9),
+        (["bogus"], 9),
+        (["--", "loss", "--tb", "1", "--rot", "0"], 9),
+    ], ids=lambda x: " ".join(x) or "<none>" if isinstance(x, list) else str(x))
+    def test_builds_only_the_invoked_subparser(self, cli, monkeypatch, argv, built):
+        names = self.subparsers_built(monkeypatch, lambda: cli(argv))
+        assert len(names) == len(set(names)) == built
+
+    def test_sys_argv_picks_the_subparser(self, cli, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["floercone", "loss", "--tb", "1", "--rot", "0"])
+        names = self.subparsers_built(monkeypatch, lambda: cli(None))
+        assert names == ["loss"]
+
+    def test_module_entry_point_reads_sys_argv(self, cli):
+        src = str(Path(cli_module.__file__).parent.parent)
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "floercone", *argv], env=env,
+                                  capture_output=True, check=False)
+        helped = run("-h")
+        assert helped.returncode == 0
+        assert helped.stdout.startswith(b"usage: floercone")
+        argv = ["pipeline", "--n", "5", "--r=-2"]
+        proc = run(*argv)
+        code, out, err = cli(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())

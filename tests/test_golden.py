@@ -4,14 +4,17 @@ Each case is a shell pipeline of CLI invocations: every stage reads the
 previous stage's stdout, or, for a stage named in INPUTS, is that literal
 text.  The SHA-256 of the last stage's stdout is pinned, so any change in
 generator names, pivot order or formatting shows up here even where the
-structural tests still pass.
+structural tests still pass.  Every report a chain emits must also be the
+text `json.dumps(report, indent=2, ensure_ascii=False)` gives it.
 """
 
 import hashlib
 import io
+import json
 
 import pytest
 
+from floercone import serialize
 from floercone.cli import main
 
 INPUTS = {
@@ -97,5 +100,13 @@ def run_chain(chain, capsys, monkeypatch) -> str:
                          ids=[" | ".join(a if isinstance(a, str) else " ".join(a) for a in c)
                               for c, _ in GOLDEN])
 def test_stdout_bytes(chain, digest, capsys, monkeypatch):
+    emitted, dumps = [], serialize.dumps
+
+    def recording(report):
+        emitted.append((report, dumps(report)))
+        return emitted[-1][1]
+    monkeypatch.setattr(serialize, "dumps", recording)
     out = run_chain(chain, capsys, monkeypatch)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    for report, text in emitted:
+        assert text == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
