@@ -27,7 +27,7 @@ from .contact import (
     negative_expansion,
     positive_expansion,
 )
-from .dual import build_dual_cone, g_map, loss_grading, normal_form
+from .dual import build_dual_cone, g_map, loss_grading, normal_form, require_framing
 from .errors import DomainError, InternalError, ParseError
 from .models import (
     alexander_polynomial,
@@ -150,7 +150,9 @@ def cmd_dualknot(args) -> int:
         c = staircase()
     else:
         c = _read_complex(args.model)
-    dc = build_dual_cone(flip(c), args.n)
+    f = flip(c)
+    require_framing(args.n, for_normal_form=True)  # both checks read the normal form
+    dc = build_dual_cone(f, args.n)
     payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.genus}
     nf = normal_form(dc)
     if args.check == "normalform":

@@ -19,11 +19,14 @@ Maslov degree m
     dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
 
 where D_m is D on source degree m (D lowers Maslov by 1).  So
-`sector_homology` reduces each distinct A_s once, and B once, reads v and
-h on their homology with `induced_map`, and ranks one GF(2) matrix per
-degree between those homology bases, shifted by phi.  `include_B` reads
-the same data.  No sector is flattened; the flattened whole cone
-(`total_complex`, `hat_complex`) remains for the dual cone and the checks.
+`sector_homology` reduces B once and each distinct A_s once, where every
+s above the model's top Alexander grading counts as top + 1: past it every
+offset is 0, so A_s and v are the same, and h moves only by a U-power.  It
+reads v and h on their homology with `induced_map`, and ranks one GF(2)
+matrix per degree between those homology bases, shifted by phi.
+`include_B` reads the same data.  No sector is flattened; the flattened
+whole cone (`total_complex`, `hat_complex`) remains for the dual cone and
+the checks.
 
 Vertex ranges.  The t-window must satisfy two constraints so that the
 omitted vertices cancel in (A_t, B_t) pairs via v (an isomorphism once
@@ -34,7 +37,9 @@ The "paper" mode is the minimal such window written out by hand, with
 the floor lowered to
 gq - p when p > (2g-1)q so that every Spin^c sector keeps its surviving
 vertex; "full" pads both ends, and the tests check that both windows give
-the same sectors.
+the same sectors.  `windows` refuses a window over MAX_CONE_VERTICES or
+MAX_REDUCED_ELEMENTS before building it; the flattening and the exact
+triangle keep MAX_FLAT_ELEMENTS and MAX_SECTOR_RANK.
 """
 
 from __future__ import annotations
@@ -57,8 +62,42 @@ from .algebra import (
     induced_map,
     reduce,
 )
-from .errors import BadCoefficient, InternalError, NoSuchVertex
+from .errors import BadCoefficient, DomainError, InternalError, NoSuchVertex
 from .models import FlipMap
+
+# Budgets of a cone, each checked before what it bounds is built.  Every
+# vertex holds its own phi entry, sector slot and report line.  The sector
+# path reduces B and each distinct A_s once (s capped at top + 1, see
+# `_vertex_homology`) and keeps every reduction with its trace; the dual
+# cone flattens every vertex instead.  The exact triangle ranks dense GF(2)
+# bitsets over a sector's vertex homology, so its memory grows with the
+# square of that rank.
+MAX_CONE_VERTICES = 120_000
+MAX_REDUCED_ELEMENTS = 1_000_000
+MAX_FLAT_ELEMENTS = 500_000
+MAX_SECTOR_RANK = 100_000
+
+
+def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, range]:
+    """The A-window [lo, hi] and the B-window [lo + p, hi] of a p/q cone over
+    flip, refused before either is built when its vertices, or the model
+    elements its vertex reductions hold, would pass their budget."""
+    vertices = max(0, hi + 1 - lo) + max(0, hi + 1 - lo - p)
+    if vertices > MAX_CONE_VERTICES:
+        raise DomainError(f"the cone window has {vertices} vertices "
+                          f"(MAX_CONE_VERTICES = {MAX_CONE_VERTICES})")
+    cap = max((g.alexander for g in flip.source.generators), default=0) + 1
+    a_keys = max(0, min(hi // q, cap) + 1 - min(lo // q, cap)) if hi >= lo else 0
+    reduced = (a_keys + 1) * len(flip.source)
+    if reduced > MAX_REDUCED_ELEMENTS:
+        raise DomainError(f"the cone window reduces {reduced} model elements "
+                          f"(MAX_REDUCED_ELEMENTS = {MAX_REDUCED_ELEMENTS})")
+    return range(lo, hi + 1), range(lo + p, hi + 1)
+
+
+def _require_coprime(p: int, q: int) -> None:
+    if q <= 0 or p == 0 or gcd(p, q) != 1:
+        raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
 
 
 class ConeVertex(NamedTuple):
@@ -92,8 +131,7 @@ class MappingCone:
     """The p/q cone over flip.source on the A-vertices a_ts and B-vertices b_ts."""
 
     def __init__(self, flip: FlipMap, p: int, q: int, a_ts: Iterable[int], b_ts: Iterable[int]):
-        if q <= 0 or p == 0 or gcd(p, q) != 1:
-            raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
+        _require_coprime(p, q)
         self.source = source = flip.source
         self.flip = flip
         self.p = p
@@ -107,6 +145,7 @@ class MappingCone:
         # per-generator source tables, read by _edges
         gens = source.generators
         self._alex = [g.alexander for g in gens]  # ints: checked by FlipMap
+        self._top = max(self._alex, default=0)  # A_s is one complex for every s > top
         order = source._order
         self._rows = [[(order[t], k) for t, k in source.differential.get(g.name, {}).items()]
                       for g in gens]
@@ -118,6 +157,7 @@ class MappingCone:
 
     @classmethod
     def build(cls, flip: FlipMap, p: int, q: int, range_mode: str = "paper") -> "MappingCone":
+        _require_coprime(p, q)
         g = flip.genus
         lo = min((1 - g) * q, g * q - p)
         hi = g * q - 1
@@ -127,9 +167,7 @@ class MappingCone:
             hi += pad
         elif range_mode != "paper":
             raise BadCoefficient(f"unknown range mode {range_mode!r}")
-        a_ts = range(lo, hi + 1)
-        b_ts = range(lo + p, hi + 1)
-        return cls(flip, p, q, a_ts, b_ts)
+        return cls(flip, p, q, *windows(flip, p, q, lo, hi))
 
     def s_of(self, t: int) -> int:
         return t // self.q
@@ -199,10 +237,9 @@ class MappingCone:
     def element_name(segment: str, t: int, base: str) -> str:
         return f"{segment}{t}.{base}"
 
-    def _edges(self, segment: str, t: int) -> VertexEdges:
-        """Element offsets and edge powers of vertex (segment, t): the offset
-        rule max(0, A - s) on A_s, 0 on B, and each entry's I-drop."""
-        s = self.s_of(t) if segment == "A" else None
+    def _edges(self, s: int | None) -> VertexEdges:
+        """Element offsets and edge powers of vertex A_s, or of B for s None:
+        the offset rule max(0, A - s) on A_s, 0 on B, and each entry's I-drop."""
         e = self._edge_cache.get(s)
         if e is None:
             if s is None:
@@ -225,6 +262,10 @@ class MappingCone:
         the j-filtration bookkeeping degenerates and only the U-power
         (the I-drop) constrains the differential.
         """
+        elements = (len(self.a_ts) + len(self.b_ts)) * len(self.source)
+        if elements > MAX_FLAT_ELEMENTS:
+            raise DomainError(f"the flattened cone has {elements} elements "
+                              f"(MAX_FLAT_ELEMENTS = {MAX_FLAT_ELEMENTS})")
         phi = self.phi()
         source = self.source.generators
         gens: list[Generator] = []
@@ -234,7 +275,7 @@ class MappingCone:
         for segment, ts in (("A", self.a_ts), ("B", self.b_ts)):
             for t in ts:
                 names = [self.element_name(segment, t, g.name) for g in source]
-                e = self._edges(segment, t)
+                e = self._edges(self.s_of(t) if segment == "A" else None)
                 shift = phi[(segment, t)]
                 for g, name, off in zip(source, names, e.offsets):
                     a = 0 if alexander_fn is None else alexander_fn(segment, t, g, off)
@@ -272,8 +313,14 @@ class MappingCone:
 
     def _vertex_homology(self, segment: str, t: int, flavor: str) -> VertexHomology:
         """Homology of vertex (segment, t) in source coordinates, reduced once
-        per distinct s; an A-vertex also gets v and h into B's basis."""
-        s = self.s_of(t) if segment == "A" else None
+        per distinct s up to top + 1; an A-vertex also gets v and h into B's basis.
+
+        Every A_s with s > top is A_(top+1): all offsets are 0, so d, the
+        gradings and v agree, and each h power s - A is at least 1 and
+        moves by the same constant, which hat drops and `induced_map`,
+        reading names only, does not see.
+        """
+        s = min(self.s_of(t), self._top + 1) if segment == "A" else None
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
@@ -285,7 +332,7 @@ class MappingCone:
             return {names[i]: {names[j]: k for j, k in row if not (hat and k)}
                     for i, row in enumerate(rows)}
 
-        e = self._edges(segment, t)
+        e = self._edges(s)
         gens = [Generator(name, 0, g.maslov - 2 * off)
                 for name, g, off in zip(names, self.source.generators, e.offsets)]
         rf = reduce(FilteredComplex(gens, as_map(e.d)), "over_U_units" if hat else "full_field")
@@ -322,9 +369,13 @@ class MappingCone:
             for g in b.generators:
                 k = key(g.maslov + phi[("B", t)])
                 count[k] = count.get(k, 0) + 1
+        a_homology = [(t, self._vertex_homology("A", t, flavor)) for t in a_ts]
+        rank = n_rows + sum(len(a.reduced.complex) for _, a in a_homology)
+        if rank > MAX_SECTOR_RANK:
+            raise DomainError(f"sector {sector}'s vertex homology has rank {rank} "
+                              f"(MAX_SECTOR_RANK = {MAX_SECTOR_RANK})")
         columns: dict[int | Fraction, list[int]] = {}  # source key of D -> its columns
-        for t in a_ts:
-            a = self._vertex_homology("A", t, flavor)
+        for t, a in a_homology:
             v_row, h_row = first_row.get(t), first_row.get(t + self.p)
             for g, v, h in zip(a.reduced.complex.generators, a.v, a.h):
                 k = key(g.maslov + phi[("A", t)])

@@ -33,7 +33,7 @@ from .algebra import (
     reduce,
     require_valid,
 )
-from .cone import MappingCone
+from .cone import MappingCone, windows
 from .errors import BadFraming, InternalError, NonIntegral, NormalFormMismatch, NotCycles
 from .models import FlipMap, hat_column, minus_slice
 
@@ -46,15 +46,22 @@ class DualCone:
     complex: FilteredComplex           # flattened, (I,J)-decorated
 
 
-def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
-    """The framing-n dual-knot cone over flip's checked model, verified flattened."""
+def require_framing(n: int, for_normal_form: bool = False) -> None:
+    """Refuse a framing with no dual cone (0, or not an int) and, for the
+    normal form, any framing but +1."""
     if not isinstance(n, int) or n == 0:
         raise BadFraming(f"framing must be a nonzero integer, got {n!r}")
+    if for_normal_form and n != 1:
+        raise BadFraming("normal form is defined for framing +1")
+
+
+def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
+    """The framing-n dual-knot cone over flip's checked model, verified flattened."""
+    require_framing(n)
     g = flip.genus
     # floor lowered from 1-g when n >= 2g so every Spin^c sector keeps a vertex
     lo = min(1 - g, g - n + 1)
-    a_ts = range(lo, g + 1)
-    b_ts = range(lo + n, g + 1)
+    a_ts, b_ts = windows(flip, n, 1, lo, g)
     cone = MappingCone(flip, n, 1, a_ts, b_ts)
 
     # the J offset (2t+n-1)/(2n) of each vertex, an int at n = 1
@@ -145,8 +152,7 @@ def normal_form(dc: DualCone) -> NormalFormResult:
     diagonal and vertical pairs one step above, all at pinned bigradings.
     A mismatch is an error: it means the reduction or the cone is wrong.
     """
-    if dc.framing != 1:
-        raise BadFraming("normal form is defined for framing +1")
+    require_framing(dc.framing, for_normal_form=True)
     rf = reduce(dc.complex, "filtered")
     split = split_to_summands(rf.complex)
     combined = ReducedForm(split.complex, rf.moves + split.moves)

@@ -16,7 +16,7 @@ import pytest
 from floercone import algebra, cli as cli_module, cone, dual
 from floercone.algebra import FilteredComplex, Generator, ReducedForm, check_complex
 from floercone.cli import main
-from floercone.models import dual_normal_form_model, minus_twist_knot, staircase
+from floercone.models import dual_normal_form_model, flip, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
 
 from random_complexes import default_seed
@@ -218,6 +218,45 @@ class TestSurgeryCommand:
         _, report, _ = cli(["surgery", "--p", "2", "--q", "1"], stdin_text=model_out)
         assert dumps(loads(report)) == report
 
+    @pytest.mark.parametrize("argv,model", [
+        # x at (A, 0), y at (-A, -2A): genus 10^8, about 4*10^8 vertices
+        (["surgery", "--p", "1"], "huge"),
+        (["surgery", "--p", str(10 ** 12)], "staircase"),
+        (["surgery", "--p", str(-10 ** 30), "--range", "full"], "staircase"),
+        (["surgery", "--p", "1", "--q", str(10 ** 12)], "staircase"),
+    ])
+    def test_window_over_budget_exits_one_at_once(self, cli, monkeypatch, argv, model):
+        if model == "huge":
+            a = 10 ** 8
+            c = FilteredComplex([Generator("x", a, 0), Generator("y", -a, -2 * a)], {})
+        else:
+            c = staircase()
+        monkeypatch.setattr(cone.MappingCone, "__init__", lambda *args: pytest.fail("cone built"))
+        code, out, err = cli(argv, stdin_text=dumps(complex_to_json(c)))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the cone window has ")
+        assert err.endswith(" vertices (MAX_CONE_VERTICES = 120000)\n")
+
+    def test_reductions_over_budget_exit_one_at_once(self, cli, monkeypatch):
+        # 2006 reductions of 1923 generators: 122 s and 2 GB before the budget
+        monkeypatch.setattr(cone.MappingCone, "__init__", lambda *args: pytest.fail("cone built"))
+        code, out, err = cli(["surgery", "--p", "-2000", "--range", "full"],
+                             stdin_text=dumps(complex_to_json(minus_twist_knot(961))))
+        assert (code, out) == (1, "")
+        assert err == ("error: the cone window reduces 3857538 model elements "
+                       "(MAX_REDUCED_ELEMENTS = 1000000)\n")
+
+    def test_window_budget_keeps_the_large_staircase_window(self):
+        c = cone.MappingCone.build(flip(staircase()), 20000, 1, "full")
+        assert len(c.a_ts) + len(c.b_ts) == 100008
+
+    def test_window_budget_keeps_a_many_generator_window(self, cli):
+        # 483 generators on 1553 vertices, about 100 reductions
+        code, out, _ = cli(["surgery", "--p", "301", "--q", "11", "--range", "full"],
+                           stdin_text=dumps(complex_to_json(minus_twist_knot(241))))
+        assert code == 0
+        assert len(loads(out)["vertices"]) == 1553
+
     def test_invalid_unreflectable_model_reports_invalid(self, cli):
         # Maslov drop 2, and no generator sits where x would reflect to
         broken = FilteredComplex([Generator("x", 1, 2), Generator("y", 0, 0)], {"x": {"y": 0}})
@@ -247,6 +286,23 @@ class TestDualknotCommand:
     def test_bad_framing_exit_one(self, cli):
         code, _, _ = cli(["dualknot", "--n", "0", "--model", "staircase"])
         assert code == 1
+
+    @pytest.mark.parametrize("n,message", [
+        (0, "framing must be a nonzero integer, got 0"),
+        (2, "normal form is defined for framing +1"),
+        (-1, "normal form is defined for framing +1"),
+        (200000, "normal form is defined for framing +1"),
+    ])
+    @pytest.mark.parametrize("check", ["normalform", "gmap"])
+    def test_framing_checked_before_the_cone(self, cli, monkeypatch, n, message, check):
+        built = []
+        build = cli_module.build_dual_cone
+        monkeypatch.setattr(cli_module, "build_dual_cone",
+                            lambda f, m: built.append(m) or build(f, m))
+        code, out, err = cli(["dualknot", "--n", str(n), "--model", "staircase",
+                              "--check", check])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert built == []
 
     def test_non_integer_model_size_is_parse_error(self, cli):
         code, out, err = cli(["dualknot", "--n", "1", "--model", "minus-en:x"])

@@ -7,10 +7,18 @@ import pytest
 
 from floercone import algebra as algebra_module
 from floercone import cone as cone_module
-from floercone.algebra import GradedRanks, check_complex, homology, reduce
+from floercone.algebra import (
+    FilteredComplex,
+    Generator,
+    GradedRanks,
+    check_complex,
+    homology,
+    reduce,
+)
 from floercone.cone import MappingCone, include_B
-from floercone.errors import BadCoefficient, NoSuchVertex
+from floercone.errors import BadCoefficient, DomainError, NoSuchVertex
 from floercone.models import (
+    alexander_polynomial,
     box,
     dual_normal_form_model,
     flip,
@@ -26,11 +34,20 @@ from oracles import (
     flattened_sectors,
     hat_map_is_quasi_iso,
     include_B_by_flattening,
+    two_bridge_alexander,
 )
 
 
 def cone_for(c, p, q, mode="paper"):
     return MappingCone.build(flip(c), p, q, mode)
+
+
+def torus_2_5():
+    """Staircase of the left-handed T(2,5), top Alexander grading 2:
+    d(a) = b, d(c) = U b + d, d(e) = U d."""
+    gens = [Generator("a", 2, 4), Generator("b", 1, 3), Generator("c", 0, 2),
+            Generator("d", -1, 1), Generator("e", -2, 0)]
+    return FilteredComplex(gens, {"a": {"b": 0}, "c": {"b": 1, "d": 0}, "e": {"d": 1}})
 
 
 class TestAssembly:
@@ -40,6 +57,41 @@ class TestAssembly:
         for p, q in [(0, 1), (2, 0), (2, -1), (4, 2)]:
             with pytest.raises(BadCoefficient):
                 MappingCone.build(f, p, q)
+
+    def test_vertex_budget_is_inclusive(self):
+        f = flip(unknot())
+        # 60,001 A- and 59,999 B-vertices
+        assert cone_module.windows(f, 2, 1, 0, 60_000) == (range(0, 60_001), range(2, 60_001))
+        with pytest.raises(DomainError, match=r"120002 vertices \(MAX_CONE_VERTICES = 120000\)"):
+            cone_module.windows(f, 2, 1, -1, 60_000)
+
+    def test_reduction_budget_counts_the_upper_tail_once(self):
+        f = flip(minus_twist_knot(511))  # 1023 generators, top grading 1
+        # A_s for s in [-973, 1] and the shared A_2, plus B: 977 reductions
+        for hi in (5, 50_000):
+            assert cone_module.windows(f, 1, 1, -973, hi)[0] == range(-973, hi + 1)
+        assert cone_module.windows(f, 1, 3, -2919, 30)[0] == range(-2919, 31)
+        for q, lo in [(1, -974), (3, -2920)]:
+            with pytest.raises(DomainError, match=r"1000494 model elements "
+                                                  r"\(MAX_REDUCED_ELEMENTS = 1000000\)"):
+                cone_module.windows(f, 1, q, lo, 30)
+
+    def test_flat_and_sector_budgets_are_inclusive(self, monkeypatch):
+        cone = cone_for(staircase(), 1, 1, "full")  # 13 vertices, 3 generators each
+        monkeypatch.setattr(cone_module, "MAX_FLAT_ELEMENTS", 39)
+        cone.total_complex()
+        monkeypatch.setattr(cone_module, "MAX_FLAT_ELEMENTS", 38)
+        with pytest.raises(DomainError, match="39 elements"):
+            cone.total_complex()
+        rank = sum(len(cone._vertex_homology(seg, t, "hat").reduced.complex)
+                   for seg, ts in (("A", cone.a_ts), ("B", cone.b_ts)) for t in ts)
+        monkeypatch.setattr(cone_module, "MAX_SECTOR_RANK", rank)
+        cone.sector_homology(0)
+        include_B(cone, cone.b_ts[0])
+        monkeypatch.setattr(cone_module, "MAX_SECTOR_RANK", rank - 1)
+        for check in (lambda: cone.sector_homology(0), lambda: include_B(cone, cone.b_ts[0])):
+            with pytest.raises(DomainError, match=f"rank {rank} "):
+                check()
 
     def test_paper_ranges_match_minimal_truncation(self):
         cone = cone_for(minus_twist_knot(5), 1, 1)
@@ -235,13 +287,16 @@ class TestSectorsFromVertexHomology:
         "staircase": staircase,
         "mirror_staircase": lambda: mirror(staircase()),
         "unknot": unknot,
+        # top grading 2: the A_s shared above it are A_3
+        "torus_2_5": torus_2_5,
+        "mirror_torus_2_5": lambda: mirror(torus_2_5()),
     }
 
     @pytest.mark.parametrize("name", list(MODELS))
     def test_matches_flattened_sector(self, name):
         c = self.MODELS[name]()
         f = flip(c)
-        for p, q in [(1, 1), (-1, 1), (2, 1), (-3, 2), (5, 3), (-7, 5), (4, 7), (13, 11)]:
+        for p, q in [(1, 1), (-1, 1), (2, 1), (7, 1), (-3, 2), (5, 3), (-7, 5), (4, 7), (13, 11)]:
             for mode in ("paper", "full"):
                 cone = MappingCone.build(f, p, q, mode)
                 for flavor in ("hat", "infinity"):
@@ -249,7 +304,16 @@ class TestSectorsFromVertexHomology:
                     for i in cone.sectors:
                         assert cone.sector_homology(i, flavor) == flat[i], (p, q, mode, flavor, i)
 
-    def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
+    def test_genus_two_staircase_is_a_checked_model(self):
+        c = torus_2_5()
+        assert check_complex(c).ok
+        f = flip(c)
+        assert f.genus == 2
+        assert alexander_polynomial(c) == two_bridge_alexander(5, 1)
+        assert flip(mirror(c)).genus == 2
+
+    @staticmethod
+    def assert_each_vertex_reduced_once(monkeypatch, c, p, q):
         calls = {"reduce": 0, "homology": 0, "total_complex": 0}
 
         def counting(name, fn):
@@ -263,14 +327,23 @@ class TestSectorsFromVertexHomology:
         monkeypatch.setattr(algebra_module, "homology", counting("homology", algebra_module.homology))
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
-        c = minus_twist_knot(9)
-        cone = cone_for(c, -7, 3, "full")
-        distinct_s = len({cone.s_of(t) for t in cone.a_ts})
+        cone = cone_for(c, p, q, "full")
+        # every A_s above the top Alexander grading is reduced as A_(top+1)
+        top = max(g.alexander for g in c.generators)
+        distinct_s = len({min(cone.s_of(t), top + 1) for t in cone.a_ts})
+        assert distinct_s < len({cone.s_of(t) for t in cone.a_ts})
         for flavor in ("hat", "infinity"):
             for _ in range(2):  # the vertex homology is kept on the cone
                 for i in cone.sectors:
                     cone.sector_homology(i, flavor)
         assert calls == {"reduce": 2 * (distinct_s + 1), "homology": 0, "total_complex": 0}
+
+    def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
+        self.assert_each_vertex_reduced_once(monkeypatch, minus_twist_knot(9), -7, 3)
+
+    @pytest.mark.parametrize("p,q", [(5, 2), (-3, 1)])
+    def test_genus_two_staircase_reduced_once_per_vertex(self, monkeypatch, p, q):
+        self.assert_each_vertex_reduced_once(monkeypatch, torus_2_5(), p, q)
 
     def test_unknown_flavor(self):
         with pytest.raises(BadCoefficient):
