@@ -418,14 +418,6 @@ class GradedRanks:
     def rank(self, *key) -> int:
         return self.ranks.get(key, 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedRanks):
-            return NotImplemented
-        return dict(self.ranks) == dict(other.ranks) and dict(self.torsion) == dict(other.torsion)
-
-    def __hash__(self):
-        return hash((frozenset(self.ranks.items()), frozenset(self.torsion.items())))
-
 
 def grading_key(g: Generator, keys: Sequence[str]) -> tuple:
     parts = []

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import serialize
-from .algebra import check_complex, homology
+from .algebra import check_complex
 from .cone import MappingCone
 from .contact import (
     LegendrianData,
@@ -50,12 +50,9 @@ def _rational(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
-def _read_complex(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else _read_file(path)
-    return serialize.complex_from_json(serialize.loads(text))
-
-
-def _read_file(path: str) -> str:
+def _read(path: str | None) -> str:
+    if path in (None, "-"):
+        return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -63,8 +60,7 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(payload, out: str | None) -> None:
-    text = serialize.dumps(payload)
+def _write(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -72,34 +68,32 @@ def _emit(payload, out: str | None) -> None:
             fh.write(text)
 
 
+# model flag (its dest) -> the model built from the flag's value
+MODELS = {
+    "minus_en": minus_twist_knot,
+    "dual_normal": dual_normal_form_model,
+    "staircase": lambda _: staircase(),
+    "box": lambda _: box(),
+    "unknot": lambda _: unknot(),
+}
+
+
 def _build_model(args) -> "FilteredComplex":
-    # a size flag counts as given whenever it is set, even to 0
-    picked = [name for name in ("minus_en", "dual_normal") if getattr(args, name) is not None]
-    picked += [name for name in ("staircase", "box", "unknot") if getattr(args, name)]
+    # every model flag defaults to None, so a size flag set to 0 counts as given
+    picked = [name for name in MODELS if getattr(args, name) is not None]
     if len(picked) != 1:
-        raise ParseError("pick exactly one of --minus-en, --dual-normal, "
-                         "--staircase, --box, --unknot")
-    name = picked[0]
-    if name == "minus_en":
-        c = minus_twist_knot(args.minus_en)
-    elif name == "dual_normal":
-        c = dual_normal_form_model(args.dual_normal)
-    elif name == "staircase":
-        c = staircase()
-    elif name == "box":
-        c = box()
-    else:
-        c = unknot()
+        raise ParseError("pick exactly one of " +
+                         ", ".join("--" + name.replace("_", "-") for name in MODELS))
+    c = MODELS[picked[0]](getattr(args, picked[0]))
     return mirror(c) if args.mirror else c
 
 
-def cmd_model(args) -> int:
-    _emit(serialize.complex_to_json(_build_model(args)), args.out)
-    return 0
+def cmd_model(args) -> str:
+    return serialize.dumps(serialize.complex_to_json(_build_model(args)))
 
 
-def cmd_validate(args) -> int:
-    data = serialize.loads(sys.stdin.read() if args.path in (None, "-") else _read_file(args.path))
+def cmd_validate(args) -> str:
+    data = serialize.loads(_read(args.path))
     payloads = []
     if isinstance(data, dict) and "generators" in data:
         payloads.append(data)
@@ -114,12 +108,11 @@ def cmd_validate(args) -> int:
         if not report.ok:
             sys.stderr.write(str(report) + "\n")
             raise DomainError("complex fails validation")
-    _emit({"kind": "validation", "ok": True, "complexes": len(payloads)}, None)
-    return 0
+    return serialize.dumps({"kind": "validation", "ok": True, "complexes": len(payloads)})
 
 
-def cmd_surgery(args) -> int:
-    c = _read_complex(args.infile)
+def cmd_surgery(args) -> str:
+    c = serialize.complex_from_json(serialize.loads(_read(args.infile)))
     cone = MappingCone.build(flip(c), args.p, args.q, args.range)
     sectors = [args.sector % abs(args.p)] if args.sector is not None else list(cone.sectors)
     table = {}
@@ -135,11 +128,10 @@ def cmd_surgery(args) -> int:
         "sectors": table,
         "complex": serialize.complex_to_json(c),
     }
-    _emit(payload, args.out)
-    return 0
+    return serialize.dumps(payload)
 
 
-def cmd_dualknot(args) -> int:
+def cmd_dualknot(args) -> str:
     if args.model.startswith("minus-en:"):
         try:
             size = int(args.model.split(":", 1)[1])
@@ -149,11 +141,11 @@ def cmd_dualknot(args) -> int:
     elif args.model == "staircase":
         c = staircase()
     else:
-        c = _read_complex(args.model)
+        c = serialize.complex_from_json(serialize.loads(_read(args.model)))
     f = flip(c)
     require_framing(args.n, for_normal_form=True)  # both checks read the normal form
     dc = build_dual_cone(f, args.n)
-    payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.genus}
+    payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.cone.genus}
     nf = normal_form(dc)
     if args.check == "normalform":
         payload["summands"] = [
@@ -174,11 +166,10 @@ def cmd_dualknot(args) -> int:
             "injective": rep.injective,
             "matrix": rep.matrix,
         }
-    _emit(payload, args.out)
-    return 0
+    return serialize.dumps(payload)
 
 
-def cmd_dgs(args) -> int:
+def cmd_dgs(args) -> str:
     r = _rational(args.r)
     exp = negative_expansion(r) if r < 0 else positive_expansion(r)
     payload = {
@@ -196,11 +187,10 @@ def cmd_dgs(args) -> int:
         payload["all_minus_two"] = flag
         if ell is not None:
             payload["ell"] = ell
-    _emit(payload, args.out)
-    return 0
+    return serialize.dumps(payload)
 
 
-def cmd_c1(args) -> int:
+def cmd_c1(args) -> str:
     l = LegendrianData(args.tb, args.rot, args.y)
     if args.formula == "cobordism":
         value = c1_surgery_cobordism(l, args.p, args.q)
@@ -208,14 +198,13 @@ def cmd_c1(args) -> int:
         value = c1_positive_integer_surgery(l, args.n)
     else:
         value = c1_plus_one_surgery(l)
-    _emit({"kind": "c1", "formula": args.formula, "value": value}, args.out)
-    return 0
+    return serialize.dumps({"kind": "c1", "formula": args.formula, "value": value})
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> str:
     report = distinctness_pipeline(args.n, _rational(args.r), args.m)
     if args.format == "json":
-        _emit({
+        return serialize.dumps({
             "kind": "pipeline_report",
             "n": report.n,
             "r": serialize.fraction_json(report.r),
@@ -223,35 +212,31 @@ def cmd_pipeline(args) -> int:
             "case": report.case,
             "distinct": report.distinct,
             "steps": [s.as_dict() for s in report.steps],
-        }, args.out)
-    else:
-        lines = [f"pipeline n={report.n} r={report.r}" + (f" m={report.m}" if report.m != 1 else "")]
-        for i, step in enumerate(report.steps, 1):
-            mark = {True: "ok", False: "FAIL", None: "trusted"}[step.verified]
-            values = ", ".join(f"{k}={v}" for k, v in step.values.items())
-            lines.append(f"  {i}. [{step.kind}/{mark}] {step.title}: {values}")
-        lines.append(report.verdict)
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        })
+    lines = [f"pipeline n={report.n} r={report.r}" + (f" m={report.m}" if report.m != 1 else "")]
+    for i, step in enumerate(report.steps, 1):
+        mark = {True: "ok", False: "FAIL", None: "trusted"}[step.verified]
+        values = ", ".join(f"{k}={v}" for k, v in step.values.items())
+        lines.append(f"  {i}. [{step.kind}/{mark}] {step.title}: {values}")
+    lines.append(report.verdict)
+    return "\n".join(lines) + "\n"
 
 
-def cmd_loss(args) -> int:
-    _emit({"kind": "loss_grading", "tb": args.tb, "rot": args.rot,
-           "alexander": loss_grading(args.tb, args.rot)}, args.out)
-    return 0
+def cmd_loss(args) -> str:
+    return serialize.dumps({"kind": "loss_grading", "tb": args.tb, "rot": args.rot,
+                            "alexander": loss_grading(args.tb, args.rot)})
 
 
-def cmd_knot_homology(args) -> int:
+def cmd_knot_homology(args) -> str:
     c = _build_model(args)
     ranks = hat_knot_homology(c)
     poly = alexander_polynomial(c)
-    _emit({
+    return serialize.dumps({
         "kind": "knot_homology",
         "hat_ranks": serialize.ranks_json(ranks, ("alexander", "maslov")),
         "alexander_polynomial": {str(a): coef for a, coef in sorted(poly.items())},
         "alexander_polynomial_str": poly_string(poly),
-    }, args.out)
-    return 0
+    })
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -259,9 +244,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="mirror twist-knot model, N odd")
     p.add_argument("--dual-normal", dest="dual_normal", type=int, metavar="N",
                    help="dual-knot normal form model, N odd")
-    p.add_argument("--staircase", action="store_true")
-    p.add_argument("--box", action="store_true")
-    p.add_argument("--unknot", action="store_true")
+    p.add_argument("--staircase", action="store_true", default=None)
+    p.add_argument("--box", action="store_true", default=None)
+    p.add_argument("--unknot", action="store_true", default=None)
     p.add_argument("--mirror", action="store_true", help="dualize the chosen model")
     p.add_argument("--out", default=None)
 
@@ -318,7 +303,8 @@ def _add_loss_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
-# name -> (help, argument adder, handler), in the order the help lists them
+# name -> (help, argument adder, handler returning its output), in the order the
+# help lists them
 COMMANDS = {
     "model": ("emit a model complex as JSON", _add_model_flags, cmd_model),
     "validate": ("check a complex or report file", _add_validate_args, cmd_validate),
@@ -358,7 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _write(args.func(args), getattr(args, "out", None))  # validate has no --out
+        return 0
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

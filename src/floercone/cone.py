@@ -86,7 +86,7 @@ def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, ran
     if vertices > MAX_CONE_VERTICES:
         raise DomainError(f"the cone window has {vertices} vertices "
                           f"(MAX_CONE_VERTICES = {MAX_CONE_VERTICES})")
-    cap = max((g.alexander for g in flip.source.generators), default=0) + 1
+    cap = flip.top + 1
     a_keys = max(0, min(hi // q, cap) + 1 - min(lo // q, cap)) if hi >= lo else 0
     reduced = (a_keys + 1) * len(flip.source)
     if reduced > MAX_REDUCED_ELEMENTS:
@@ -106,17 +106,10 @@ class ConeVertex(NamedTuple):
     s: int
 
 
-class ElementInfo(NamedTuple):
-    segment: str
-    t: int
-    offset: int  # U-power of the stored translate relative to the i = 0 one
-
-
 class VertexEdges(NamedTuple):
     """One vertex copy of the source, indexed like the source generators."""
-    offsets: list[int]               # U-offset of each element
+    offsets: list[int]               # U-offset of each element; on A also its v-edge U-power
     d: list[list[tuple[int, int]]]   # internal entries: (target index, U-power)
-    v: list[int]                     # A only: v-edge U-power to the same index of B_t
     h: list[tuple[int, int]]         # A only: h-edge (target index in B_(t+p), U-power)
 
 
@@ -139,13 +132,11 @@ class MappingCone:
         self.genus = flip.genus
         self.a_ts = tuple(sorted(set(a_ts)))
         self.b_ts = tuple(sorted(set(b_ts)))
-        self._b_set = set(self.b_ts)
         self._phi: dict[tuple[str, int], int | Fraction] | None = None
         self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
         # per-generator source tables, read by _edges
         gens = source.generators
         self._alex = [g.alexander for g in gens]  # ints: checked by FlipMap
-        self._top = max(self._alex, default=0)  # A_s is one complex for every s > top
         order = source._order
         self._rows = [[(order[t], k) for t, k in source.differential.get(g.name, {}).items()]
                       for g in gens]
@@ -243,19 +234,19 @@ class MappingCone:
         e = self._edge_cache.get(s)
         if e is None:
             if s is None:
-                offs, v, h = [0] * len(self._alex), [], []
+                offs, h = [0] * len(self._alex), []
             else:
                 offs = [max(0, a - s) for a in self._alex]
-                v = offs
                 h = [(j, s + fpow + off) for (j, fpow), off in zip(self._flipped, offs)]
             d = [[(j, k + off - offs[j]) for j, k in row] for row, off in zip(self._rows, offs)]
-            e = self._edge_cache[s] = VertexEdges(offs, d, v, h)
+            e = self._edge_cache[s] = VertexEdges(offs, d, h)
         return e
 
     def total_complex(self,
                       alexander_fn: Callable[[str, int, Generator, int], int | Fraction] | None = None,
-                      ) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
-        """Flatten the whole cone: A-vertices, then B-vertices, each by ascending t.
+                      ) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
+        """Flatten the whole cone: A-vertices, then B-vertices, each by ascending t;
+        the table maps each element to its vertex, one ConeVertex per vertex.
 
         alexander_fn assigns the Alexander field of each element (the dual
         construction passes its second filtration); plain cones use 0, so
@@ -269,19 +260,19 @@ class MappingCone:
         phi = self.phi()
         source = self.source.generators
         gens: list[Generator] = []
-        table: dict[str, ElementInfo] = {}
+        table: dict[str, ConeVertex] = {}
         # per vertex: element names, indexed like source, and its edges
         vertex: dict[tuple[str, int], tuple[list[str], VertexEdges]] = {}
-        for segment, ts in (("A", self.a_ts), ("B", self.b_ts)):
-            for t in ts:
-                names = [self.element_name(segment, t, g.name) for g in source]
-                e = self._edges(self.s_of(t) if segment == "A" else None)
-                shift = phi[(segment, t)]
-                for g, name, off in zip(source, names, e.offsets):
-                    a = 0 if alexander_fn is None else alexander_fn(segment, t, g, off)
-                    gens.append(Generator(name, a, g.maslov - 2 * off + shift))
-                    table[name] = ElementInfo(segment, t, off)
-                vertex[(segment, t)] = names, e
+        for cv in self.vertices():
+            segment, t, s = cv
+            names = [self.element_name(segment, t, g.name) for g in source]
+            e = self._edges(s if segment == "A" else None)
+            shift = phi[(segment, t)]
+            for g, name, off in zip(source, names, e.offsets):
+                a = 0 if alexander_fn is None else alexander_fn(segment, t, g, off)
+                gens.append(Generator(name, a, g.maslov - 2 * off + shift))
+                table[name] = cv
+            vertex[(segment, t)] = names, e
 
         diff: dict[str, dict[str, int]] = {}
 
@@ -298,13 +289,13 @@ class MappingCone:
                 for j, k in e.d[i]:
                     put(src, names[j], k)
                 if v_edge:
-                    put(src, v_edge[0][i], e.v[i])
+                    put(src, v_edge[0][i], e.offsets[i])
                 if h_edge:
                     j, k = e.h[i]
                     put(src, h_edge[0][j], k)
         return FilteredComplex(gens, diff), table
 
-    def hat_complex(self) -> tuple[FilteredComplex, dict[str, ElementInfo]]:
+    def hat_complex(self) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
         """The I = 0 part: same elements, only the U-power-0 entries."""
         total, table = self.total_complex()
         return hat_slice(total), table
@@ -320,7 +311,7 @@ class MappingCone:
         moves by the same constant, which hat drops and `induced_map`,
         reading names only, does not see.
         """
-        s = min(self.s_of(t), self._top + 1) if segment == "A" else None
+        s = min(self.s_of(t), self.flip.top + 1) if segment == "A" else None
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
@@ -347,7 +338,7 @@ class MappingCone:
                 chain_map = as_map(edge)
                 return induced_map(rf, b, lambda chain: apply_map(chain_map, chain))
 
-            v = on_homology([[(i, k)] for i, k in enumerate(e.v)])
+            v = on_homology([[(i, k)] for i, k in enumerate(e.offsets)])
             h = on_homology([[jk] for jk in e.h])
         found = VertexHomology(rf, v, h)
         self._homology[(flavor, s)] = found
@@ -433,7 +424,7 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     Its kernel is H(B_t) meet im D_*, so its rank is rank [D | H(B_t)] - rank D;
     the sector has rank sum(dim H(A) + dim H(B)) - 2 rank D.
     """
-    if t not in cone._b_set:
+    if t not in cone.b_ts:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
     sector = cone.spin_c(t)
     count, columns, first_row = cone._triangle(sector, "hat", _exact)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import MappingCone, include_B
+from .cone import MappingCone, _require_coprime, include_B
 from .errors import (
     BadCoefficient,
     BadParameter,
@@ -155,10 +155,7 @@ class ContactLocator:
 
 def locate_contact_class(l: LegendrianData, p: int, q: int) -> ContactLocator:
     """Cone vertex (t, B_s) carrying the contact class: 2t = (rot-tb+1)q - 2."""
-    from math import gcd
-
-    if q <= 0 or p == 0 or gcd(p, q) != 1:
-        raise BadParameter(f"need coprime p != 0, q > 0, got {p}/{q}")
+    _require_coprime(p, q)
     twice = (l.rot - l.tb + 1) * q - 2
     if twice % 2 != 0:
         raise ParityError(f"2t = {twice} is odd; no integral vertex")

@@ -40,9 +40,7 @@ from .models import FlipMap, hat_column, minus_slice
 
 @dataclass
 class DualCone:
-    framing: int
-    genus: int
-    cone: MappingCone
+    cone: MappingCone                  # framing cone.p, genus cone.genus
     complex: FilteredComplex           # flattened, (I,J)-decorated
 
 
@@ -78,7 +76,7 @@ def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
     report = check_complex(total)
     if not report.ok:
         raise InternalError("dual cone failed build-time verification:\n" + str(report))
-    return DualCone(n, g, cone, total)
+    return DualCone(cone, total)
 
 
 # -- normal form -------------------------------------------------------------
@@ -152,7 +150,7 @@ def normal_form(dc: DualCone) -> NormalFormResult:
     diagonal and vertical pairs one step above, all at pinned bigradings.
     A mismatch is an error: it means the reduction or the cone is wrong.
     """
-    require_framing(dc.framing, for_normal_form=True)
+    require_framing(dc.cone.p, for_normal_form=True)
     rf = reduce(dc.complex, "filtered")
     split = split_to_summands(rf.complex)
     combined = ReducedForm(split.complex, rf.moves + split.moves)

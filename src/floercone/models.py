@@ -106,8 +106,8 @@ class FlipMap:
     a reflection along i = j, a generator involution sigma with alexander(sigma g)
     = -alexander(g) and maslov(sigma g) = maslov(g) - 2 alexander(g).  The module
     map g -> U^(-alexander(g)) sigma(g) is then a skew-filtered chain isomorphism
-    squaring to the identity.  Every cone takes a FlipMap alone; genus is the
-    max Alexander grading, floored at 1.
+    squaring to the identity.  Every cone takes a FlipMap alone; top is the
+    max Alexander grading and genus is top floored at 1.
     """
 
     def __init__(self, c: FilteredComplex, pairing: dict[str, str]):
@@ -120,7 +120,8 @@ class FlipMap:
             raise BadCoefficient("model has non-integral Alexander gradings")
         self.source = c
         self.pairing = dict(pairing)
-        self.genus: int = max(1, max(alexander, default=0))
+        self.top: int = max(alexander, default=0)
+        self.genus: int = max(1, self.top)
 
     def __call__(self, name: str) -> tuple[str, int]:
         """Image of a stored generator, as (generator, U-power)."""

@@ -511,6 +511,25 @@ def test_engine_invariants_are_not_asserts():
         assert not found, (path.name, found)
 
 
+def test_every_imported_name_is_used():
+    # a name counts as used when code reads it or a string is exactly that
+    # name, as an __all__ entry is
+    modules = sorted(Path(algebra.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, (path.name, unused)
+
+
 def test_oracle_preconditions_hold_under_optimization():
     # pytest rewrites only test modules, so an assert in a helper would
     # vanish under python -O; the helpers raise instead

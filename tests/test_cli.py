@@ -14,12 +14,19 @@ from pathlib import Path
 import pytest
 
 from floercone import algebra, cli as cli_module, cone, dual
-from floercone.algebra import FilteredComplex, Generator, ReducedForm, check_complex
+from floercone.algebra import (
+    FilteredComplex,
+    Generator,
+    GradedRanks,
+    ReducedForm,
+    check_complex,
+    homology,
+)
 from floercone.cli import main
 from floercone.models import dual_normal_form_model, flip, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
 
-from random_complexes import default_seed
+from random_complexes import default_seed, random_filtered_complex
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -172,6 +179,26 @@ class TestValidateCommand:
             code, out, err = cli(argv, stdin_text=dumps(payload))
             assert (code, out) == (1, "")
             assert "differential row for unknown generator w" in err
+
+    def test_random_complexes_round_trip_and_validate(self, cli):
+        # some draws shift every Maslov grading by 1/4, which keeps them valid
+        # and makes maslov_x4 quarter-integral
+        rng = random.Random(default_seed() + 12)
+        valid = dumps({"kind": "validation", "ok": True, "complexes": 1})
+        for _ in range(200):
+            c, expected = random_filtered_complex(rng, rng.randint(0, 4),
+                                                  rng.randint(1, 5), rng.randint(0, 50))
+            if rng.random() < 0.5:
+                c = FilteredComplex([Generator(g.name, g.alexander, g.maslov + Fraction(1, 4))
+                                     for g in c.generators], c.differential)
+                expected = GradedRanks(
+                    {(m + Fraction(1, 4),): r for (m,), r in expected.ranks.items()},
+                    {(m + Fraction(1, 4),): t for (m,), t in expected.torsion.items()})
+            text = dumps(complex_to_json(c))
+            parsed = complex_from_json(loads(text))
+            assert dumps(complex_to_json(parsed)) == text
+            assert cli(["validate"], stdin_text=text) == (0, valid, "")
+            assert homology(parsed, ("maslov",)) == expected
 
     @pytest.mark.parametrize("value", ["0.5", "true", "1e400", '"0"'])
     @pytest.mark.parametrize("field", ["alexander", "maslov_x4", "u_power"])
@@ -391,6 +418,37 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert payload["alexander_polynomial_str"] == "3t - 5 + 3t^-1"
         assert payload["hat_ranks"]["total_rank"] == 11
+
+
+# every command that takes --out, with arguments that make it succeed
+OUT_COMMANDS = [
+    (["model", "--minus-en", "5"], ""),
+    (["surgery", "--p", "3", "--q", "2"], dumps(complex_to_json(staircase()))),
+    (["dualknot", "--n", "1", "--model", "minus-en:5"], ""),
+    (["dgs", "--r=-7/2"], ""),
+    (["c1", "--formula", "cobordism", "--tb", "1", "--p", "2", "--q", "3"], ""),
+    (["pipeline", "--n", "5", "--r=-3"], ""),
+    (["pipeline", "--n", "5", "--r=-3", "--format", "json"], ""),
+    (["loss", "--tb", "0", "--rot", "-1"], ""),
+    (["knot-homology", "--minus-en", "5"], ""),
+]
+
+
+@pytest.mark.parametrize("argv,stdin_text", OUT_COMMANDS,
+                         ids=[" ".join(a) for a, _ in OUT_COMMANDS])
+def test_out_writes_exactly_what_stdout_would_show(cli, tmp_path, argv, stdin_text):
+    takes_out = set()
+    for name, (_, add_args, _) in cli_module.COMMANDS.items():
+        parser = argparse.ArgumentParser()
+        add_args(parser)
+        if "--out" in parser._option_string_actions:
+            takes_out.add(name)
+    assert takes_out == {a[0] for a, _ in OUT_COMMANDS}
+    code, shown, err = cli(argv, stdin_text)
+    assert (code, err) == (0, "") and shown
+    path = tmp_path / "report"
+    assert cli([*argv, "--out", str(path)], stdin_text) == (0, "", "")
+    assert path.read_bytes() == shown.encode("utf-8")
 
 
 class TestInternalError:

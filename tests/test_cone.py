@@ -16,6 +16,7 @@ from floercone.algebra import (
     reduce,
 )
 from floercone.cone import MappingCone, include_B
+from floercone.dual import build_dual_cone
 from floercone.errors import BadCoefficient, DomainError, NoSuchVertex
 from floercone.models import (
     alexander_polynomial,
@@ -57,6 +58,23 @@ class TestAssembly:
         for p, q in [(0, 1), (2, 0), (2, -1), (4, 2)]:
             with pytest.raises(BadCoefficient):
                 MappingCone.build(f, p, q)
+
+    def test_top_is_the_largest_alexander_grading(self):
+        for model, top, genus in [(unknot(), 0, 1), (minus_twist_knot(5), 1, 1),
+                                  (torus_2_5(), 2, 2)]:
+            f = flip(model)
+            assert (f.top, f.genus) == (top, genus)
+
+    def test_element_table_maps_each_element_to_its_vertex(self):
+        # one ConeVertex per vertex, the one vertices() lists, shared by its elements
+        for cone in (build_dual_cone(flip(minus_twist_knot(5)), 1).cone,
+                     cone_for(minus_twist_knot(5), -3, 2)):
+            total, table = cone.total_complex()
+            assert list(table) == [g.name for g in total.generators]
+            assert set(table.values()) == set(cone.vertices())
+            assert len({id(v) for v in table.values()}) == len(cone.vertices())
+            for name, v in table.items():
+                assert name.startswith(cone.element_name(v.segment, v.t, ""))
 
     def test_vertex_budget_is_inclusive(self):
         f = flip(unknot())

@@ -150,6 +150,11 @@ class TestLegendrianBookkeeping:
         assert locate_contact_class(LegendrianData(1, 0), 1, 1).t == -1
         assert locate_contact_class(LegendrianData(1, 0), 2, 3).t == -1
 
+    def test_coprime_rule_is_the_cone_s(self):
+        with pytest.raises(BadCoefficient) as exc:
+            locate_contact_class(LegendrianData(0, -1), 2, 4)
+        assert str(exc.value) == "need coprime p != 0, q > 0; got p/q = 2/4"
+
     def test_parity_error(self):
         with pytest.raises(ParityError):
             locate_contact_class(LegendrianData(0, 0), 2, 1)  # 2t = -1
