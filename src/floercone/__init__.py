@@ -23,6 +23,7 @@ from .models import (
     alexander_polynomial,
     box,
     dual_normal_form_model,
+    euler_characteristic,
     flip,
     hat_knot_homology,
     hfk_minus,
@@ -42,7 +43,7 @@ __all__ = [
     "negative_expansion", "positive_expansion",
     "DualCone", "build_dual_cone", "distinct_classes", "g_map",
     "loss_grading", "normal_form",
-    "alexander_polynomial", "box", "dual_normal_form_model", "flip",
-    "hat_knot_homology", "hfk_minus", "minus_twist_knot", "mirror",
+    "alexander_polynomial", "box", "dual_normal_form_model", "euler_characteristic",
+    "flip", "hat_knot_homology", "hfk_minus", "minus_twist_knot", "mirror",
     "staircase", "unknot",
 ]

@@ -30,9 +30,9 @@ from .contact import (
 from .dual import build_dual_cone, g_map, loss_grading, normal_form, require_framing
 from .errors import DomainError, InternalError, ParseError
 from .models import (
-    alexander_polynomial,
     box,
     dual_normal_form_model,
+    euler_characteristic,
     flip,
     hat_knot_homology,
     minus_twist_knot,
@@ -230,7 +230,7 @@ def cmd_loss(args) -> str:
 def cmd_knot_homology(args) -> str:
     c = _build_model(args)
     ranks = hat_knot_homology(c)
-    poly = alexander_polynomial(c)
+    poly = euler_characteristic(ranks)
     return serialize.dumps({
         "kind": "knot_homology",
         "hat_ranks": serialize.ranks_json(ranks, ("alexander", "maslov")),

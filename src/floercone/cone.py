@@ -171,7 +171,7 @@ class MappingCone:
         return range(abs(self.p))
 
     def _sector_ts(self, sector: int) -> tuple[list[int], list[int]]:
-        """The ascending A- and B-vertex ts of one sector for `_triangle`; grouped once."""
+        """The ascending A- and B-vertex ts of one sector; grouped once."""
         if self._sectors is None:
             self._sectors = {}
             for k, ts in enumerate((self.a_ts, self.b_ts)):
@@ -186,39 +186,32 @@ class MappingCone:
     # -- Maslov bookkeeping -------------------------------------------------
 
     def phi(self) -> Mapping[tuple[str, int], int | Fraction]:
-        """Per-vertex Maslov shift making every cone edge drop the grading by 1.
+        """Per-vertex Maslov shift making every cone edge drop the grading by 1:
+        the solution of
 
-        For q = 1 these are the absolute dual-knot grading corrections for
-        framing n = p; for q > 1 no absolute formula is used and the shifts
-        are anchored per Spin^c sector (relative gradings).
+            phi(B,t) = phi(A,t) - 1,   phi(A,t+p) = phi(A,t) + 2 s(t),
+
+        summed outward from each sector's anchor t0 in [0, |p|) as far as its
+        farthest vertex.  For q = 1 the anchor is the absolute dual-knot
+        correction (2t0 - n)^2/4n + (2 - 3 sign n)/4 for framing n = p; for
+        q > 1 it is 0, so gradings are relative per Spin^c sector and every
+        t-window of the same cone carries the same ones.
         """
         if self._phi is not None:
             return self._phi
-        shifts: dict[tuple[str, int], int | Fraction] = {}
-        if self.q == 1:
-            n = self.p
-            sign = 1 if n > 0 else -1
-            # (2t - n)^2 / 4n + (2 - 3 sign) / 4 on A_t, one less on B_t
-            for t in self.a_ts:
-                shifts[("A", t)] = _exact(Fraction((2 * t - n) ** 2 + (2 - 3 * sign) * n, 4 * n))
-            for t in self.b_ts:
-                shifts[("B", t)] = _exact(Fraction((2 * t - n) ** 2 + (-2 - 3 * sign) * n, 4 * n))
-        else:
-            # window-independent solution of the relations
-            #   phi(B,t) = phi(A,t) - 1,  phi(B,t+p) = phi(A,t) - 1 + 2*s(t),
-            # anchored at phi(A, t mod |p|) = 0 so that different t-windows
-            # of the same cone carry identical (relative) gradings.
-            def phi_a(t: int) -> int:
-                i0 = t % abs(self.p)
-                j = (t - i0) // self.p
-                if j >= 0:
-                    return 2 * sum(self.s_of(i0 + m * self.p) for m in range(j))
-                return -2 * sum(self.s_of(i0 + m * self.p) for m in range(j, 0))
-
-            for t in self.a_ts:
-                shifts[("A", t)] = phi_a(t)
-            for t in self.b_ts:
-                shifts[("B", t)] = phi_a(t) - 1
+        p = self.p
+        phi_a: dict[int, int | Fraction] = {}
+        for t0 in self.sectors:
+            # the anchor and the sector's vertices are t0 + j p for j in js
+            js = [0] + [(t - t0) // p for ts in self._sector_ts(t0) for t in ts]
+            phi_a[t0] = _exact(Fraction((2 * t0 - p) ** 2 + 2 * p - 3 * abs(p), 4 * p)) \
+                if self.q == 1 else 0
+            for t in range(t0 + p, t0 + (max(js) + 1) * p, p):
+                phi_a[t] = phi_a[t - p] + 2 * self.s_of(t - p)
+            for t in range(t0 - p, t0 + (min(js) - 1) * p, -p):
+                phi_a[t] = phi_a[t + p] - 2 * self.s_of(t)
+        shifts = {("A", t): phi_a[t] for t in self.a_ts}
+        shifts.update((("B", t), phi_a[t] - 1) for t in self.b_ts)
         self._phi = shifts
         return shifts
 

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .models import flip, minus_twist_knot
 from .dual import (
-    NormalFormResult,
     build_dual_cone,
     distinct_classes,
     g_map,
@@ -223,9 +222,10 @@ class PipelineReport:
         return f"distinct: {'yes' if self.distinct else 'no'} ({self.case})"
 
 
-def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
-    """Framing +1 computation: distinct Legendrian invariants stay distinct.
-    Returns the dual-knot normal form it verified."""
+def _integer_surgery(n: int, e: int, report: PipelineReport) -> None:
+    """Contact e-surgery for an integer e <= -2.  The framing +1 computation
+    shows distinct Legendrian invariants stay distinct (e = -2); for e <= -3
+    the -(k+1)/k cone over that dual complex, k = -e - 2, carries them on."""
     model = minus_twist_knot(n)
     dc = build_dual_cone(flip(model), 1)
     nf = normal_form(dc)
@@ -253,16 +253,12 @@ def _case_minus_two(n: int, report: PipelineReport) -> NormalFormResult:
         {"class_a": class_a, "class_b": class_b, "distinct": distinct}, distinct))
     if not distinct:
         raise InternalError("top-grading classes unexpectedly merge")
-    return nf
-
-
-def _case_minus_two_minus_k(n: int, k: int, report: PipelineReport) -> None:
-    """Reduce to the -2 case through the -(k+1)/k cone over the dual complex."""
-    nf = _case_minus_two(n, report)
-    push_off = LegendrianData(0, -1)
+    if e == -2:
+        return
+    k = -e - 2
     p, q = -(k + 1), k
     loc = locate_contact_class(push_off, p, q)
-    c1 = c1_surgery_cobordism(LegendrianData(0, -1), k + 1, k)
+    c1 = c1_surgery_cobordism(push_off, k + 1, k)
     report.steps.append(PipelineStep(
         "computed", "contact class located in the surgery cone",
         {"p": p, "q": q, "t": loc.t, "vertex": loc.vertex, "c1": c1,
@@ -304,13 +300,9 @@ def distinctness_pipeline(n: int, r, m: int = 1) -> PipelineReport:
             "r = -1 is excluded: the surgered manifolds share their contact invariant")
     expansion = negative_expansion(r)
     all_minus_two, ell = characterize_all_minus_two(r)
-    if r == -2:
-        report.case = "case i (r = -2)"
-        _case_minus_two(n, report)
-    elif r.denominator == 1 and r <= -3:
-        k = int(-r) - 2
-        report.case = f"case ii, k={k}"
-        _case_minus_two_minus_k(n, k, report)
+    if r.denominator == 1:
+        report.case = "case i (r = -2)" if r == -2 else f"case ii, k={int(-r) - 2}"
+        _integer_surgery(n, int(r), report)
     elif not all_minus_two:
         # some component is stabilized at least once
         t_index = next(i for i, count in enumerate(expansion.stabilizations) if count > 0)
@@ -321,10 +313,7 @@ def distinctness_pipeline(n: int, r, m: int = 1) -> PipelineReport:
             "trusted", "surgery link with a stabilized component",
             {"expansion": list(expansion.a), "stabilizations": list(expansion.stabilizations),
              "component": t_index + 1, "equivalent_integer_surgery": equivalent}, None))
-        if equivalent == -2:
-            _case_minus_two(n, report)
-        else:
-            _case_minus_two_minus_k(n, -equivalent - 2, report)
+        _integer_surgery(n, equivalent, report)
         for j, count in enumerate(expansion.stabilizations):
             if j == t_index:
                 continue

@@ -280,7 +280,11 @@ def alexander_polynomial(c: FilteredComplex) -> dict[int, int]:
     Returns {alexander: coefficient}; symmetric in t <-> 1/t for the models,
     and |value at t = -1| is the knot determinant.
     """
-    ranks = hat_knot_homology(c)
+    return euler_characteristic(hat_knot_homology(c))
+
+
+def euler_characteristic(ranks: GradedRanks) -> dict[int, int]:
+    """{alexander: sum of (-1)^maslov rank} of (alexander, maslov)-graded ranks."""
     poly: dict[int, int] = {}
     for (alex, maslov), rank in ranks.ranks.items():
         if isinstance(maslov, Fraction) or isinstance(alex, Fraction):

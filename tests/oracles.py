@@ -10,7 +10,9 @@
 * Spin^c sectors restricted from the flattened cone, and the vertex
   inclusion read off them by reducing the sector and the vertex;
 * the window argument of the surgery cone: whether the hat v- or h-map
-  out of one A-vertex is a quasi-isomorphism.
+  out of one A-vertex is a quasi-isomorphism;
+* closed forms of the surgery cone: the q = 1 Maslov shift of each vertex,
+  and the total hat rank of p/q surgery on the twist-knot models.
 """
 
 from __future__ import annotations
@@ -185,3 +187,29 @@ def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:
     """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
     cone = MappingCone(flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
     return cone.sector_homology(0).total_rank == 0
+
+
+# -- closed forms of the surgery cone ---------------------------------------------
+
+
+def dual_knot_phi(n: int, segment: str, t: int) -> int | Fraction:
+    """The absolute Maslov shift of vertex (segment, t) of an n/1 cone:
+    (2t - n)^2/4n + (2 - 3 sign n)/4 on A_t, one less on B_t; an int when
+    integral, a Fraction only when not."""
+    sign = 1 if n > 0 else -1
+    top = (2 * t - n) ** 2 + (2 - 3 * sign) * n - (4 * n if segment == "B" else 0)
+    x = Fraction(top, 4 * n)
+    return x.numerator if x.denominator == 1 else x
+
+
+def twist_surgery_hat_rank(n: int, p: int, q: int) -> int:
+    """Total hat rank of p/q surgery on minus_twist_knot(n).
+
+    For p, q > 0 the rank is p + 2 max(0, (2 nu - 1) q - p) + q sum_s (dim
+    H(A_s) - 1) (Ozsvath-Szabo, math/0504404), and p < 0 is -p/q surgery on
+    the mirror.  The model has nu = 0 and dim H(A_0) = n + 2, its mirror
+    nu = 1 and dim H(A_0) = n, and every other A_s has dimension 1.
+    """
+    if p > 0:
+        return p + q * (n + 1)
+    return -p + 2 * max(0, q + p) + q * (n - 1)

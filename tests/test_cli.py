@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from floercone import algebra, cli as cli_module, cone, dual
+from floercone import algebra, cli as cli_module, cone, dual, models
 from floercone.algebra import (
     FilteredComplex,
     Generator,
@@ -418,6 +418,14 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert payload["alexander_polynomial_str"] == "3t - 5 + 3t^-1"
         assert payload["hat_ranks"]["total_rank"] == 11
+
+    def test_knot_homology_computes_the_homology_once(self, cli, monkeypatch):
+        # the polynomial is the Euler characteristic of the ranks just computed
+        calls = []
+        monkeypatch.setattr(models, "homology",
+                            lambda *args: calls.append(len(args[0])) or homology(*args))
+        code, _, _ = cli(["knot-homology", "--minus-en", "5"])
+        assert (code, calls) == (0, [11])
 
 
 # every command that takes --out, with arguments that make it succeed

@@ -1,6 +1,7 @@
 """Surgery cone assembly, sectors, the full and paper windows, vertex inclusion."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -31,10 +32,12 @@ from floercone.models import (
 
 from oracles import (
     dense_homology_by_maslov,
+    dual_knot_phi,
     enumerate_hat_A_elements,
     flattened_sectors,
     hat_map_is_quasi_iso,
     include_B_by_flattening,
+    twist_surgery_hat_rank,
     two_bridge_alexander,
 )
 
@@ -410,6 +413,101 @@ class TestFullWindowAndTruncation:
         for v in cone.vertices():
             if v.segment == "A":
                 assert -(g - 1) * q <= v.t <= g * q - 1
+
+
+class TestPhi:
+    """phi solves phi(B,t) = phi(A,t) - 1 and phi(A,t+p) = phi(A,t) + 2 s(t);
+    at q = 1 it is the absolute dual-knot correction, at q > 1 it is 0 on
+    each sector's anchor t0 in [0, |p|) whatever the window."""
+
+    MODELS = {
+        "staircase": staircase,
+        "mirror_staircase": lambda: mirror(staircase()),
+        "box": box,
+        "twist5": lambda: minus_twist_knot(5),
+        "torus_2_5": torus_2_5,
+    }
+
+    @staticmethod
+    def assert_edge_relations(cone):
+        phi, p = cone.phi(), cone.p
+        assert set(phi) == {(v.segment, v.t) for v in cone.vertices()}
+        for t in cone.a_ts:
+            a, step = phi[("A", t)], 2 * cone.s_of(t)
+            for key, expected in [(("B", t), a - 1),             # v-edge
+                                  (("B", t + p), a - 1 + step),  # h-edge
+                                  (("A", t + p), a + step)]:
+                if key in phi:
+                    assert phi[key] == expected, (p, cone.q, t, key)
+
+    @staticmethod
+    def assert_closed_form(cone):
+        for (segment, t), shift in cone.phi().items():
+            expected = dual_knot_phi(cone.p, segment, t)
+            assert (shift, type(shift)) == (expected, type(expected)), (cone.p, segment, t)
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_every_coefficient_and_window(self, name):
+        f = flip(self.MODELS[name]())
+        for p in range(-13, 14):
+            for q in range(1, 8):
+                if p == 0 or gcd(p, q) != 1:
+                    continue
+                full, paper = (MappingCone.build(f, p, q, mode) for mode in ("full", "paper"))
+                for cone in (full, paper):
+                    self.assert_edge_relations(cone)
+                    if q == 1:
+                        self.assert_closed_form(cone)
+                if q > 1:
+                    phi = full.phi()
+                    assert [phi.get(("A", t0)) for t0 in full.sectors] == [0] * abs(p)
+                    assert paper.phi() == {key: phi[key] for key in paper.phi()}
+
+    @pytest.mark.parametrize("n", [1, -1, 2, -2, 3, 5])
+    def test_dual_cones(self, n):
+        for model in (staircase(), minus_twist_knot(5), torus_2_5()):
+            cone = build_dual_cone(flip(model), n).cone
+            self.assert_edge_relations(cone)
+            self.assert_closed_form(cone)
+
+    def test_walks_each_sector_once(self, monkeypatch):
+        # at most two steps per vertex and anchor: 16,004 for the 8,001
+        # vertices of the 1/4001 cone, where one sum per vertex made 16,004,000
+        calls = []
+        s_of = MappingCone.s_of
+        monkeypatch.setattr(MappingCone, "s_of", lambda self, t: calls.append(t) or s_of(self, t))
+        cone = MappingCone.build(flip(staircase()), 1, 4001)
+        cone.phi()
+        assert len(cone.a_ts) + len(cone.b_ts) == 8001
+        assert len(calls) <= 2 * (8001 + 1)
+
+
+class TestTwistFamilyClosedForm:
+    """The hat ranks of p/q surgery on minus_twist_knot(n), summed over all
+    sectors, against the closed form (oracles.twist_surgery_hat_rank)."""
+
+    @staticmethod
+    @cache
+    def twist_flip(n):
+        return flip(minus_twist_knot(n))
+
+    def assert_closed_form(self, n, p, q):
+        cone = MappingCone.build(self.twist_flip(n), p, q)
+        total = sum(cone.sector_homology(i).total_rank for i in cone.sectors)
+        assert total == twist_surgery_hat_rank(n, p, q), (n, p, q)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 9, 41])
+    def test_small_ladder(self, n):
+        for p in (1, 2, 3, 7, 61, -1, -2, -3, -7, -61):
+            for q in (1, 2, 3, 5, 11, 101):
+                if gcd(p, q) == 1:
+                    self.assert_closed_form(n, p, q)
+
+    @pytest.mark.parametrize("n,p,q", [(1, 1, 2001), (1, -1, 2001), (5, 7, 4001),
+                                       (241, 301, 11), (241, -301, 11),
+                                       (961, 61, 3), (961, -61, 3)])
+    def test_large_cases(self, n, p, q):
+        self.assert_closed_form(n, p, q)
 
 
 class TestIncludeB:
