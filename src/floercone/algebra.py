@@ -32,6 +32,12 @@ backward carries reduced chains back to input cycles.
 Every map on homology is computed by one routine, `induced_map`: it pushes
 the cycles of one reduced complex through a chain map into another and
 reads off the map's columns as GF(2) bitsets.
+
+Every GF(2) slice of a complex is built by one constructor, `slice_through`:
+one translate U^p(g) g is chosen per generator, and d keeps the entries
+g -> U^k h with p(h) = p(g) + k, those mapping a chosen translate onto
+another.  The i = 0 column is p = 0, the j = 0 column p = A, and the slice
+{i <= 0, j = s} is p = A - s on the generators with A >= s.
 """
 
 from __future__ import annotations
@@ -475,14 +481,28 @@ def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm,
 # -- graded slices ---------------------------------------------------------
 
 
-def hat_slice(c: FilteredComplex) -> FilteredComplex:
-    """The i-preserving part of d (U-power-0 entries); the i = 0 column."""
-    diff = {s: {t: k for t, k in row.items() if k == 0} for s, row in c.differential.items()}
-    return FilteredComplex(c.generators, diff)
+def slice_through(c: FilteredComplex, power: Mapping[str, int]) -> FilteredComplex:
+    """The GF(2) complex spanned by one translate U^power[g] g per generator
+    that power names, each named by its generator.
+
+    Each translate's Maslov grading is lowered by 2 power[g] and its
+    Alexander grading stays.  An entry g -> U^k h is kept, at U-power 0,
+    exactly when h is named and power[h] = power[g] + k, that is when d
+    carries the chosen translate of g onto the chosen translate of h.
+    """
+    gens = [Generator(g.name, g.alexander, g.maslov - 2 * power[g.name]) if power[g.name] else g
+            for g in c.generators if g.name in power]
+    diff = {src: {tgt: 0 for tgt, k in row.items() if power.get(tgt) == power[src] + k}
+            for src, row in c.differential.items() if src in power}
+    return FilteredComplex(gens, diff)
 
 
 def bigraded_slice(c: FilteredComplex) -> FilteredComplex:
-    """Entries preserving both filtrations; computes hat-flavor knot homology."""
+    """Entries preserving both filtrations; computes hat-flavor knot homology.
+
+    This is the associated graded of the i = 0 column, not a slice_through:
+    it also drops the entries that lower j, which no choice of translates does.
+    """
     diff = {
         s: {t: k for t, k in row.items() if k == 0 and c.j_drop(s, t, k) == 0}
         for s, row in c.differential.items()

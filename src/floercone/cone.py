@@ -58,9 +58,9 @@ from .algebra import (
     ReducedForm,
     _exact,
     apply_map,
-    hat_slice,
     induced_map,
     reduce,
+    slice_through,
 )
 from .errors import BadCoefficient, DomainError, InternalError, NoSuchVertex
 from .models import FlipMap
@@ -291,7 +291,7 @@ class MappingCone:
     def hat_complex(self) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
         """The I = 0 part: same elements, only the U-power-0 entries."""
         total, table = self.total_complex()
-        return hat_slice(total), table
+        return slice_through(total, dict.fromkeys(table, 0)), table
 
     # -- derived quantities ---------------------------------------------------
 

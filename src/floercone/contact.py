@@ -19,6 +19,7 @@ from .cone import MappingCone, _require_coprime, include_B
 from .errors import (
     BadCoefficient,
     BadParameter,
+    DomainError,
     ExcludedCoefficient,
     InternalError,
     ParityError,
@@ -41,8 +42,22 @@ class LegendrianData:
     rot: int
     order: int = 1
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise BadParameter(f"the order of a knot class is at least 1, got {self.order}")
+
 
 # -- continued fractions -------------------------------------------------------
+
+# Every term of an expansion becomes a surgery component: a list entry, a
+# JSON value and, in the pipeline, a report step.  Refused past this count.
+MAX_CF_TERMS = 100_000
+
+
+def _require_terms(count: int) -> None:
+    if count > MAX_CF_TERMS:
+        raise DomainError(f"the expansion has more than {MAX_CF_TERMS} terms "
+                          f"(MAX_CF_TERMS = {MAX_CF_TERMS})")
 
 
 def eval_negative_cf(terms: Sequence[int]) -> Fraction:
@@ -58,14 +73,15 @@ def eval_negative_cf(terms: Sequence[int]) -> Fraction:
 def negative_cf(r: Fraction) -> list[int]:
     """The unique expansion of r < -1 (or any rational, greedily) with tail
     entries <= -2: r = c1 - 1/(c2 - ...), c1 = r or floor(r)."""
+    a, b = r.numerator, r.denominator  # r = a/b in lowest terms, b > 0, at every step
     terms = []
-    while True:
-        if r.denominator == 1:
-            terms.append(int(r))
-            return terms
-        c = r.numerator // r.denominator  # floor
+    while b != 1:
+        c = a // b  # floor
         terms.append(c)
-        r = -1 / (r - c)
+        _require_terms(len(terms) + 1)  # the last term is still to come
+        a, b = -b, a - c * b  # -1/(r - c)
+    terms.append(a)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -115,10 +131,11 @@ def positive_expansion(r) -> DgsExpansion:
     if r <= 0:
         raise BadCoefficient(f"positive_expansion needs r > 0, got {r}")
     x, y = r.numerator, r.denominator
+    # at x = 1, y - e x hits 0 at e = y: pure (+1)-surgeries on y push-offs
+    e = y if x == 1 else y // x + 1
+    _require_terms(e)
     if x == 1:
-        # y - e x hits 0 at e = y: pure (+1)-surgeries on y push-offs
         return DgsExpansion(r, "positive", (), y, (), tuple([1] * y))
-    e = y // x + 1
     rest = Fraction(x, y - e * x)
     if rest >= -1:
         raise InternalError(f"remainder {rest} is not below -1")
@@ -164,11 +181,14 @@ def locate_contact_class(l: LegendrianData, p: int, q: int) -> ContactLocator:
 
 def c1_surgery_cobordism(l: LegendrianData, p: int, q: int) -> int:
     """|<c1, capped Seifert surface>| representative p + (rot - tb) q - 1."""
+    _require_coprime(p, q)
     return p + (l.rot - l.tb) * q - 1
 
 
 def c1_positive_integer_surgery(l: LegendrianData, n: int) -> int:
     """<c1, capped rational Seifert surface> = order * (rot + n - 1)."""
+    if n < 1:
+        raise BadParameter(f"positive integer surgery needs n >= 1, got {n}")
     return l.order * (l.rot + n - 1)
 
 

@@ -32,10 +32,11 @@ from .algebra import (
     induced_map,
     reduce,
     require_valid,
+    slice_through,
 )
 from .cone import MappingCone, windows
 from .errors import BadFraming, InternalError, NonIntegral, NormalFormMismatch, NotCycles
-from .models import FlipMap, hat_column, minus_slice
+from .models import FlipMap
 
 
 @dataclass
@@ -197,18 +198,16 @@ class GMapReport:
 
 
 def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
-    """Matrix of the U = 1 map on minus-flavor homology in one Alexander grading.
+    """Matrix of the U = 1 map on minus-flavor homology in Alexander grading s.
 
-    An element U^(A-s) g of the slice {i <= 0, j = s} is sent by U^s to the
-    j = 0 translate of g, so in the chosen bases the chain map is the
-    identity on generator names; the matrix is its action from slice
-    homology to the homology of the j = 0 column.
+    U^s carries the slice {i <= 0, j = s}, powers A - s, to the j = 0 column,
+    powers A, so the chain map is the identity on generator names.
     """
     require_valid(c)
     s = max(g.alexander for g in c.generators) if alexander is None else alexander
-    domain = minus_slice(c, s)
+    domain = slice_through(c, {g.name: g.alexander - s for g in c.generators if g.alexander >= s})
     rf_dom = reduce(domain, "over_U_units")
-    rf_cod = reduce(hat_column(c), "over_U_units")
+    rf_cod = reduce(slice_through(c, {g.name: g.alexander for g in c.generators}), "over_U_units")
     columns = induced_map(rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
     matrix = [[col >> i & 1 for col in columns] for i in range(len(rf_cod.complex))]
     return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, gf2.rank(columns),

@@ -5,7 +5,8 @@
 * two-bridge Alexander polynomials from the classical alternating-sum
   formula on the fraction (Minkus), cross-checking the models' graded
   Euler characteristics;
-* brute-force enumeration of (i,j)-plane translates for hat-vertex counts;
+* brute-force enumeration of (i,j)-plane translates for hat-vertex counts,
+  and the GF(2) complex on the translates a region of the plane picks;
 * the j-preserving slice, whose homology is the minus-flavor knot homology;
 * Spin^c sectors restricted from the flattened cone, and the vertex
   inclusion read off them by reducing the sector and the vertex;
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from floercone import gf2
-from floercone.algebra import FilteredComplex, induced_map, reduce
+from floercone.algebra import FilteredComplex, Generator, induced_map, reduce
 from floercone.cone import MappingCone
 from floercone.models import FlipMap
 
@@ -124,14 +125,31 @@ def twist_knot_alexander(n: int) -> dict[int, int]:
 # -- translate enumeration -----------------------------------------------------
 
 
+def translates_in(c: FilteredComplex, region, span: int = 20) -> list[tuple[str, int]]:
+    """Brute force: the translates U^k g, |k| <= span, whose position
+    (i, j) = (-k, A - k) region(i, j) picks."""
+    return [(g.name, k) for g in c.generators for k in range(-span, span + 1)
+            if region(-k, g.alexander - k)]
+
+
+def span_of_translates(c: FilteredComplex, translates: list[tuple[str, int]]) -> FilteredComplex:
+    """The GF(2) complex on the picked translates U^k g, each named by g, with
+    Maslov lowered by 2k.  d(U^k g) holds U^(k+e) h for each entry g -> U^e h;
+    the entries whose target is picked as well are kept, at U-power 0."""
+    picked = set(translates)
+    k_of = dict(translates)
+    if len(k_of) != len(picked):
+        raise ValueError("the region picks two translates of one generator")
+    gens = [Generator(g.name, g.alexander, g.maslov - 2 * k_of[g.name])
+            for g in c.generators if g.name in k_of]
+    diff = {src: {tgt: 0 for tgt, e in row.items() if (tgt, k_of[src] + e) in picked}
+            for src, row in c.differential.items() if src in k_of}
+    return FilteredComplex(gens, diff)
+
+
 def enumerate_hat_A_elements(c: FilteredComplex, s: int, span: int = 20) -> list[tuple[str, int]]:
     """Brute force: translates U^k g with max(-k, A - k - s) = 0."""
-    out = []
-    for g in c.generators:
-        for k in range(-span, span + 1):
-            if max(-k, g.alexander - k - s) == 0:
-                out.append((g.name, k))
-    return out
+    return translates_in(c, lambda i, j: max(i, j - s) == 0, span)
 
 
 def enumerate_hat_B_elements(c: FilteredComplex, span: int = 20) -> list[tuple[str, int]]:

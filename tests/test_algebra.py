@@ -20,11 +20,11 @@ from floercone.algebra import (
     check_complex,
     homology,
     bigraded_slice,
-    hat_slice,
     reduce,
+    slice_through,
 )
 from floercone.cone import MappingCone
-from floercone.dual import build_dual_cone, split_to_summands
+from floercone.dual import build_dual_cone, g_map, split_to_summands
 from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
 from floercone.models import box, flip, minus_twist_knot, staircase, unknot
 
@@ -33,6 +33,8 @@ from oracles import (
     flattened_sectors,
     gf2_matrix_rank,
     j_graded,
+    span_of_translates,
+    translates_in,
     two_bridge_alexander,
 )
 from random_complexes import default_seed, random_filtered_complex, reference_eliminate
@@ -213,7 +215,7 @@ class TestHomology:
         rng = random.Random(default_seed() + 3)
         for _ in range(20):
             c, _ = random_filtered_complex(rng, 3, 4, 30)
-            sliced = hat_slice(c)
+            sliced = slice_through(c, {g.name: 0 for g in c.generators})
             got = {Fraction(k[0]): v for k, v in homology(sliced, ("maslov",)).ranks.items()}
             assert got == dense_homology_by_maslov(sliced)
 
@@ -262,13 +264,38 @@ class TestTraces:
 
 class TestSlices:
     def test_hat_slice_keeps_unit_entries_only(self):
-        assert set(hat_slice(box()).entries()) == {("a", "c", 0), ("b", "d", 0)}
+        c = box()
+        i_column = slice_through(c, {g.name: 0 for g in c.generators})
+        assert set(i_column.entries()) == {("a", "c", 0), ("b", "d", 0)}
 
     def test_j_graded_keeps_horizontal_entries_only(self):
         assert set(j_graded(box()).entries()) == {("a", "b", 1), ("c", "d", 1)}
 
     def test_unknot_slices_trivial(self):
-        assert homology(hat_slice(unknot())).total_rank == 1
+        assert homology(slice_through(unknot(), {"o": 0})).total_rank == 1
+
+    def test_slice_through_spans_the_translates_each_region_picks(self):
+        # each region of the (i, j)-plane against the power map its callers pass
+        rng = random.Random(default_seed() + 9)
+        for _ in range(30):
+            c, _ = random_filtered_complex(rng, 3, 4, 30)
+            alexander = {g.name: g.alexander for g in c.generators}
+            regions = [(lambda i, j: i == 0, dict.fromkeys(alexander, 0)),
+                       (lambda i, j: j == 0, alexander)]
+            for s in range(min(alexander.values()) - 1, max(alexander.values()) + 2):
+                minus = lambda i, j, s=s: i <= 0 and j == s
+                regions += [(minus, {n: a - s for n, a in alexander.items() if a >= s}),
+                            (lambda i, j, s=s: max(i, j - s) == 0,
+                             {n: max(0, a - s) for n, a in alexander.items()})]
+                # and g_map's domain, as g_map builds it
+                domain = g_map(c, s).domain
+                want = span_of_translates(c, translates_in(c, minus))
+                assert (domain.generators, domain.differential) == \
+                    (want.generators, want.differential)
+            for region, power in regions:
+                got = slice_through(c, power)
+                want = span_of_translates(c, translates_in(c, region))
+                assert (got.generators, got.differential) == (want.generators, want.differential)
 
 
 ELIMINATE = _Reduction.eliminate

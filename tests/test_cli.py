@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from floercone import algebra, cli as cli_module, cone, dual, models
+from floercone import algebra, cli as cli_module, cone, contact, dual, models
 from floercone.algebra import (
     FilteredComplex,
     Generator,
@@ -23,6 +23,7 @@ from floercone.algebra import (
     homology,
 )
 from floercone.cli import main
+from floercone.errors import DomainError
 from floercone.models import dual_normal_form_model, flip, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
 
@@ -379,6 +380,61 @@ class TestC1Command:
     def test_plusone(self, cli):
         _, out, _ = cli(["c1", "--formula", "plusone", "--rot", "2"])
         assert json.loads(out)["value"] == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--formula", "cobordism", "--q", "0"], "need coprime p != 0, q > 0; got p/q = 1/0"),
+        (["--formula", "cobordism", "--p", "2", "--q", "4"],
+         "need coprime p != 0, q > 0; got p/q = 2/4"),
+        (["--formula", "plusone", "--y", "0"], "the order of a knot class is at least 1, got 0"),
+        (["--formula", "posint", "--y", "-3"], "the order of a knot class is at least 1, got -3"),
+        (["--formula", "posint", "--n", "0"], "positive integer surgery needs n >= 1, got 0"),
+    ])
+    def test_undefined_inputs_exit_one(self, cli, argv, message):
+        assert cli(["c1", *argv]) == (1, "", f"error: {message}\n")
+
+
+class TestSizeBudgets:
+    """Inputs whose expansion or model would never finish are refused before
+    anything large is built; the largest admitted sizes still build."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dgs", "--r=1e400"],
+        ["dgs", "--r=-1e-400"],
+        ["dgs", "--r=-1/1000000"],
+        ["dgs", "--r=1/1000000"],
+        ["dgs", "--r=1e-400"],
+        ["pipeline", "--n", "5", "--r=-1/1000000"],
+    ])
+    def test_long_expansions_exit_one_at_once(self, cli, monkeypatch, argv):
+        monkeypatch.setattr(contact, "DgsExpansion", lambda *a: pytest.fail("expansion built"))
+        assert cli(argv) == (1, "", "error: the expansion has more than 100000 terms "
+                                    "(MAX_CF_TERMS = 100000)\n")
+
+    @pytest.mark.parametrize("argv, generators", [
+        (["model", "--minus-en", "1000001"], 2000003),
+        (["model", "--dual-normal", "1000001"], 2000005),
+        (["pipeline", "--n", "999999999", "--r=-2"], 1999999999),
+        (["knot-homology", "--minus-en", "99999999"], 199999999),
+        (["dualknot", "--n", "1", "--model", "minus-en:99999999"], 199999999),
+    ])
+    def test_large_models_exit_one_at_once(self, cli, monkeypatch, argv, generators):
+        monkeypatch.setattr(models, "box", lambda *a: pytest.fail("model built"))
+        monkeypatch.setattr(models, "Generator", lambda *a: pytest.fail("model built"))
+        assert cli(argv) == (1, "", f"error: the model has {generators} generators "
+                                    "(MAX_MODEL_GENERATORS = 10000)\n")
+
+    def test_budget_edges(self):
+        assert len(minus_twist_knot(4999)) == 9999
+        assert len(dual_normal_form_model(4997)) == 9997
+        assert len(contact.negative_cf(Fraction(-1, 100000))) == 100000
+        assert contact.positive_expansion(Fraction(1, 100000)).e == 100000
+        for build, n in [(minus_twist_knot, 5001), (dual_normal_form_model, 4999)]:
+            with pytest.raises(DomainError, match="MAX_MODEL_GENERATORS"):
+                build(n)
+        for expand, r in [(contact.negative_expansion, Fraction(-1, 100001)),
+                          (contact.positive_expansion, Fraction(1, 100001))]:
+            with pytest.raises(DomainError, match="MAX_CF_TERMS"):
+                expand(r)
 
 
 class TestPipelineCommand:

@@ -1,5 +1,6 @@
 """Surgery cone assembly, sectors, the full and paper windows, vertex inclusion."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -37,6 +38,7 @@ from oracles import (
     flattened_sectors,
     hat_map_is_quasi_iso,
     include_B_by_flattening,
+    span_of_translates,
     twist_surgery_hat_rank,
     two_bridge_alexander,
 )
@@ -508,6 +510,36 @@ class TestTwistFamilyClosedForm:
                                        (961, 61, 3), (961, -61, 3)])
     def test_large_cases(self, n, p, q):
         self.assert_closed_form(n, p, q)
+
+
+class TestHatVertexHomology:
+    """dim H^(A^_s), the input of the closed-form surgery rank, from the cone's
+    vertex reduction against the dense oracle on the translates of A^_s."""
+
+    MODELS = {
+        "unknot": unknot,
+        "staircase": staircase,
+        "box": box,
+        "twist1": lambda: minus_twist_knot(1),
+        "twist5": lambda: minus_twist_knot(5),
+        "twist9": lambda: minus_twist_knot(9),
+        "dual1": lambda: dual_normal_form_model(1),
+        "dual5": lambda: dual_normal_form_model(5),
+        "torus_2_5": torus_2_5,
+    }
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_dense_homology_of_the_translates(self, name, mirrored):
+        c = self.MODELS[name]()
+        c = mirror(c) if mirrored else c
+        f = flip(c)
+        for s in range(-f.top - 2, f.top + 3):
+            cone = MappingCone(f, 1, 1, [s], [s])  # at q = 1, vertex t is A_t
+            reduced = cone._vertex_homology("A", s, "hat").reduced.complex
+            got = Counter(Fraction(g.maslov) for g in reduced.generators)
+            vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
+            assert got == dense_homology_by_maslov(vertex), s
 
 
 class TestIncludeB:

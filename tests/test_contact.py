@@ -207,11 +207,13 @@ class TestPipeline:
 
     def test_case_i_reduces_the_j0_column_once(self, monkeypatch):
         import floercone.dual as dual
-        from floercone.models import flip, hat_column, minus_twist_knot
+        from floercone.algebra import slice_through
+        from floercone.models import flip, minus_twist_knot
 
         model = minus_twist_knot(9)
         nf = dual.normal_form(dual.build_dual_cone(flip(model), 1))
-        column = hat_column(nf.form.complex)
+        c = nf.form.complex
+        column = slice_through(c, {g.name: g.alexander for g in c.generators})
         key = lambda c: (c.generators, c.differential)
         reduced = []
         real_reduce = dual.reduce

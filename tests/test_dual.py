@@ -5,14 +5,20 @@ from fractions import Fraction
 import pytest
 
 from floercone import algebra, dual
-from floercone.algebra import FilteredComplex, Generator, check_complex, homology, reduce
+from floercone.algebra import (
+    FilteredComplex,
+    Generator,
+    check_complex,
+    homology,
+    reduce,
+    slice_through,
+)
 from floercone.cone import MappingCone
 from floercone.dual import (
     build_dual_cone,
     distinct_classes,
     g_map,
     loss_grading,
-    minus_slice,
     normal_form,
     split_to_summands,
 )
@@ -213,11 +219,13 @@ class TestDistinctClasses:
         c = dual_normal_form_model(5)
         for s in (1, -1):
             gm = g_map(c, s)
-            assert gm.domain.generators == minus_slice(c, s).generators
-            assert gm.domain.differential == minus_slice(c, s).differential
+            sl = slice_through(c, {g.name: g.alexander - s for g in c.generators
+                                   if g.alexander >= s})
+            assert gm.domain.generators == sl.generators
+            assert gm.domain.differential == sl.differential
         gm = g_map(c, -1)
         monkeypatch.setattr(dual, "reduce", lambda *a: pytest.fail("reduced again"))
-        monkeypatch.setattr(dual, "minus_slice", lambda *a: pytest.fail("sliced again"))
+        monkeypatch.setattr(dual, "slice_through", lambda *a: pytest.fail("sliced again"))
         assert distinct_classes(gm, ["yv1"], ["yv2"])
         assert not distinct_classes(gm, ["yv1"], ["yv1", "xh1"])
 
@@ -239,6 +247,7 @@ class TestLossGrading:
 
 class TestMinusSlice:
     def test_top_slice_of_normal_model(self):
-        sl = minus_slice(dual_normal_form_model(5), 1)
+        c = dual_normal_form_model(5)
+        sl = slice_through(c, {g.name: g.alexander - 1 for g in c.generators if g.alexander >= 1})
         assert {g.name for g in sl.generators} == {"yv1", "yv2", "yv3"}
         assert sl.differential == {}
