@@ -42,10 +42,10 @@ another.  The i = 0 column is p = 0, the j = 0 column p = A, and the slice
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParameter, InternalError, NoUnitEntry
 
@@ -61,21 +61,23 @@ def _exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class Generator:
+class _Bigraded(NamedTuple):
+    name: str
+    alexander: int | Fraction
+    maslov: int | Fraction
+
+
+class Generator(_Bigraded):
     """A free GF(2)[U]-generator with its bigrading.
 
     Each grading is stored as an int when it is integral and as a Fraction
     only when it is not, so equal gradings always have the same type.
     """
 
-    name: str
-    alexander: int | Fraction
-    maslov: int | Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alexander", _exact(self.alexander))
-        object.__setattr__(self, "maslov", _exact(self.maslov))
+    def __new__(cls, name: str, alexander: int | Fraction, maslov: int | Fraction):
+        return tuple.__new__(cls, (name, _exact(alexander), _exact(maslov)))
 
 
 class FilteredComplex:
@@ -137,8 +139,7 @@ def _toggle(row: dict[str, int], key: str, power: int) -> None:
 # -- validation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -410,12 +411,11 @@ def reduce(c: FilteredComplex, mode: str = "filtered") -> ReducedForm:
 # -- homology --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedRanks:
+class GradedRanks(NamedTuple):
     """Free ranks and U-torsion orders of homology, keyed by grading tuples."""
 
     ranks: Mapping[tuple, int]
-    torsion: Mapping[tuple, tuple[int, ...]] = field(default_factory=dict)
+    torsion: Mapping[tuple, tuple[int, ...]] = MappingProxyType({})  # read-only, so shareable
 
     @property
     def total_rank(self) -> int:

@@ -211,7 +211,7 @@ def cmd_pipeline(args) -> str:
             "m": report.m,
             "case": report.case,
             "distinct": report.distinct,
-            "steps": [s.as_dict() for s in report.steps],
+            "steps": [s._asdict() for s in report.steps],
         })
     lines = [f"pipeline n={report.n} r={report.r}" + (f" m={report.m}" if report.m != 1 else "")]
     for i, step in enumerate(report.steps, 1):

@@ -19,11 +19,14 @@ Maslov degree m
     dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
 
 where D_m is D on source degree m (D lowers Maslov by 1).  So
-`sector_homology` reduces B once and each distinct A_s once, where every
-s above the model's top Alexander grading counts as top + 1: past it every
-offset is 0, so A_s and v are the same, and h moves only by a U-power.  It
-reads v and h on their homology with `induced_map`, and ranks one GF(2)
-matrix per degree between those homology bases, shifted by phi.
+`sector_homology` reduces B once and each distinct A_s once, with s
+clamped to [-top - 1, top + 1] for the model's top Alexander grading top.
+Above top every offset is 0, so A_s and v are the same, and h moves only
+by a U-power.  Below -top every offset is A - s, so A_s is A_(-top-1)
+with every Maslov grading moved by 2 (s + top + 1), v has no U^0 entry
+and h is the same.  It reads v and h on their homology with `induced_map`,
+and ranks one GF(2) matrix per degree between those homology bases,
+shifted by phi.
 `include_B` reads the same data.  No sector is flattened; the flattened
 whole cone (`total_complex`, `hat_complex`) remains for the dual cone and
 the checks.
@@ -44,7 +47,6 @@ triangle keep MAX_FLAT_ELEMENTS and MAX_SECTOR_RANK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -67,8 +69,8 @@ from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
 # vertex holds its own phi entry, sector slot and report line.  The sector
-# path reduces B and each distinct A_s once (s capped at top + 1, see
-# `_vertex_homology`) and keeps every reduction with its trace; the dual
+# path reduces B and each distinct A_s once (s clamped to [-top - 1, top + 1],
+# see `_vertex_homology`) and keeps every reduction with its trace; the dual
 # cone flattens every vertex instead.  The exact triangle ranks dense GF(2)
 # bitsets over a sector's vertex homology, so its memory grows with the
 # square of that rank.
@@ -86,13 +88,23 @@ def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, ran
     if vertices > MAX_CONE_VERTICES:
         raise DomainError(f"the cone window has {vertices} vertices "
                           f"(MAX_CONE_VERTICES = {MAX_CONE_VERTICES})")
-    cap = flip.top + 1
-    a_keys = max(0, min(hi // q, cap) + 1 - min(lo // q, cap)) if hi >= lo else 0
+    a_keys = _shared_s(hi // q, flip.top) + 1 - _shared_s(lo // q, flip.top) if hi >= lo else 0
     reduced = (a_keys + 1) * len(flip.source)
     if reduced > MAX_REDUCED_ELEMENTS:
         raise DomainError(f"the cone window reduces {reduced} model elements "
                           f"(MAX_REDUCED_ELEMENTS = {MAX_REDUCED_ELEMENTS})")
     return range(lo, hi + 1), range(lo + p, hi + 1)
+
+
+def _shared_s(s: int, top: int) -> int:
+    """The s whose reduction A_s shares: s clamped to [-top - 1, top + 1]."""
+    return min(max(s, -top - 1), top + 1)
+
+
+def _tail_lift(s: int, top: int) -> int:
+    """What A_s adds to each Maslov grading of A_(_shared_s(s, top)):
+    2 (s + top + 1) below the lower tail's start, 0 elsewhere."""
+    return 2 * min(0, s + top + 1)
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -297,14 +309,19 @@ class MappingCone:
 
     def _vertex_homology(self, segment: str, t: int, flavor: str) -> VertexHomology:
         """Homology of vertex (segment, t) in source coordinates, reduced once
-        per distinct s up to top + 1; an A-vertex also gets v and h into B's basis.
+        per distinct s in [-top - 1, top + 1]; an A-vertex also gets v and h
+        into B's basis.
 
         Every A_s with s > top is A_(top+1): all offsets are 0, so d, the
         gradings and v agree, and each h power s - A is at least 1 and
         moves by the same constant, which hat drops and `induced_map`,
-        reading names only, does not see.
+        reading names only, does not see.  Every A_s with s < -top is
+        A_(-top-1) with each Maslov grading moved by `_tail_lift(s, top)`:
+        all offsets are A - s, so the d powers stay, every v power is at
+        least 1, which hat drops, and every h power is 0.  The caller adds
+        that lift.
         """
-        s = min(self.s_of(t), self.flip.top + 1) if segment == "A" else None
+        s = _shared_s(self.s_of(t), self.flip.top) if segment == "A" else None
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
@@ -361,8 +378,9 @@ class MappingCone:
         columns: dict[int | Fraction, list[int]] = {}  # source key of D -> its columns
         for t, a in a_homology:
             v_row, h_row = first_row.get(t), first_row.get(t + self.p)
+            shift = phi[("A", t)] + _tail_lift(self.s_of(t), self.flip.top)
             for g, v, h in zip(a.reduced.complex.generators, a.v, a.h):
-                k = key(g.maslov + phi[("A", t)])
+                k = key(g.maslov + shift)
                 count[k] = count.get(k, 0) + 1
                 col = 0 if v_row is None else v << v_row
                 if h_row is not None:
@@ -393,8 +411,7 @@ class MappingCone:
         return GradedRanks(ranks)
 
 
-@dataclass
-class IncludeBReport:
+class IncludeBReport(NamedTuple):
     """Ranks of the map H(B_t) -> H(sector) on hat homology."""
     t: int
     sector: int

@@ -11,9 +11,8 @@ cone inclusion) to every negative rational coefficient except -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cone import MappingCone, _require_coprime, include_B
 from .errors import (
@@ -34,17 +33,21 @@ from .dual import (
 )
 
 
-@dataclass(frozen=True)
-class LegendrianData:
-    """Classical invariants of a Legendrian knot (order 1 = null-homologous)."""
-
+class _Classical(NamedTuple):
     tb: int
     rot: int
     order: int = 1
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise BadParameter(f"the order of a knot class is at least 1, got {self.order}")
+
+class LegendrianData(_Classical):
+    """Classical invariants of a Legendrian knot (order 1 = null-homologous)."""
+
+    __slots__ = ()
+
+    def __new__(cls, tb: int, rot: int, order: int = 1):
+        if order < 1:
+            raise BadParameter(f"the order of a knot class is at least 1, got {order}")
+        return tuple.__new__(cls, (tb, rot, order))
 
 
 # -- continued fractions -------------------------------------------------------
@@ -84,8 +87,7 @@ def negative_cf(r: Fraction) -> list[int]:
     return terms
 
 
-@dataclass(frozen=True)
-class DgsExpansion:
+class DgsExpansion(NamedTuple):
     """Surgery-link description of a rational contact surgery.
 
     negative kind: r = [a1+1, a2, ..., al]^- with every ai <= -2; component
@@ -158,8 +160,7 @@ def characterize_all_minus_two(r) -> tuple[bool, int | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class ContactLocator:
+class ContactLocator(NamedTuple):
     t: int
     sector: int
     s: int
@@ -216,26 +217,21 @@ def reduce_emn(m: int, r) -> tuple[Fraction, bool]:
 # -- the pipeline ---------------------------------------------------------------
 
 
-@dataclass
-class PipelineStep:
+class PipelineStep(NamedTuple):
     kind: str       # "computed" or "trusted"
     title: str
     values: dict
     verified: bool | None = None
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "title": self.title,
-                "values": self.values, "verified": self.verified}
 
-
-@dataclass
 class PipelineReport:
-    n: int
-    r: Fraction
-    m: int
-    case: str
-    distinct: bool
-    steps: list[PipelineStep] = field(default_factory=list)
+    """The pipeline's verdict and steps; case is written as the analysis runs."""
+
+    __slots__ = ("n", "r", "m", "case", "distinct", "steps")
+
+    def __init__(self, n: int, r: Fraction, m: int, case: str, distinct: bool):
+        self.n, self.r, self.m, self.case, self.distinct = n, r, m, case, distinct
+        self.steps: list[PipelineStep] = []
 
     @property
     def verdict(self) -> str:

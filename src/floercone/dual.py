@@ -16,8 +16,8 @@ recovers the plain surgery cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gf2
 from .algebra import (
@@ -39,8 +39,7 @@ from .errors import BadFraming, InternalError, NonIntegral, NormalFormMismatch, 
 from .models import FlipMap
 
 
-@dataclass
-class DualCone:
+class DualCone(NamedTuple):
     cone: MappingCone                  # framing cone.p, genus cone.genus
     complex: FilteredComplex           # flattened, (I,J)-decorated
 
@@ -83,15 +82,13 @@ def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
 # -- normal form -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     kind: str                 # "free", "horizontal" (d y = U x), "vertical" (d y = x)
     names: tuple[str, ...]    # (gen,) or (y, x)
     position: tuple           # (A, M) data of the generators
 
 
-@dataclass
-class NormalFormResult:
+class NormalFormResult(NamedTuple):
     form: ReducedForm
     summands: tuple[Summand, ...]
 
@@ -182,8 +179,7 @@ def normal_form(dc: DualCone) -> NormalFormResult:
 # -- the U = 1 map ------------------------------------------------------------
 
 
-@dataclass
-class GMapReport:
+class GMapReport(NamedTuple):
     alexander: int | Fraction
     domain_dim: int
     codomain_dim: int

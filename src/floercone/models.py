@@ -25,9 +25,9 @@ from .algebra import (
 from .errors import BadCoefficient, BadParameter, DomainError, NonIntegral, UnsupportedModel
 
 # The model constructors refuse more generators than this before building any.
-# Every command that reflects a model runs `flip`, whose scan is quadratic in
-# boxes of one bigrading: on a 2-core host, `pipeline` on the twist-knot model
-# took 14 s and 257 MB at 10,000 generators, and 52 s and 875 MB at 20,000.
+# Every command that reflects a model runs `flip` and builds a cone on it: on
+# a 2-core host, `pipeline --n 4999 --r=-3` on the twist-knot model (9,999
+# generators) took 4.5 s and 253 MB.
 MAX_MODEL_GENERATORS = 10_000
 
 
@@ -192,20 +192,27 @@ def flip(c: FilteredComplex) -> FlipMap:
         per_grading[h.alexander, h.maslov] = per_grading.get((h.alexander, h.maslov), 0) + 1
         key = (h.alexander, h.maslov, tuple(sorted(out)), tuple(sorted(into)))
         by_drops.setdefault(key, []).append(h.name)
-    candidates: dict[str, list[str]] = {}
+    # each generator sits in one pool, and draws its partners from one
+    pools = list(by_drops.values())
+    pool_index = {key: k for k, key in enumerate(by_drops)}
+    home = {name: k for k, pool in enumerate(pools) for name in pool}
+    candidates: dict[str, int] = {}  # generator -> the pool of its partners
     width: dict[str, int] = {}  # partners of the right bigrading, before the drops test
     for g in c.generators:
         out, into = ends[g.name]
         grading = (-g.alexander, g.maslov - 2 * g.alexander)
-        candidates[g.name] = by_drops.get((*grading, tuple(sorted([(jd, k) for k, jd in out])),
-                                           tuple(sorted([(jd, k) for k, jd in into]))), [])
-        if not candidates[g.name]:
+        pool = pool_index.get((*grading, tuple(sorted([(jd, k) for k, jd in out])),
+                               tuple(sorted([(jd, k) for k, jd in into]))))
+        if pool is None:
             require_valid(c)
             raise UnsupportedModel(f"no reflection partner for {g.name}")
+        candidates[g.name] = pool
         width[g.name] = per_grading[grading]
 
     order = sorted(candidates, key=lambda n: (width[n], c.order(n)))
     pairing: dict[str, str] = {}
+    # pools[k][:paired[k]] are all paired, so a scan of pool k starts there
+    paired = [0] * len(pools)
 
     def consistent(*pair: str) -> bool:
         # chain-map condition on the entries the newest pair decides
@@ -213,28 +220,42 @@ def flip(c: FilteredComplex) -> FlipMap:
                    for name in pair for src, tgt, jd in touching[name]
                    if src in pairing and tgt in pairing)
 
+    def advance(k: int) -> None:
+        pool, n = pools[k], paired[k]
+        while n < len(pool) and pool[n] in pairing:
+            n += 1
+        paired[k] = n
+
     # depth-first search: try candidate j of order[i]; the stack holds the
-    # (i, j) of every pair made so far and replaces recursion
-    stack: list[tuple[int, int]] = []
+    # (i, j) of every pair made so far, with the two pools' paired prefixes
+    # before it, and replaces recursion
+    stack: list[tuple[int, int, int, int]] = []
     i = j = 0
     while True:
         while i < len(order) and order[i] in pairing:
             i += 1
         if i == len(order):  # consistent() has checked every entry; FlipMap checks again
             return FlipMap(c, pairing)
-        if j < len(candidates[order[i]]):
-            name, cand = order[i], candidates[order[i]][j]
+        name = order[i]
+        k, h = candidates[name], home[name]
+        j = max(j, paired[k])
+        if j < len(pools[k]):
+            cand = pools[k][j]
             if cand == name or cand not in pairing:
                 pairing[name], pairing[cand] = cand, name
                 if consistent(name, cand):
-                    stack.append((i, j))
+                    stack.append((i, j, paired[k], paired[h]))
+                    advance(k)
+                    advance(h)
                     i, j = i + 1, 0
                     continue
                 pairing.pop(pairing.pop(name), None)
             j += 1
         elif stack:
-            i, j = stack.pop()
-            pairing.pop(pairing.pop(order[i]), None)
+            i, j, before_k, before_h = stack.pop()
+            name = order[i]
+            pairing.pop(pairing.pop(name), None)
+            paired[candidates[name]], paired[home[name]] = before_k, before_h
             j += 1
         else:
             require_valid(c)

@@ -13,7 +13,9 @@
 * the window argument of the surgery cone: whether the hat v- or h-map
   out of one A-vertex is a quasi-isomorphism;
 * closed forms of the surgery cone: the q = 1 Maslov shift of each vertex,
-  and the total hat rank of p/q surgery on the twist-knot models.
+  and the total hat rank of p/q surgery on the twist-knot models;
+* the reflection search that rescans each candidate list from its head,
+  the reference for the pairing `models.flip` finds first.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from floercone import gf2
-from floercone.algebra import FilteredComplex, Generator, induced_map, reduce
+from floercone.algebra import FilteredComplex, Generator, induced_map, reduce, require_valid
 from floercone.cone import MappingCone
+from floercone.errors import UnsupportedModel
 from floercone.models import FlipMap
 
 
@@ -231,3 +234,73 @@ def twist_surgery_hat_rank(n: int, p: int, q: int) -> int:
     if p > 0:
         return p + q * (n + 1)
     return -p + 2 * max(0, q + p) + q * (n - 1)
+
+
+# -- the reflection search, rescanning ----------------------------------------------
+
+
+def flip_by_rescanning(c: FilteredComplex) -> dict[str, str]:
+    """The first reflection pairing of c in `models.flip`'s search order,
+    found by scanning each generator's candidates from the head of their
+    list and skipping the paired ones; UnsupportedModel when there is none.
+    """
+    touching: dict[str, list[tuple]] = {g.name: [] for g in c.generators}
+    ends: dict[str, tuple[list, list]] = {g.name: ([], []) for g in c.generators}
+    for src, tgt, k in c.entries():
+        if src in c and tgt in c:
+            jd = c.j_drop(src, tgt, k)
+            touching[src].append((src, tgt, jd))
+            touching[tgt].append((src, tgt, jd))
+            ends[src][0].append((k, jd))
+            ends[tgt][1].append((k, jd))
+    per_grading: dict[tuple, int] = {}
+    by_drops: dict[tuple, list[str]] = {}
+    for h in c.generators:
+        out, into = ends[h.name]
+        per_grading[h.alexander, h.maslov] = per_grading.get((h.alexander, h.maslov), 0) + 1
+        key = (h.alexander, h.maslov, tuple(sorted(out)), tuple(sorted(into)))
+        by_drops.setdefault(key, []).append(h.name)
+    candidates: dict[str, list[str]] = {}
+    width: dict[str, int] = {}
+    for g in c.generators:
+        out, into = ends[g.name]
+        grading = (-g.alexander, g.maslov - 2 * g.alexander)
+        candidates[g.name] = by_drops.get((*grading, tuple(sorted([(jd, k) for k, jd in out])),
+                                           tuple(sorted([(jd, k) for k, jd in into]))), [])
+        if not candidates[g.name]:
+            require_valid(c)
+            raise UnsupportedModel(f"no reflection partner for {g.name}")
+        width[g.name] = per_grading[grading]
+
+    order = sorted(candidates, key=lambda n: (width[n], c.order(n)))
+    pairing: dict[str, str] = {}
+
+    def consistent(*pair: str) -> bool:
+        return all(c.differential.get(pairing[src], {}).get(pairing[tgt]) == jd
+                   for name in pair for src, tgt, jd in touching[name]
+                   if src in pairing and tgt in pairing)
+
+    stack: list[tuple[int, int]] = []
+    i = j = 0
+    while True:
+        while i < len(order) and order[i] in pairing:
+            i += 1
+        if i == len(order):
+            return pairing
+        if j < len(candidates[order[i]]):
+            name, cand = order[i], candidates[order[i]][j]
+            if cand == name or cand not in pairing:
+                pairing[name], pairing[cand] = cand, name
+                if consistent(name, cand):
+                    stack.append((i, j))
+                    i, j = i + 1, 0
+                    continue
+                pairing.pop(pairing.pop(name), None)
+            j += 1
+        elif stack:
+            i, j = stack.pop()
+            pairing.pop(pairing.pop(order[i]), None)
+            j += 1
+        else:
+            require_valid(c)
+            raise UnsupportedModel("no reflection basis found for this complex")

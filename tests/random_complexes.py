@@ -11,6 +11,7 @@ import random
 from typing import Callable
 
 from floercone.algebra import DiffMap, FilteredComplex, Generator, GradedRanks, _Reduction
+from floercone.models import direct_sum, dual_normal_form_model, flip
 
 
 def default_seed() -> int:
@@ -97,3 +98,57 @@ def reference_eliminate(state: _Reduction, accept: Callable[[str, str, int], boo
         else:
             state.remove_pair(e, f)
         pivots.append((e, f, c))
+
+
+def reflection_symmetric_complex(rng: random.Random) -> FilteredComplex:
+    """A random valid complex plus its reflection: g' at (-A, M - 2A) for
+    each g, and g' -> U^(j-drop) h' for each entry g -> U^k h, so swapping g
+    and g' is a reflection basis."""
+    c, _ = random_filtered_complex(rng, rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 12))
+    gens = [Generator(g.name + "'", -g.alexander, g.maslov - 2 * g.alexander)
+            for g in c.generators]
+    diff: DiffMap = {}
+    for src, tgt, k in c.entries():
+        diff.setdefault(src + "'", {})[tgt + "'"] = c.j_drop(src, tgt, k)
+    return direct_sum(c, FilteredComplex(gens, diff))
+
+
+def scrambled_dual_copies(seed: int, copies: int = 6, changes: int = 6,
+                          lopsided: bool = False) -> FilteredComplex:
+    """copies renamed copies of dual_normal_form_model(3), each scrambled by
+    changes random filtered basis changes u := u + U^m v, every one made
+    together with its reflection sigma u := sigma u + U^(j-drop) sigma v, so a
+    reflection basis survives.  lopsided adds one change without its
+    reflection, which the search may take long to rule out."""
+    rng = random.Random(seed)
+    parts = []
+    for i in range(copies):
+        c = dual_normal_form_model(3)
+        parts.append(FilteredComplex(
+            [Generator(f"{g.name}_{i}", g.alexander, g.maslov) for g in c.generators],
+            {f"{s}_{i}": {f"{t}_{i}": k for t, k in row.items()}
+             for s, row in c.differential.items()}))
+    whole = direct_sum(*parts)
+    sigma = flip(whole).pairing
+    state = _Reduction(whole)
+
+    def draw(gens) -> tuple[Generator, Generator, int]:
+        while True:
+            gu, gv = rng.sample(gens, 2)
+            two_m = gv.maslov - gu.maslov
+            if two_m >= 0 and two_m % 2 == 0 and gv.alexander - two_m // 2 <= gu.alexander:
+                return gu, gv, two_m // 2
+
+    for part in parts:
+        made = 0
+        while made < changes:
+            gu, gv, m = draw(part.generators)
+            u, v = gu.name, gv.name
+            if len({u, v, sigma[u], sigma[v]}) == 4:  # the two changes commute
+                state.basis_change(u, v, m)
+                state.basis_change(sigma[u], sigma[v], gu.alexander - gv.alexander + m)
+                made += 1
+    if lopsided:
+        gu, gv, m = draw(whole.generators)
+        state.basis_change(gu.name, gv.name, m)
+    return FilteredComplex(whole.generators, {s: dict(r) for s, r in state.diff.items()})

@@ -557,6 +557,21 @@ def test_every_imported_name_is_used():
         assert not unused, (path.name, unused)
 
 
+def test_no_module_imports_dataclasses():
+    # a dataclass generates and compiles its methods at every import, about
+    # 1 ms per class; records are NamedTuples or __slots__ classes instead
+    modules = sorted(Path(algebra.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                 or isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "dataclasses"]
+        assert not found, (path.name, found)
+
+
 def test_oracle_preconditions_hold_under_optimization():
     # pytest rewrites only test modules, so an assert in a helper would
     # vanish under python -O; the helpers raise instead

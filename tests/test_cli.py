@@ -266,12 +266,15 @@ class TestSurgeryCommand:
         assert err.endswith(" vertices (MAX_CONE_VERTICES = 120000)\n")
 
     def test_reductions_over_budget_exit_one_at_once(self, cli, monkeypatch):
-        # 2006 reductions of 1923 generators: 122 s and 2 GB before the budget
+        # the twist knot with a pair u, w at A = +-300: both tails shared, still
+        # 604 reductions of 1925 generators
+        far = FilteredComplex([Generator("u", 300, 0), Generator("w", -300, -600)], {})
+        model = models.direct_sum(minus_twist_knot(961), far)
         monkeypatch.setattr(cone.MappingCone, "__init__", lambda *args: pytest.fail("cone built"))
         code, out, err = cli(["surgery", "--p", "-2000", "--range", "full"],
-                             stdin_text=dumps(complex_to_json(minus_twist_knot(961))))
+                             stdin_text=dumps(complex_to_json(model)))
         assert (code, out) == (1, "")
-        assert err == ("error: the cone window reduces 3857538 model elements "
+        assert err == ("error: the cone window reduces 1162700 model elements "
                        "(MAX_REDUCED_ELEMENTS = 1000000)\n")
 
     def test_window_budget_keeps_the_large_staircase_window(self):

@@ -23,6 +23,7 @@ from floercone.errors import BadCoefficient, DomainError, NoSuchVertex
 from floercone.models import (
     alexander_polynomial,
     box,
+    direct_sum,
     dual_normal_form_model,
     flip,
     minus_twist_knot,
@@ -46,6 +47,11 @@ from oracles import (
 
 def cone_for(c, p, q, mode="paper"):
     return MappingCone.build(flip(c), p, q, mode)
+
+
+def far_pair(a):
+    """u at (a, 0) and its reflection w at (-a, -2a), no differential: top grading a."""
+    return FilteredComplex([Generator("u", a, 0), Generator("w", -a, -2 * a)], {})
 
 
 def torus_2_5():
@@ -89,15 +95,26 @@ class TestAssembly:
             cone_module.windows(f, 2, 1, -1, 60_000)
 
     def test_reduction_budget_counts_the_upper_tail_once(self):
-        f = flip(minus_twist_knot(511))  # 1023 generators, top grading 1
-        # A_s for s in [-973, 1] and the shared A_2, plus B: 977 reductions
-        for hi in (5, 50_000):
-            assert cone_module.windows(f, 1, 1, -973, hi)[0] == range(-973, hi + 1)
-        assert cone_module.windows(f, 1, 3, -2919, 30)[0] == range(-2919, 31)
-        for q, lo in [(1, -974), (3, -2920)]:
-            with pytest.raises(DomainError, match=r"1000494 model elements "
+        # 1025 generators, top grading 500: the twist knot and a pair at A = +-500
+        f = flip(direct_sum(minus_twist_knot(511), far_pair(500)))
+        # A_s for s in [-472, 500] and the shared A_501, plus B: 975 reductions
+        for hi in (501, 50_000):
+            assert cone_module.windows(f, 1, 1, -472, hi)[0] == range(-472, hi + 1)
+        assert cone_module.windows(f, 1, 3, -1416, 1503)[0] == range(-1416, 1504)
+        for q, lo in [(1, -473), (3, -1419)]:
+            with pytest.raises(DomainError, match=r"1000400 model elements "
                                                   r"\(MAX_REDUCED_ELEMENTS = 1000000\)"):
-                cone_module.windows(f, 1, q, lo, 30)
+                cone_module.windows(f, 1, q, lo, 50_000)
+
+    def test_reduction_budget_counts_the_lower_tail_once(self):
+        f = flip(direct_sum(minus_twist_knot(511), far_pair(500)))
+        # the shared A_-501 and A_s for s in [-500, 472], plus B: 975 reductions
+        for lo in (-501, -50_000):
+            assert cone_module.windows(f, 1, 1, lo, 472)[0] == range(lo, 473)
+        for q, hi in [(1, 473), (3, 1419)]:
+            with pytest.raises(DomainError, match=r"1000400 model elements "
+                                                  r"\(MAX_REDUCED_ELEMENTS = 1000000\)"):
+                cone_module.windows(f, 1, q, -50_000, hi)
 
     def test_flat_and_sector_budgets_are_inclusive(self, monkeypatch):
         cone = cone_for(staircase(), 1, 1, "full")  # 13 vertices, 3 generators each
@@ -351,10 +368,13 @@ class TestSectorsFromVertexHomology:
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
         cone = cone_for(c, p, q, "full")
-        # every A_s above the top Alexander grading is reduced as A_(top+1)
+        # every A_s above the top Alexander grading is reduced as A_(top+1),
+        # every A_s below minus it as A_(-top-1)
         top = max(g.alexander for g in c.generators)
-        distinct_s = len({min(cone.s_of(t), top + 1) for t in cone.a_ts})
-        assert distinct_s < len({cone.s_of(t) for t in cone.a_ts})
+        s_values = {cone.s_of(t) for t in cone.a_ts}
+        assert min(s_values) < -top - 1 and max(s_values) > top + 1
+        distinct_s = len({min(max(s, -top - 1), top + 1) for s in s_values})
+        assert distinct_s == 2 * top + 3
         for flavor in ("hat", "infinity"):
             for _ in range(2):  # the vertex homology is kept on the cone
                 for i in cone.sectors:
@@ -534,10 +554,12 @@ class TestHatVertexHomology:
         c = self.MODELS[name]()
         c = mirror(c) if mirrored else c
         f = flip(c)
-        for s in range(-f.top - 2, f.top + 3):
+        # both tails: A_s below -top - 1 is A_(-top-1) lifted, above top + 1 it is A_(top+1)
+        for s in range(-f.top - 4, f.top + 4):
             cone = MappingCone(f, 1, 1, [s], [s])  # at q = 1, vertex t is A_t
             reduced = cone._vertex_homology("A", s, "hat").reduced.complex
-            got = Counter(Fraction(g.maslov) for g in reduced.generators)
+            lift = cone_module._tail_lift(s, f.top)
+            got = Counter(Fraction(g.maslov + lift) for g in reduced.generators)
             vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
             assert got == dense_homology_by_maslov(vertex), s
 

@@ -1,5 +1,6 @@
 """Model builders, flip maps, knot homology, Alexander polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,8 @@ from floercone.models import (
     unknot,
 )
 
-from oracles import j_graded, twist_knot_alexander
+from oracles import flip_by_rescanning, j_graded, twist_knot_alexander
+from random_complexes import default_seed, reflection_symmetric_complex, scrambled_dual_copies
 
 
 def hat_manifold_homology(c: FilteredComplex) -> GradedRanks:
@@ -211,6 +213,56 @@ class TestFlip:
                             lambda c, pairing: calls.append(c) or flip_violations(c, pairing))
         flip(minus_twist_knot(9))
         assert len(calls) == 1
+
+
+class TestFlipAgainstRescanning:
+    """flip starts each candidate scan past its pool's paired prefix; the
+    search that rescans from the head of the pool must find the same
+    pairing first, or fail with the same UnsupportedModel."""
+
+    # lopsided scrambles whose search backtracks for over a second in either
+    # version (ROADMAP item 3's exponential search)
+    SLOW = {3, 10, 11, 13, 26, 33, 40, 41, 42, 48, 49, 51, 52, 53, 58}
+
+    @staticmethod
+    def assert_same_outcome(c):
+        try:
+            want = list(flip_by_rescanning(c).items())
+        except UnsupportedModel as exc:
+            with pytest.raises(UnsupportedModel) as got:
+                flip(c)
+            assert str(got.value) == str(exc)
+        else:
+            assert list(flip(c).pairing.items()) == want
+
+    MODELS = {
+        **ALL_MODELS,
+        "twist1": lambda: minus_twist_knot(1),
+        "twist3": lambda: minus_twist_knot(3),
+        "twist101": lambda: minus_twist_knot(101),
+        "dual1": lambda: dual_normal_form_model(1),
+        "dual3": lambda: dual_normal_form_model(3),
+        "dual41": lambda: dual_normal_form_model(41),
+    }
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_package_models(self, name, mirrored):
+        c = self.MODELS[name]()
+        self.assert_same_outcome(mirror(c) if mirrored else c)
+
+    def test_random_reflection_symmetric_models(self):
+        # same-bigraded generators make the search backtrack, and a pool's
+        # paired prefix must shrink back with it
+        rng = random.Random(default_seed() + 40)
+        for _ in range(1000):
+            self.assert_same_outcome(reflection_symmetric_complex(rng))
+
+    def test_scrambled_dual_models(self):
+        for seed in range(60):
+            self.assert_same_outcome(scrambled_dual_copies(seed))
+            if seed not in self.SLOW:
+                self.assert_same_outcome(scrambled_dual_copies(seed, lopsided=True))
 
 
 class TestSymmetry:
