@@ -36,8 +36,9 @@ reads off the map's columns as GF(2) bitsets.
 Every GF(2) slice of a complex is built by one constructor, `slice_through`:
 one translate U^p(g) g is chosen per generator, and d keeps the entries
 g -> U^k h with p(h) = p(g) + k, those mapping a chosen translate onto
-another.  The i = 0 column is p = 0, the j = 0 column p = A, and the slice
-{i <= 0, j = s} is p = A - s on the generators with A >= s.
+another.  The i = 0 column is p = 0, the j = 0 column p = A, the slice
+{i <= 0, j = s} is p = A - s on the generators with A >= s, and the surgery
+cone's hat vertices are A^_s, p = max(0, A - s), and B^, p = 0.
 """
 
 from __future__ import annotations

@@ -8,25 +8,26 @@ Everything is stored through the I = 0 translate of each copy, where
     I = max(i, j - s)   on A-vertices,        I = i   on B-vertices,
 
 so a cone element for generator g of Alexander grading A sits at U-offset
-max(0, A - s) in an A-copy and offset 0 in a B-copy, and every differential
+p = max(0, A - s) in an A-copy and p = 0 in a B-copy, and every differential
 entry automatically has a nonnegative U-power equal to its I-drop.  The hat
-flavor is the I-preserving part on those translates.  `_edges` is the one
-place that rule is written down: every A_s with the same s shares it.
+flavor is the I-preserving part on those translates: the hat vertex A^_s is
+`slice_through(source, p)` and B^ is its p = 0 slice.  Over GF(2)[U,U^-1]
+the offsets only rename U-powers, so every infinity vertex is the source.
 
 Sector ranks.  Over a field, the cone of D: (+)A_s -> (+)B has in each
 Maslov degree m
 
     dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
 
-where D_m is D on source degree m (D lowers Maslov by 1).  So
-`sector_homology` reduces B once and each distinct A_s once, with s
+where D_m is D on source degree m (D lowers Maslov by 1).  So the hat
+`sector_homology` reduces B^ once and each distinct A^_s once, with s
 clamped to [-top - 1, top + 1] for the model's top Alexander grading top.
-Above top every offset is 0, so A_s and v are the same, and h moves only
-by a U-power.  Below -top every offset is A - s, so A_s is A_(-top-1)
-with every Maslov grading moved by 2 (s + top + 1), v has no U^0 entry
-and h is the same.  It reads v and h on their homology with `induced_map`,
-and ranks one GF(2) matrix per degree between those homology bases,
-shifted by phi.
+Above top every offset is 0, so A^_s and v are the same, and h is 0.
+Below -top every offset is A - s, so A^_s is A^_(-top-1) with
+every Maslov grading moved by 2 (s + top + 1), v is 0 and h is the same.
+The infinity flavor reduces the source once for the whole cone.  It reads
+v and h on their homology with `induced_map`, and ranks one GF(2) matrix
+per degree between those homology bases, shifted by phi.
 `include_B` reads the same data.  No sector is flattened; the flattened
 whole cone (`total_complex`, `hat_complex`) remains for the dual cone and
 the checks.
@@ -53,13 +54,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import gf2
 from .algebra import (
-    DiffMap,
     FilteredComplex,
     Generator,
     GradedRanks,
     ReducedForm,
     _exact,
-    apply_map,
     induced_map,
     reduce,
     slice_through,
@@ -68,10 +67,11 @@ from .errors import BadCoefficient, DomainError, InternalError, NoSuchVertex
 from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
-# vertex holds its own phi entry, sector slot and report line.  The sector
-# path reduces B and each distinct A_s once (s clamped to [-top - 1, top + 1],
-# see `_vertex_homology`) and keeps every reduction with its trace; the dual
-# cone flattens every vertex instead.  The exact triangle ranks dense GF(2)
+# vertex holds its own phi entry, sector slot and report line.  The hat
+# sector path reduces B and each distinct A_s once (s clamped to
+# [-top - 1, top + 1], see `_vertex_homology`), the infinity path the
+# source once, and each keeps every reduction with its trace; the dual cone
+# flattens every vertex instead.  The exact triangle ranks dense GF(2)
 # bitsets over a sector's vertex homology, so its memory grows with the
 # square of that rank.
 MAX_CONE_VERTICES = 120_000
@@ -118,15 +118,8 @@ class ConeVertex(NamedTuple):
     s: int
 
 
-class VertexEdges(NamedTuple):
-    """One vertex copy of the source, indexed like the source generators."""
-    offsets: list[int]               # U-offset of each element; on A also its v-edge U-power
-    d: list[list[tuple[int, int]]]   # internal entries: (target index, U-power)
-    h: list[tuple[int, int]]         # A only: h-edge (target index in B_(t+p), U-power)
-
-
 class VertexHomology(NamedTuple):
-    """Homology of one vertex copy; A-vertices also carry v and h on it."""
+    """Homology of one vertex copy, with v and h on it for A-vertices."""
     reduced: ReducedForm             # zero differential: a homology basis, graded before phi
     v: list[int]                     # A only: columns as bitsets over B's basis
     h: list[int]
@@ -137,7 +130,7 @@ class MappingCone:
 
     def __init__(self, flip: FlipMap, p: int, q: int, a_ts: Iterable[int], b_ts: Iterable[int]):
         _require_coprime(p, q)
-        self.source = source = flip.source
+        self.source = flip.source
         self.flip = flip
         self.p = p
         self.q = q
@@ -146,14 +139,6 @@ class MappingCone:
         self.b_ts = tuple(sorted(set(b_ts)))
         self._phi: dict[tuple[str, int], int | Fraction] | None = None
         self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
-        # per-generator source tables, read by _edges
-        gens = source.generators
-        self._alex = [g.alexander for g in gens]  # ints: checked by FlipMap
-        order = source._order
-        self._rows = [[(order[t], k) for t, k in source.differential.get(g.name, {}).items()]
-                      for g in gens]
-        self._flipped = [(order[partner], fpow) for partner, fpow in (flip(g.name) for g in gens)]
-        self._edge_cache: dict[int | None, VertexEdges] = {}  # keyed by s, None for B
         self._homology: dict[tuple[str, int | None], VertexHomology] = {}  # (flavor, s)
 
     # -- construction -----------------------------------------------------
@@ -233,20 +218,6 @@ class MappingCone:
     def element_name(segment: str, t: int, base: str) -> str:
         return f"{segment}{t}.{base}"
 
-    def _edges(self, s: int | None) -> VertexEdges:
-        """Element offsets and edge powers of vertex A_s, or of B for s None:
-        the offset rule max(0, A - s) on A_s, 0 on B, and each entry's I-drop."""
-        e = self._edge_cache.get(s)
-        if e is None:
-            if s is None:
-                offs, h = [0] * len(self._alex), []
-            else:
-                offs = [max(0, a - s) for a in self._alex]
-                h = [(j, s + fpow + off) for (j, fpow), off in zip(self._flipped, offs)]
-            d = [[(j, k + off - offs[j]) for j, k in row] for row, off in zip(self._rows, offs)]
-            e = self._edge_cache[s] = VertexEdges(offs, d, h)
-        return e
-
     def total_complex(self,
                       alexander_fn: Callable[[str, int, Generator, int], int | Fraction] | None = None,
                       ) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
@@ -263,21 +234,22 @@ class MappingCone:
             raise DomainError(f"the flattened cone has {elements} elements "
                               f"(MAX_FLAT_ELEMENTS = {MAX_FLAT_ELEMENTS})")
         phi = self.phi()
-        source = self.source.generators
+        source = self.source
         gens: list[Generator] = []
         table: dict[str, ConeVertex] = {}
-        # per vertex: element names, indexed like source, and its edges
-        vertex: dict[tuple[str, int], tuple[list[str], VertexEdges]] = {}
+        # per vertex: each source generator's element name and U-offset
+        vertex: dict[tuple[str, int], dict[str, tuple[str, int]]] = {}
         for cv in self.vertices():
             segment, t, s = cv
-            names = [self.element_name(segment, t, g.name) for g in source]
-            e = self._edges(s if segment == "A" else None)
             shift = phi[(segment, t)]
-            for g, name, off in zip(source, names, e.offsets):
+            elements = vertex[(segment, t)] = {}
+            for g in source.generators:
+                name = self.element_name(segment, t, g.name)
+                off = max(0, g.alexander - s) if segment == "A" else 0
                 a = 0 if alexander_fn is None else alexander_fn(segment, t, g, off)
                 gens.append(Generator(name, a, g.maslov - 2 * off + shift))
                 table[name] = cv
-            vertex[(segment, t)] = names, e
+                elements[g.name] = name, off
 
         diff: dict[str, dict[str, int]] = {}
 
@@ -286,18 +258,21 @@ class MappingCone:
                 raise InternalError(f"cone entry {src} -> {tgt} with power {power}")
             diff.setdefault(src, {})[tgt] = power
 
-        for (segment, t), (names, e) in vertex.items():
+        for (segment, t), elements in vertex.items():
             # B_t and B_(t+p) share the sector of A_t, so they are here if in the cone
             v_edge = segment == "A" and vertex.get(("B", t))
             h_edge = segment == "A" and vertex.get(("B", t + self.p))
-            for i, src in enumerate(names):
-                for j, k in e.d[i]:
-                    put(src, names[j], k)
+            s = self.s_of(t)
+            for g, (src, off) in elements.items():
+                # each entry's U-power is its I-drop between the two translates
+                for tgt, k in source.differential.get(g, {}).items():
+                    name, tgt_off = elements[tgt]
+                    put(src, name, k + off - tgt_off)
                 if v_edge:
-                    put(src, v_edge[0][i], e.offsets[i])
+                    put(src, v_edge[g][0], off)
                 if h_edge:
-                    j, k = e.h[i]
-                    put(src, h_edge[0][j], k)
+                    partner, fpow = self.flip(g)
+                    put(src, h_edge[partner][0], s + fpow + off)
         return FilteredComplex(gens, diff), table
 
     def hat_complex(self) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
@@ -308,48 +283,47 @@ class MappingCone:
     # -- derived quantities ---------------------------------------------------
 
     def _vertex_homology(self, segment: str, t: int, flavor: str) -> VertexHomology:
-        """Homology of vertex (segment, t) in source coordinates, reduced once
-        per distinct s in [-top - 1, top + 1]; an A-vertex also gets v and h
-        into B's basis.
+        """Homology of vertex (segment, t) in source coordinates; an A-vertex
+        also gets v and h into B's basis.
 
-        Every A_s with s > top is A_(top+1): all offsets are 0, so d, the
-        gradings and v agree, and each h power s - A is at least 1 and
-        moves by the same constant, which hat drops and `induced_map`,
-        reading names only, does not see.  Every A_s with s < -top is
-        A_(-top-1) with each Maslov grading moved by `_tail_lift(s, top)`:
-        all offsets are A - s, so the d powers stay, every v power is at
-        least 1, which hat drops, and every h power is 0.  The caller adds
-        that lift.
+        Hat: A^_s is `slice_through(source, p)` for p = max(0, A - s), and B^
+        is its p = 0 slice.  v keeps the translates with p = 0 (A <= s), and h
+        pairs by the flip those with A >= s, whose h-power max(0, s - A) is 0.
+        B^ and each distinct s in [-top - 1, top + 1] are reduced once: every
+        A^_s with s > top is A^_(top+1), and every A^_s with s < -top is
+        A^_(-top-1) with each Maslov grading moved by `_tail_lift(s, top)`,
+        which the caller adds.
+
+        Infinity: over GF(2)[U,U^-1] the offsets only rename U-powers, and
+        full_field pivots on the support in generator order, so one
+        reduction of the source serves every vertex, with v the identity and
+        h the flip g -> U^(-A) sigma g.  The gradings it drops, 2 p and the
+        tail lift, are even, and infinity keys by Maslov parity.
         """
-        s = _shared_s(self.s_of(t), self.flip.top) if segment == "A" else None
+        hat = flavor == "hat"
+        s = _shared_s(self.s_of(t), self.flip.top) if hat and segment == "A" else None
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
-        hat = flavor == "hat"
-        names = [g.name for g in self.source.generators]
-
-        def as_map(rows: Iterable[list[tuple[int, int]]]) -> DiffMap:
-            # hat keeps the I-preserving (U^0) entries only
-            return {names[i]: {names[j]: k for j, k in row if not (hat and k)}
-                    for i, row in enumerate(rows)}
-
-        e = self._edges(s)
-        gens = [Generator(name, 0, g.maslov - 2 * off)
-                for name, g, off in zip(names, self.source.generators, e.offsets)]
-        rf = reduce(FilteredComplex(gens, as_map(e.d)), "over_U_units" if hat else "full_field")
-        if rf.complex.differential:
-            raise InternalError(f"vertex {segment}{t} keeps a differential after reduction")
+        source = self.source
+        sigma = self.flip.pairing
         v: list[int] = []
         h: list[int] = []
-        if segment == "A":
-            b = self._vertex_homology("B", t, flavor).reduced
-
-            def on_homology(edge: list[list[tuple[int, int]]]) -> list[int]:
-                chain_map = as_map(edge)
-                return induced_map(rf, b, lambda chain: apply_map(chain_map, chain))
-
-            v = on_homology([[(i, k)] for i, k in enumerate(e.offsets)])
-            h = on_homology([[jk] for jk in e.h])
+        if hat:
+            power = {g.name: 0 if s is None else max(0, g.alexander - s) for g in source.generators}
+            rf = reduce(slice_through(source, power), "over_U_units")
+            if s is not None:
+                b = self._vertex_homology("B", t, flavor).reduced
+                v = induced_map(rf, b, lambda chain: {n: 0 for n in chain if not power[n]})
+                h = induced_map(rf, b, lambda chain: {sigma[n]: 0 for n in chain
+                                                      if source.generator(n).alexander >= s})
+        else:
+            rf = reduce(source, "full_field")
+            v = induced_map(rf, rf, lambda chain: chain)
+            h = induced_map(rf, rf, lambda chain: {sigma[n]: k - source.generator(n).alexander
+                                                   for n, k in chain.items()})
+        if rf.complex.differential:
+            raise InternalError(f"vertex {segment}{t} keeps a differential after reduction")
         found = VertexHomology(rf, v, h)
         self._homology[(flavor, s)] = found
         return found

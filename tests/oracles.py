@@ -21,6 +21,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from floercone import gf2
 from floercone.algebra import FilteredComplex, Generator, induced_map, reduce, require_valid
@@ -199,9 +200,14 @@ def include_B_by_flattening(hat: FilteredComplex, table: dict, t: int) -> tuple[
     flattened hat sector: both reduced over U-units, the rank by induced_map."""
     vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
     rf_vertex = reduce(restrict(hat, vertex), "over_U_units")
-    rf_sector = reduce(hat, "over_U_units")
+    rf_sector = _reduced_sector(hat)
     map_rank = gf2.rank(induced_map(rf_vertex, rf_sector, lambda chain: chain))
     return len(rf_vertex.complex), len(rf_sector.complex), map_rank
+
+
+@lru_cache(maxsize=32)  # the B-vertices of one sector all reduce the same sector
+def _reduced_sector(hat: FilteredComplex):
+    return reduce(hat, "over_U_units")
 
 
 def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd
+import random
 
 import pytest
 
@@ -36,6 +37,7 @@ from oracles import (
     dense_homology_by_maslov,
     dual_knot_phi,
     enumerate_hat_A_elements,
+    enumerate_hat_B_elements,
     flattened_sectors,
     hat_map_is_quasi_iso,
     include_B_by_flattening,
@@ -43,6 +45,7 @@ from oracles import (
     twist_surgery_hat_rank,
     two_bridge_alexander,
 )
+from random_complexes import default_seed, reflection_symmetric_complex
 
 
 def cone_for(c, p, q, mode="paper"):
@@ -368,8 +371,9 @@ class TestSectorsFromVertexHomology:
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
         cone = cone_for(c, p, q, "full")
-        # every A_s above the top Alexander grading is reduced as A_(top+1),
-        # every A_s below minus it as A_(-top-1)
+        # hat: B once, every A_s above the top Alexander grading as A_(top+1)
+        # and every A_s below minus it as A_(-top-1); infinity: the source
+        # once for the whole cone
         top = max(g.alexander for g in c.generators)
         s_values = {cone.s_of(t) for t in cone.a_ts}
         assert min(s_values) < -top - 1 and max(s_values) > top + 1
@@ -379,7 +383,7 @@ class TestSectorsFromVertexHomology:
             for _ in range(2):  # the vertex homology is kept on the cone
                 for i in cone.sectors:
                     cone.sector_homology(i, flavor)
-        assert calls == {"reduce": 2 * (distinct_s + 1), "homology": 0, "total_complex": 0}
+        assert calls == {"reduce": distinct_s + 2, "homology": 0, "total_complex": 0}
 
     def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
         self.assert_each_vertex_reduced_once(monkeypatch, minus_twist_knot(9), -7, 3)
@@ -391,6 +395,26 @@ class TestSectorsFromVertexHomology:
     def test_unknown_flavor(self):
         with pytest.raises(BadCoefficient):
             cone_for(staircase(), 3, 1).sector_homology(0, "minus")
+
+    def test_random_reflection_symmetric_models(self):
+        # up to 22 generators and top grading up to 4; the full window
+        # reaches both shared tails
+        rng = random.Random(default_seed() + 50)
+        cases = [(1, 1, "paper"), (-2, 1, "paper"), (3, 2, "paper"), (-5, 3, "paper"),
+                 (3, 2, "full")]
+        for _ in range(100):
+            f = flip(reflection_symmetric_complex(rng))
+            for p, q, mode in cases:
+                cone = MappingCone.build(f, p, q, mode)
+                for flavor in ("hat", "infinity"):
+                    flat = flattened_sector_homology(cone, flavor)
+                    for i in cone.sectors:
+                        assert cone.sector_homology(i, flavor) == flat[i], (p, q, mode, flavor, i)
+                sectors = flattened_sectors(cone)
+                for t in cone.b_ts:
+                    rep = include_B(cone, t)
+                    got = (rep.domain_rank, rep.codomain_rank, rep.map_rank)
+                    assert got == include_B_by_flattening(*sectors[rep.sector], t), (p, q, mode, t)
 
     def test_closed_forms_beyond_the_dense_oracle(self):
         # 253,139 flattened elements: every sector of a rational homology
@@ -533,8 +557,9 @@ class TestTwistFamilyClosedForm:
 
 
 class TestHatVertexHomology:
-    """dim H^(A^_s), the input of the closed-form surgery rank, from the cone's
-    vertex reduction against the dense oracle on the translates of A^_s."""
+    """dim H^(A^_s), the input of the closed-form surgery rank, and dim H^(B^),
+    from the cone's vertex reductions against the dense oracle on their
+    translates."""
 
     MODELS = {
         "unknot": unknot,
@@ -562,6 +587,11 @@ class TestHatVertexHomology:
             got = Counter(Fraction(g.maslov + lift) for g in reduced.generators)
             vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
             assert got == dense_homology_by_maslov(vertex), s
+        # B^ is one vertex for every t
+        reduced = MappingCone(f, 1, 1, [], [0])._vertex_homology("B", 0, "hat").reduced.complex
+        got = Counter(Fraction(g.maslov) for g in reduced.generators)
+        vertex = span_of_translates(c, enumerate_hat_B_elements(c))
+        assert got == dense_homology_by_maslov(vertex)
 
 
 class TestIncludeB:
