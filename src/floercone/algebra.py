@@ -38,7 +38,8 @@ one translate U^p(g) g is chosen per generator, and d keeps the entries
 g -> U^k h with p(h) = p(g) + k, those mapping a chosen translate onto
 another.  The i = 0 column is p = 0, the j = 0 column p = A, the slice
 {i <= 0, j = s} is p = A - s on the generators with A >= s, and the surgery
-cone's hat vertices are A^_s, p = max(0, A - s), and B^, p = 0.
+cone's hat vertices are A^_s, p = max(0, A - s), and B^, p = 0.  Hat knot
+homology needs no slice: it counts the generators of the filtered reduction.
 """
 
 from __future__ import annotations
@@ -123,7 +124,11 @@ class FilteredComplex:
 
     def boundary(self, chain: Chain) -> Chain:
         """d of a GF(2)[U]-chain given as {name: power}."""
-        return apply_map(self.differential, chain)
+        out: Chain = {}
+        for name, power in chain.items():
+            for tgt, k in self.differential.get(name, {}).items():
+                _toggle(out, tgt, power + k)
+        return out
 
 
 def _toggle(row: dict[str, int], key: str, power: int) -> None:
@@ -225,14 +230,6 @@ def _replay(moves: Iterable[tuple[str, str, int]], chain: Chain) -> Chain:
         p = out.get(u)
         if p is not None:
             _toggle(out, v, p + m)
-    return out
-
-
-def apply_map(m: DiffMap, chain: Chain) -> Chain:
-    out: Chain = {}
-    for name, power in chain.items():
-        for tgt, k in m.get(name, {}).items():
-            _toggle(out, tgt, power + k)
     return out
 
 
@@ -438,6 +435,15 @@ def grading_key(g: Generator, keys: Sequence[str]) -> tuple:
     return tuple(parts)
 
 
+def grading_counts(generators: Iterable[Generator], keys: Sequence[str]) -> dict[tuple, int]:
+    """How many of generators sit at each key of the selected gradings."""
+    counts: dict[tuple, int] = {}
+    for g in generators:
+        key = grading_key(g, keys)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) -> GradedRanks:
     """Homology of c as a GF(2)[U]-module via graded Smith normal form.
 
@@ -448,10 +454,7 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
     """
     state = _Reduction(c)
     pivots = state.eliminate(lambda *_: True, lowest_power=True)
-    ranks: dict[tuple, int] = {}
-    for g in state.gens.values():
-        key = grading_key(g, keys)
-        ranks[key] = ranks.get(key, 0) + 1
+    ranks = grading_counts(state.gens.values(), keys)
     torsion: dict[tuple, list[int]] = {}
     for _, name, order in pivots:
         if order > 0:
@@ -497,15 +500,3 @@ def slice_through(c: FilteredComplex, power: Mapping[str, int]) -> FilteredCompl
             for src, row in c.differential.items() if src in power}
     return FilteredComplex(gens, diff)
 
-
-def bigraded_slice(c: FilteredComplex) -> FilteredComplex:
-    """Entries preserving both filtrations; computes hat-flavor knot homology.
-
-    This is the associated graded of the i = 0 column, not a slice_through:
-    it also drops the entries that lower j, which no choice of translates does.
-    """
-    diff = {
-        s: {t: k for t, k in row.items() if k == 0 and c.j_drop(s, t, k) == 0}
-        for s, row in c.differential.items()
-    }
-    return FilteredComplex(c.generators, diff)

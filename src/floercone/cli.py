@@ -60,14 +60,6 @@ def _read(path: str | None) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 # model flag (its dest) -> the model built from the flag's value
 MODELS = {
     "minus_en": minus_twist_knot,
@@ -164,7 +156,7 @@ def cmd_dualknot(args) -> str:
             "codomain_dim": rep.codomain_dim,
             "rank": rep.map_rank,
             "injective": rep.injective,
-            "matrix": rep.matrix,
+            "matrix": [[col >> i & 1 for col in rep.columns] for i in range(rep.codomain_dim)],
         }
     return serialize.dumps(payload)
 
@@ -344,7 +336,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _write(args.func(args), getattr(args, "out", None))  # validate has no --out
+        text, out = args.func(args), getattr(args, "out", None)  # validate has no --out
+        if out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return 0
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")

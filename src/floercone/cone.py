@@ -29,8 +29,8 @@ The infinity flavor reduces the source once for the whole cone.  It reads
 v and h on their homology with `induced_map`, and ranks one GF(2) matrix
 per degree between those homology bases, shifted by phi.
 `include_B` reads the same data.  No sector is flattened; the flattened
-whole cone (`total_complex`, `hat_complex`) remains for the dual cone and
-the checks.
+whole cone (`total_complex`, `hat_complex`; at q = 1 its Alexander field is
+the dual knot's J - I) remains for the dual cone and the checks.
 
 Vertex ranges.  The t-window must satisfy two constraints so that the
 omitted vertices cancel in (A_t, B_t) pairs via v (an isomorphism once
@@ -218,16 +218,12 @@ class MappingCone:
     def element_name(segment: str, t: int, base: str) -> str:
         return f"{segment}{t}.{base}"
 
-    def total_complex(self,
-                      alexander_fn: Callable[[str, int, Generator, int], int | Fraction] | None = None,
-                      ) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
+    def total_complex(self) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
         """Flatten the whole cone: A-vertices, then B-vertices, each by ascending t;
         the table maps each element to its vertex, one ConeVertex per vertex.
 
-        alexander_fn assigns the Alexander field of each element (the dual
-        construction passes its second filtration); plain cones use 0, so
-        the j-filtration bookkeeping degenerates and only the U-power
-        (the I-drop) constrains the differential.
+        At q = 1 each element's Alexander field is the dual knot's J - I (see
+        `dual`); at q > 1 it is 0, and only the U-power (the I-drop) counts.
         """
         elements = (len(self.a_ts) + len(self.b_ts)) * len(self.source)
         if elements > MAX_FLAT_ELEMENTS:
@@ -242,11 +238,14 @@ class MappingCone:
         for cv in self.vertices():
             segment, t, s = cv
             shift = phi[(segment, t)]
+            # J - I at q = 1: (2t + p - 1)/2p, less 1 on B and on A-elements with A < t
+            j = _exact(Fraction(2 * t + self.p - 1, 2 * self.p)) if self.q == 1 else 0
+            low = j - 1 if self.q == 1 else 0
             elements = vertex[(segment, t)] = {}
             for g in source.generators:
                 name = self.element_name(segment, t, g.name)
                 off = max(0, g.alexander - s) if segment == "A" else 0
-                a = 0 if alexander_fn is None else alexander_fn(segment, t, g, off)
+                a = low if segment == "B" or g.alexander < t else j
                 gens.append(Generator(name, a, g.maslov - 2 * off + shift))
                 table[name] = cv
                 elements[g.name] = name, off
@@ -319,7 +318,7 @@ class MappingCone:
                                                       if source.generator(n).alexander >= s})
         else:
             rf = reduce(source, "full_field")
-            v = induced_map(rf, rf, lambda chain: chain)
+            v = [1 << i for i in range(len(rf.complex))]  # push . pull is the identity
             h = induced_map(rf, rf, lambda chain: {sigma[n]: k - source.generator(n).alexander
                                                    for n, k in chain.items()})
         if rf.complex.differential:

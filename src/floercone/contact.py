@@ -11,6 +11,7 @@ cone inclusion) to every negative rational coefficient except -1.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -180,17 +181,26 @@ def locate_contact_class(l: LegendrianData, p: int, q: int) -> ContactLocator:
     return ContactLocator(t, t % abs(p), t // q)
 
 
+def _printable(x: int) -> int:
+    """x, refused past the interpreter's int-to-string digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and x.bit_length() > 3 * limit and abs(x) >= 10 ** limit:  # 8^limit < 10^limit
+        raise DomainError(f"the result has more than {limit} decimal digits "
+                          f"(int_max_str_digits = {limit})")
+    return x
+
+
 def c1_surgery_cobordism(l: LegendrianData, p: int, q: int) -> int:
     """|<c1, capped Seifert surface>| representative p + (rot - tb) q - 1."""
     _require_coprime(p, q)
-    return p + (l.rot - l.tb) * q - 1
+    return _printable(p + (l.rot - l.tb) * q - 1)
 
 
 def c1_positive_integer_surgery(l: LegendrianData, n: int) -> int:
     """<c1, capped rational Seifert surface> = order * (rot + n - 1)."""
     if n < 1:
         raise BadParameter(f"positive integer surgery needs n >= 1, got {n}")
-    return l.order * (l.rot + n - 1)
+    return _printable(l.order * (l.rot + n - 1))
 
 
 def c1_plus_one_surgery(s: LegendrianData) -> int:
@@ -211,6 +221,7 @@ def reduce_emn(m: int, r) -> tuple[Fraction, bool]:
     if r == -m:
         raise ExcludedCoefficient(f"r = -m = {r} is excluded (not a rational homology sphere)")
     target = r - m + 1
+    _printable(max(abs(target.numerator), target.denominator))
     return target, target == -1
 
 

@@ -7,11 +7,11 @@ and an absolute Maslov grading alongside the cone filtration I:
     A-elements:  I = max(i, j - s),  J = max(i - 1, j - s) + (2s+n-1)/(2n)
     B-elements:  I = i,              J = i - 1 + (2s+n-1)/(2n)
 
-The flattened complex stores each element through its I = 0 translate
-with alexander = J - I and maslov the decorated grading, so it is itself
-a filtered complex over GF(2)[U]: U-powers are I-drops and Alexander
-drops plus powers are J-drops.  Collapsing J (forgetting alexander)
-recovers the plain surgery cone.
+The flattened complex (`MappingCone.total_complex` at q = 1) stores each
+element through its I = 0 translate with alexander = J - I and maslov the
+decorated grading, so it is itself a filtered complex over GF(2)[U]:
+U-powers are I-drops and Alexander drops plus powers are J-drops.
+Collapsing J (forgetting alexander) recovers the plain surgery cone.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from . import gf2
 from .algebra import (
     Chain,
     FilteredComplex,
-    Generator,
     ReducedForm,
     _Reduction,
-    _exact,
     _toggle,
     check_complex,
     induced_map,
@@ -61,18 +59,7 @@ def build_dual_cone(flip: FlipMap, n: int) -> DualCone:
     lo = min(1 - g, g - n + 1)
     a_ts, b_ts = windows(flip, n, 1, lo, g)
     cone = MappingCone(flip, n, 1, a_ts, b_ts)
-
-    # the J offset (2t+n-1)/(2n) of each vertex, an int at n = 1
-    j_offset = {t: _exact(Fraction(2 * t + n - 1, 2 * n)) for t in (*a_ts, *b_ts)}
-
-    def second_filtration(segment: str, t: int, gen: Generator, offset: int) -> int | Fraction:
-        if segment == "A":
-            j0 = max(-1, gen.alexander - t) + j_offset[t]
-        else:
-            j0 = j_offset[t] - 1
-        return j0 - offset
-
-    total, _ = cone.total_complex(alexander_fn=second_filtration)
+    total, _ = cone.total_complex()
     report = check_complex(total)
     if not report.ok:
         raise InternalError("dual cone failed build-time verification:\n" + str(report))
@@ -183,7 +170,7 @@ class GMapReport(NamedTuple):
     alexander: int | Fraction
     domain_dim: int
     codomain_dim: int
-    matrix: list[list[int]]    # rows: codomain basis, columns: domain basis
+    columns: list[int]         # one per domain generator, a bitset over the codomain basis
     map_rank: int
     domain: FilteredComplex    # the Alexander slice the map starts from
     codomain: ReducedForm      # the reduced j = 0 column
@@ -194,7 +181,7 @@ class GMapReport(NamedTuple):
 
 
 def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
-    """Matrix of the U = 1 map on minus-flavor homology in Alexander grading s.
+    """The U = 1 map on minus-flavor homology in Alexander grading s.
 
     U^s carries the slice {i <= 0, j = s}, powers A - s, to the j = 0 column,
     powers A, so the chain map is the identity on generator names.
@@ -205,8 +192,7 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     rf_dom = reduce(domain, "over_U_units")
     rf_cod = reduce(slice_through(c, {g.name: g.alexander for g in c.generators}), "over_U_units")
     columns = induced_map(rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
-    matrix = [[col >> i & 1 for col in columns] for i in range(len(rf_cod.complex))]
-    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), matrix, gf2.rank(columns),
+    return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), columns, gf2.rank(columns),
                       domain, rf_cod)
 
 

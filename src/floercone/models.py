@@ -17,8 +17,9 @@ from .algebra import (
     FilteredComplex,
     Generator,
     GradedRanks,
-    bigraded_slice,
+    grading_counts,
     homology,
+    reduce,
     require_valid,
     slice_through,
 )
@@ -29,6 +30,10 @@ from .errors import BadCoefficient, BadParameter, DomainError, NonIntegral, Unsu
 # a 2-core host, `pipeline --n 4999 --r=-3` on the twist-knot model (9,999
 # generators) took 4.5 s and 253 MB.
 MAX_MODEL_GENERATORS = 10_000
+
+# `flip` refuses a reflection search past this many steps (one per candidate
+# tried or backtrack; about 1.5 s on a 2-core host, and 7,500 for twist 4999).
+MAX_FLIP_STEPS = 1_000_000
 
 
 def _require_model_size(n_generators: int) -> None:
@@ -230,8 +235,12 @@ def flip(c: FilteredComplex) -> FlipMap:
     # (i, j) of every pair made so far, with the two pools' paired prefixes
     # before it, and replaces recursion
     stack: list[tuple[int, int, int, int]] = []
-    i = j = 0
+    i = j = steps = 0
     while True:
+        steps += 1
+        if steps > MAX_FLIP_STEPS:
+            raise DomainError(f"the reflection search passed {MAX_FLIP_STEPS} steps "
+                              f"(MAX_FLIP_STEPS = {MAX_FLIP_STEPS})")
         while i < len(order) and order[i] in pairing:
             i += 1
         if i == len(order):  # consistent() has checked every entry; FlipMap checks again
@@ -266,9 +275,11 @@ def flip(c: FilteredComplex) -> FlipMap:
 
 
 def hat_knot_homology(c: FilteredComplex, keys=("alexander", "maslov")) -> GradedRanks:
-    """Hat-flavor knot homology from the i = 0 slice (bidegree-preserving part)."""
+    """Hat-flavor knot homology: the generators of c's filtered reduction,
+    which leaves no entry between equal (i, j) positions, so its i = 0
+    column's associated graded has zero differential."""
     require_valid(c)
-    return homology(bigraded_slice(c), keys)
+    return GradedRanks(grading_counts(reduce(c, "filtered").complex.generators, keys))
 
 
 def hfk_minus(c: FilteredComplex, s) -> GradedRanks:

@@ -109,7 +109,9 @@ def _indented(x, pad: str) -> str:
 
 
 def loads(text: str):
+    # ValueError also covers an int past the interpreter's digit limit, and
+    # RecursionError a nesting past its recursion limit
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc

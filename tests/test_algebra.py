@@ -19,14 +19,13 @@ from floercone.algebra import (
     cancel_pair,
     check_complex,
     homology,
-    bigraded_slice,
     reduce,
     slice_through,
 )
 from floercone.cone import MappingCone
 from floercone.dual import build_dual_cone, g_map, split_to_summands
 from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
-from floercone.models import box, flip, minus_twist_knot, staircase, unknot
+from floercone.models import box, flip, hat_knot_homology, minus_twist_knot, staircase, unknot
 
 from oracles import (
     dense_homology_by_maslov,
@@ -172,7 +171,7 @@ class TestHomology:
         assert ranks.torsion == {(0, 4): (2,)}
 
     def test_box_hat_slice_rank_at_alexander_zero(self):
-        ranks = homology(bigraded_slice(box()), ("alexander",))
+        ranks = hat_knot_homology(box(), ("alexander",))
         assert ranks.rank(0) == 2
 
     def test_random_complexes_match_construction(self):

@@ -171,6 +171,19 @@ class TestValidateCommand:
         code, _, _ = cli(["validate"], stdin_text="{not json")
         assert code == 2
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 200_000, "maximum recursion depth exceeded"),
+        ("1" * 5_000, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ], ids=["deep nesting", "5000-digit int"])
+    def test_json_past_the_interpreter_limits_is_exit_two(self, cli, tmp_path, text, reason):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        for argv in (["validate", str(path)], ["surgery", "--p", "1", "--in", str(path)]):
+            code, out, err = cli(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: invalid JSON: {reason}")
+            assert "Traceback" not in err
+
     def test_row_of_unknown_generator_is_reported(self, cli):
         # an entry out of an unknown generator into a known one: the row is
         # reported, and the unknown source is never looked up
@@ -396,6 +409,30 @@ class TestC1Command:
         assert cli(["c1", *argv]) == (1, "", f"error: {message}\n")
 
 
+NINES = "9" * 4_000
+
+
+class TestUnprintableResults:
+    """A result past the interpreter's 4,300-digit int-to-string limit is a
+    domain error, not a ValueError on the way out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["c1", "--formula", "cobordism", "--tb", "0", "--rot", NINES, "--p", "1", "--q", NINES],
+        ["c1", "--formula", "posint", "--rot", NINES, "--y", NINES],
+        ["pipeline", "--n", "5", "--r=-1/" + "7" * 4_000, "--m", NINES],
+    ], ids=["c1 cobordism", "c1 posint", "pipeline --m"])
+    def test_exit_one_naming_the_limit(self, cli, argv):
+        assert cli(argv) == (1, "", "error: the result has more than 4300 decimal digits "
+                                    "(int_max_str_digits = 4300)\n")
+
+    def test_the_limit_is_exact(self, cli):
+        # the value p + rot - 1 is 10^4300 - 1 (4,300 digits) at p = 1, 10^4300 at p = 2
+        argv = ["c1", "--formula", "cobordism", "--rot", "9" * 4_300]
+        code, out, _ = cli(argv)
+        assert code == 0 and json.loads(out)["value"] == 10 ** 4_300 - 1
+        assert cli([*argv, "--p", "2"])[0] == 1
+
+
 class TestSizeBudgets:
     """Inputs whose expansion or model would never finish are refused before
     anything large is built; the largest admitted sizes still build."""
@@ -479,12 +516,15 @@ class TestPipelineCommand:
         assert payload["hat_ranks"]["total_rank"] == 11
 
     def test_knot_homology_computes_the_homology_once(self, cli, monkeypatch):
-        # the polynomial is the Euler characteristic of the ranks just computed
+        # the ranks count the generators of one filtered reduction, and the
+        # polynomial is the Euler characteristic of those ranks
         calls = []
-        monkeypatch.setattr(models, "homology",
-                            lambda *args: calls.append(len(args[0])) or homology(*args))
+        monkeypatch.setattr(models, "homology", lambda *args: calls.append(
+            ("homology", len(args[0]))) or homology(*args))
+        monkeypatch.setattr(models, "reduce",
+                            lambda c, mode: calls.append((mode, len(c))) or algebra.reduce(c, mode))
         code, _, _ = cli(["knot-homology", "--minus-en", "5"])
-        assert (code, calls) == (0, [11])
+        assert (code, calls) == (0, [("filtered", 11)])
 
 
 # every command that takes --out, with arguments that make it succeed

@@ -157,6 +157,29 @@ class TestAssembly:
             total, _ = cone.total_complex()
             assert check_complex(total).ok
 
+    @pytest.mark.parametrize("mode", ["paper", "full"])
+    @pytest.mark.parametrize("p", [1, -2, 3])
+    def test_q1_flattening_carries_the_dual_knot_j(self, p, mode):
+        # J - I from the formulas of the dual module docstring, at s = t; at
+        # q = 2 the flattening carries no Alexander data
+        c = minus_twist_knot(5)
+        total, table = cone_for(c, p, 1, mode).total_complex()
+        assert check_complex(total).ok
+        for name, v in table.items():
+            a = c.generator(name.split(".", 1)[1]).alexander
+            off = max(0, a - v.s) if v.segment == "A" else 0
+            i, j = -off, a - off  # the element is the I = 0 translate
+            if v.segment == "A":
+                big_i, big_j = max(i, j - v.s), max(i - 1, j - v.s)
+            else:
+                big_i, big_j = i, i - 1
+            big_j += Fraction(2 * v.s + p - 1, 2 * p)
+            assert big_i == 0
+            assert total.generator(name).alexander == big_j - big_i
+        if p % 2:
+            total, _ = cone_for(c, p, 2, mode).total_complex()
+            assert {g.alexander for g in total.generators} == {0}
+
     @pytest.mark.parametrize("p,q", [(3, 1), (3, 2), (-3, 2)])
     def test_spin_c_splitting(self, p, q):
         cone = cone_for(minus_twist_knot(5), p, q)

@@ -1,6 +1,7 @@
 """Model builders, flip maps, knot homology, Alexander polynomials."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from floercone.algebra import (
     slice_through,
 )
 from floercone import models
-from floercone.errors import BadCoefficient, BadParameter, UnsupportedModel
+from floercone.errors import BadCoefficient, BadParameter, DomainError, UnsupportedModel
 from floercone.models import (
     FlipMap,
     alexander_polynomial,
@@ -205,6 +206,16 @@ class TestFlip:
         assert len(scrambled) == 36 and len(list(scrambled.entries())) == 17
         with pytest.raises(UnsupportedModel, match="no reflection partner for yv2_2"):
             flip(scrambled)
+
+    def test_search_ends_at_its_step_budget(self):
+        # eight scrambled dual copies, one change without its reflection: the
+        # unbounded search ran past 10 s (5.3M-6.6M steps); the budget ends it
+        c = scrambled_dual_copies(7, copies=8, changes=8, lopsided=True)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"passed 1000000 steps "
+                                              r"\(MAX_FLIP_STEPS = 1000000\)"):
+            flip(c)
+        assert time.perf_counter() - start < 10
 
     def test_found_pairing_is_checked_once(self, monkeypatch):
         # the search leaf returns FlipMap at once; FlipMap.__init__ runs the check
