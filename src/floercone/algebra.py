@@ -25,13 +25,13 @@ form over GF(2)[U] (minimal c first, recording U-torsion), which is how
 homology is computed, and, keeping each isolated pair in place, the
 filtered splitting of the dual-knot normal form.
 
-A reduction's trace is its log of basis changes, in order: replaying it
-forward carries input chains into the reduced basis, and replaying it
-backward carries reduced chains back to input cycles.
+A reduction's trace is its log of basis changes u := u + U^m v, in order,
+each graded, Maslov(u) = Maslov(v) - 2m, as `basis_change` checks.  So a
+homogeneous chain meets each name at one U-power only, and a trace can be
+replayed on names alone, with GF(2) bitsets for coefficients.
 
-Every map on homology is computed by one routine, `induced_map`: it pushes
-the cycles of one reduced complex through a chain map into another and
-reads off the map's columns as GF(2) bitsets.
+Every map on homology is computed by one routine, `induced_map`, from a
+graded map on generator names, in one replay of each trace.
 
 Every GF(2) slice of a complex is built by one constructor, `slice_through`:
 one translate U^p(g) g is chosen per generator, and d keeps the entries
@@ -201,36 +201,20 @@ def require_valid(c: FilteredComplex) -> None:
 # -- reduction engine ------------------------------------------------------
 
 
-class ReducedForm:
-    """A reduced complex plus the basis changes (u, v, m) that produced it.
+class ReducedForm(NamedTuple):
+    """A reduced complex plus the basis changes (u, v, m) that produced it,
+    each of which replaced u by u + U^m v."""
 
-    Each change replaced u by u + U^m v.  push replays them forward and sends
-    input chains to reduced-basis chains, pull replays them backward and
-    sends reduced chains to input chains; push . pull is the identity on the
-    nose, pull . push is chain homotopic to the identity, so homology
-    classes round-trip.
-    """
-
-    def __init__(self, complex: FilteredComplex, moves: list[tuple[str, str, int]]):
-        self.complex = complex
-        self.moves = moves
-
-    def push(self, chain: Chain) -> Chain:
-        out = _replay(self.moves, chain)
-        return {n: p for n, p in out.items() if n in self.complex}
-
-    def pull(self, chain: Chain) -> Chain:
-        return _replay(reversed(self.moves), chain)
+    complex: FilteredComplex
+    moves: list[tuple[str, str, int]]
 
 
-def _replay(moves: Iterable[tuple[str, str, int]], chain: Chain) -> Chain:
-    # in either direction, a chain holding U^p u picks up U^(p+m) v
-    out = dict(chain)
-    for u, v, m in moves:
-        p = out.get(u)
-        if p is not None:
-            _toggle(out, v, p + m)
-    return out
+def _replay(moves: Iterable[tuple[str, str, int]], images: dict[str, int]) -> dict[str, int]:
+    # GF(2) rows, name -> bitset: u := u + U^m v adds v's row to u's
+    for u, v, _ in moves:
+        if v in images:
+            images[u] = images.get(u, 0) ^ images[v]
+    return images
 
 
 class _Reduction:
@@ -267,6 +251,8 @@ class _Reduction:
         """Replace u by u + U^m v (GF(2), so it is its own inverse)."""
         if u == v:
             raise InternalError(f"basis change of {u} against itself")
+        if self.gens[u].maslov != self.gens[v].maslov - 2 * m:
+            raise InternalError(f"non-graded basis change {u} := {u} + U^{m} {v}")
         for tgt, k in list(self.diff.get(v, {}).items()):
             self._set(u, tgt, k + m)
         for s in list(self.sources.get(u, {})):
@@ -364,6 +350,8 @@ class _Reduction:
             pivots.append(pivot)
 
     def finish(self) -> ReducedForm:
+        if not self.moves and len(self.gens) == len(self.c):
+            return ReducedForm(self.c, [])  # d changes only through basis_change
         reduced = FilteredComplex(list(self.gens.values()),
                                   {s: dict(r) for s, r in self.diff.items()})
         return ReducedForm(reduced, self.moves)
@@ -466,20 +454,22 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
 # -- maps on homology --------------------------------------------------------
 
 
-def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm,
-                chain_map: Callable[[Chain], Chain]) -> list[int]:
-    """The map chain_map induces on homology, both reduced forms having zero
-    differential: one column per rf_dom generator, as a bitset over rf_cod's
-    basis (bit i = generator i).  Each rf_dom generator is pulled back to a
-    cycle of its source, mapped, and pushed into rf_cod's basis."""
-    cod_index = {g.name: i for i, g in enumerate(rf_cod.complex.generators)}
-    columns: list[int] = []
-    for b in rf_dom.complex.generators:
-        bits = 0
-        for name in rf_cod.push(chain_map(rf_dom.pull({b.name: 0}))):
-            bits |= 1 << cod_index[name]
-        columns.append(bits)
-    return columns
+def induced_map(rf_dom: ReducedForm, rf_cod: ReducedForm, image: Mapping[str, str]) -> list[int]:
+    """The map on homology of the graded chain map n -> image[n] (0 on the
+    names image leaves out), both reduced forms having zero differential:
+    one column per rf_dom generator, as a bitset over rf_cod's basis (bit i
+    = generator i).  Each input name's row is its image's row in rf_cod's
+    basis; rf_dom's trace, replayed forwards, carries the rows onto its
+    reduced generators, which pulls each of them back in one pass."""
+    pushed = _pushed(rf_cod)
+    rows = _replay(rf_dom.moves, {n: pushed.get(m, 0) for n, m in image.items()})
+    return [rows.get(b.name, 0) for b in rf_dom.complex.generators]
+
+
+def _pushed(rf: ReducedForm) -> dict[str, int]:
+    """Each input name's image in rf's reduced basis as a bitset, from one
+    backwards replay of the trace; an absent name's image is 0."""
+    return _replay(reversed(rf.moves), {g.name: 1 << i for i, g in enumerate(rf.complex.generators)})
 
 
 # -- graded slices ---------------------------------------------------------

@@ -296,8 +296,9 @@ class MappingCone:
         Infinity: over GF(2)[U,U^-1] the offsets only rename U-powers, and
         full_field pivots on the support in generator order, so one
         reduction of the source serves every vertex, with v the identity and
-        h the flip g -> U^(-A) sigma g.  The gradings it drops, 2 p and the
-        tail lift, are even, and infinity keys by Maslov parity.
+        h the flip g -> U^(-A) sigma g, which is sigma on names since the
+        gradings fix its U-powers.  The gradings it drops, 2 p and the tail
+        lift, are even, and infinity keys by Maslov parity.
         """
         hat = flavor == "hat"
         s = _shared_s(self.s_of(t), self.flip.top) if hat and segment == "A" else None
@@ -313,14 +314,13 @@ class MappingCone:
             rf = reduce(slice_through(source, power), "over_U_units")
             if s is not None:
                 b = self._vertex_homology("B", t, flavor).reduced
-                v = induced_map(rf, b, lambda chain: {n: 0 for n in chain if not power[n]})
-                h = induced_map(rf, b, lambda chain: {sigma[n]: 0 for n in chain
-                                                      if source.generator(n).alexander >= s})
+                v = induced_map(rf, b, {n: n for n, k in power.items() if not k})
+                h = induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
+                                        if g.alexander >= s})
         else:
             rf = reduce(source, "full_field")
-            v = [1 << i for i in range(len(rf.complex))]  # push . pull is the identity
-            h = induced_map(rf, rf, lambda chain: {sigma[n]: k - source.generator(n).alexander
-                                                   for n, k in chain.items()})
+            v = [1 << i for i in range(len(rf.complex))]
+            h = induced_map(rf, rf, sigma)
         if rf.complex.differential:
             raise InternalError(f"vertex {segment}{t} keeps a differential after reduction")
         found = VertexHomology(rf, v, h)

@@ -24,6 +24,7 @@ from .algebra import (
     Chain,
     FilteredComplex,
     ReducedForm,
+    _pushed,
     _Reduction,
     _toggle,
     check_complex,
@@ -191,7 +192,7 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     domain = slice_through(c, {g.name: g.alexander - s for g in c.generators if g.alexander >= s})
     rf_dom = reduce(domain, "over_U_units")
     rf_cod = reduce(slice_through(c, {g.name: g.alexander for g in c.generators}), "over_U_units")
-    columns = induced_map(rf_dom, rf_cod, lambda chain: {name: 0 for name in chain})
+    columns = induced_map(rf_dom, rf_cod, {g.name: g.name for g in domain.generators})
     return GMapReport(s, len(rf_dom.complex), len(rf_cod.complex), columns, gf2.rank(columns),
                       domain, rf_cod)
 
@@ -211,7 +212,11 @@ def distinct_classes(gm: GMapReport, cycle_a, cycle_b) -> bool:
         if bdy:
             raise NotCycles(f"chain has nonzero boundary {sorted(bdy)}")
         chains.append(chain)
-    return gm.codomain.push(chains[0]) != gm.codomain.push(chains[1])
+    pushed = _pushed(gm.codomain)
+    image = 0
+    for name in chains[0].keys() ^ chains[1].keys():
+        image ^= pushed.get(name, 0)
+    return image != 0
 
 
 def loss_grading(tb: int, rot: int) -> int:

@@ -8,6 +8,9 @@
 * brute-force enumeration of (i,j)-plane translates for hat-vertex counts,
   and the GF(2) complex on the translates a region of the plane picks;
 * the j-preserving slice, whose homology is the minus-flavor knot homology;
+* the reference replay of a reduction's trace, one chain at a time with its
+  U-powers: push into the reduced basis, pull back to input chains, and the
+  map on homology read column by column through them;
 * Spin^c sectors restricted from the flattened cone, and the vertex
   inclusion read off them by reducing the sector and the vertex;
 * the window argument of the surgery cone: whether the hat v- or h-map
@@ -24,7 +27,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from floercone import gf2
-from floercone.algebra import FilteredComplex, Generator, induced_map, reduce, require_valid
+from floercone.algebra import (
+    Chain,
+    FilteredComplex,
+    Generator,
+    ReducedForm,
+    induced_map,
+    reduce,
+    require_valid,
+)
 from floercone.cone import MappingCone
 from floercone.errors import UnsupportedModel
 from floercone.models import FlipMap
@@ -173,6 +184,59 @@ def j_graded(c: FilteredComplex) -> FilteredComplex:
     return FilteredComplex(c.generators, diff)
 
 
+# -- trace replay, one chain at a time -------------------------------------------
+
+
+def push(rf: ReducedForm, chain: Chain) -> Chain:
+    """An input chain ({name: U-power}) in rf's reduced basis: the trace
+    replayed forwards, then the removed generators dropped."""
+    out = _replay_with_powers(rf.moves, chain)
+    return {n: p for n, p in out.items() if n in rf.complex}
+
+
+def pull(rf: ReducedForm, chain: Chain) -> Chain:
+    """A reduced chain as an input chain: the trace replayed backwards.
+    push . pull is the identity, and pull . push is homotopic to it."""
+    return _replay_with_powers(reversed(rf.moves), chain)
+
+
+def _replay_with_powers(moves, chain: Chain) -> Chain:
+    # in either direction, a chain holding U^p u picks up U^(p+m) v
+    out = dict(chain)
+    for u, v, m in moves:
+        if u in out:
+            _toggle_graded(out, v, out[u] + m)
+    return out
+
+
+def _toggle_graded(chain: Chain, name: str, power: int) -> None:
+    # GF(2): adding a monomial the chain holds cancels it; a graded chain
+    # holds each name at one power only, which is checked
+    if name not in chain:
+        chain[name] = power
+    elif chain[name] == power:
+        del chain[name]
+    else:
+        raise ValueError(f"non-graded toggle on {name}: U^{chain[name]} vs U^{power}")
+
+
+def induced_map_by_columns(rf_dom: ReducedForm, rf_cod: ReducedForm,
+                           image: dict[str, tuple[str, int]]) -> list[int]:
+    """Each rf_dom generator pulled back, mapped by n -> U^k m for
+    image[n] = (m, k), and pushed into rf_cod: the columns `induced_map`
+    gives, computed one chain at a time with U-powers."""
+    index = {g.name: i for i, g in enumerate(rf_cod.complex.generators)}
+    columns = []
+    for b in rf_dom.complex.generators:
+        mapped: Chain = {}
+        for n, p in pull(rf_dom, {b.name: 0}).items():
+            if n in image:
+                m, k = image[n]
+                _toggle_graded(mapped, m, p + k)
+        columns.append(sum(1 << index[n] for n in push(rf_cod, mapped)))
+    return columns
+
+
 # -- flattened sectors -----------------------------------------------------------
 
 
@@ -201,7 +265,7 @@ def include_B_by_flattening(hat: FilteredComplex, table: dict, t: int) -> tuple[
     vertex = [n for n, info in table.items() if info.segment == "B" and info.t == t]
     rf_vertex = reduce(restrict(hat, vertex), "over_U_units")
     rf_sector = _reduced_sector(hat)
-    map_rank = gf2.rank(induced_map(rf_vertex, rf_sector, lambda chain: chain))
+    map_rank = gf2.rank(induced_map(rf_vertex, rf_sector, dict(zip(vertex, vertex))))
     return len(rf_vertex.complex), len(rf_sector.complex), map_rank
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from floercone import algebra, gf2
 from floercone.algebra import (
+    REDUCE_MODES,
     FilteredComplex,
     Generator,
     ReducedForm,
@@ -19,24 +20,33 @@ from floercone.algebra import (
     cancel_pair,
     check_complex,
     homology,
+    induced_map,
     reduce,
     slice_through,
 )
 from floercone.cone import MappingCone
 from floercone.dual import build_dual_cone, g_map, split_to_summands
-from floercone.errors import BadParameter, NoUnitEntry, NormalFormMismatch
+from floercone.errors import BadParameter, InternalError, NoUnitEntry, NormalFormMismatch
 from floercone.models import box, flip, hat_knot_homology, minus_twist_knot, staircase, unknot
 
 from oracles import (
     dense_homology_by_maslov,
     flattened_sectors,
     gf2_matrix_rank,
+    induced_map_by_columns,
     j_graded,
+    pull,
+    push,
     span_of_translates,
     translates_in,
     two_bridge_alexander,
 )
-from random_complexes import default_seed, random_filtered_complex, reference_eliminate
+from random_complexes import (
+    default_seed,
+    random_filtered_complex,
+    reference_eliminate,
+    reflection_symmetric_complex,
+)
 
 
 def shuffled_unit_reduction(c: FilteredComplex, seed: int) -> ReducedForm:
@@ -112,19 +122,19 @@ class TestCancelPair:
         c = box()
         rf = cancel_pair(c, "a", "c")
         for g in rf.complex.generators:
-            assert rf.push(rf.pull({g.name: 0})) == {g.name: 0}
+            assert push(rf, pull(rf, {g.name: 0})) == {g.name: 0}
 
     def test_traces_are_chain_maps(self):
         c = box()
         rf = cancel_pair(c, "b", "d")
         for g in rf.complex.generators:
             chain = {g.name: 0}
-            assert c.boundary(rf.pull(chain)) == rf.pull(rf.complex.boundary(chain))
+            assert c.boundary(pull(rf, chain)) == pull(rf, rf.complex.boundary(chain))
         for g in c.generators:
             if g.name in ("b", "d"):
                 continue
             chain = {g.name: 0}
-            assert rf.complex.boundary(rf.push(chain)) == rf.push(c.boundary(chain))
+            assert rf.complex.boundary(push(rf, chain)) == push(rf, c.boundary(chain))
 
 
 class TestReduce:
@@ -134,8 +144,15 @@ class TestReduce:
         assert rf.complex.differential == {}
         assert len(rf.complex) == 2
         assert rf.moves == []
-        assert [rf.push({n: 0}) for n in "gh"] == [{"g": 0}, {"h": 0}]
-        assert [rf.pull({n: 0}) for n in "gh"] == [{"g": 0}, {"h": 0}]
+        assert [push(rf, {n: 0}) for n in "gh"] == [{"g": 0}, {"h": 0}]
+        assert [pull(rf, {n: 0}) for n in "gh"] == [{"g": 0}, {"h": 0}]
+
+    def test_nothing_to_do_returns_the_input(self):
+        # a twist model has no filtered unit entry, so nothing moves
+        c = minus_twist_knot(5)
+        rf = reduce(c, "filtered")
+        assert rf.complex is c
+        assert rf.moves == []
 
     def test_staircase_full_field_leaves_one_generator(self):
         rf = reduce(staircase(), "full_field")
@@ -235,10 +252,10 @@ class TestTraces:
             rf = reduce(c, mode)
             for g in c.generators:
                 chain = {g.name: 0}
-                assert rf.complex.boundary(rf.push(chain)) == rf.push(c.boundary(chain))
+                assert rf.complex.boundary(push(rf, chain)) == push(rf, c.boundary(chain))
             for g in rf.complex.generators:
                 chain = {g.name: 0}
-                assert c.boundary(rf.pull(chain)) == rf.pull(rf.complex.boundary(chain))
+                assert c.boundary(pull(rf, chain)) == pull(rf, rf.complex.boundary(chain))
 
     @pytest.mark.parametrize("mode", ["filtered", "over_U_units", "full_field"])
     def test_project_include_is_identity(self, mode):
@@ -247,7 +264,54 @@ class TestTraces:
             c, _ = random_filtered_complex(rng, 2, 4, 30)
             rf = reduce(c, mode)
             for g in rf.complex.generators:
-                assert rf.push(rf.pull({g.name: 0})) == {g.name: 0}
+                assert push(rf, pull(rf, {g.name: 0})) == {g.name: 0}
+
+    @pytest.mark.parametrize("mode", REDUCE_MODES)
+    def test_induced_map_matches_the_column_oracle(self, mode):
+        # the same random complexes, under the identity and a graded map that
+        # shifts U-powers: n -> U^k m, m of n's Maslov parity, k fixed by them
+        rng = random.Random(default_seed() + 6)
+        for _ in range(10):
+            c, _ = random_filtered_complex(rng, 2, 4, 30)
+            shift = {}
+            for g in c.generators:
+                h = rng.choice([h for h in c.generators if (h.maslov - g.maslov) % 2 == 0])
+                shift[g.name] = (h.name, (h.maslov - g.maslov) // 2)
+            rf, rf_full = reduce(c, mode), reduce(c, "full_field")
+            for image in ({g.name: (g.name, 0) for g in c.generators}, shift):
+                names = {n: m for n, (m, _) in image.items()}
+                for dom, cod in ((rf, rf), (rf, rf_full), (rf_full, rf)):
+                    assert induced_map(dom, cod, names) == induced_map_by_columns(dom, cod, image)
+
+    @pytest.mark.parametrize("mode", REDUCE_MODES)
+    def test_induced_map_matches_the_column_oracle_on_the_infinity_flip(self, mode):
+        # the infinity cone's h: g -> U^(-A) sigma g, given to induced_map as sigma
+        rng = random.Random(default_seed() + 10)
+        for _ in range(10):
+            c = reflection_symmetric_complex(rng)
+            sigma = flip(c).pairing
+            image = {n: (m, -c.generator(n).alexander) for n, m in sigma.items()}
+            rf = reduce(c, mode)
+            assert induced_map(rf, rf, sigma) == induced_map_by_columns(rf, rf, image)
+
+    def test_induced_map_walks_each_trace_once(self):
+        class Walked(list):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+            def __reversed__(self):
+                self.walks += 1
+                return super().__reversed__()
+
+        c, _ = random_filtered_complex(random.Random(default_seed() + 11), 3, 4, 30)
+        dom, cod = reduce(c, "full_field"), reduce(c, "over_U_units")
+        dom, cod = (ReducedForm(rf.complex, Walked(rf.moves)) for rf in (dom, cod))
+        assert len(dom.complex) > 1 and dom.moves and cod.moves
+        induced_map(dom, cod, {g.name: g.name for g in c.generators})
+        assert (dom.moves.walks, cod.moves.walks) == (1, 1)
 
     def test_filtered_trace_respects_filtration(self):
         # pulled-back chains never exceed the filtration of their class
@@ -256,7 +320,7 @@ class TestTraces:
             c, _ = random_filtered_complex(rng, 2, 4, 30)
             rf = reduce(c, "filtered")
             for g in rf.complex.generators:
-                for name, power in rf.pull({g.name: 0}).items():
+                for name, power in pull(rf, {g.name: 0}).items():
                     assert power >= 0
                     assert c.generator(name).alexander - power <= g.alexander
 
@@ -499,15 +563,28 @@ class TestGf2Rank:
             assert gf2.rank(self.columns(rows)) == gf2_matrix_rank(rows)
 
 
+def test_non_graded_basis_change_is_refused():
+    # trace replays read names only, which is exact only on graded moves
+    state = _Reduction(FilteredComplex([Generator("u", 0, 0), Generator("v", 0, 2)], {}))
+    with pytest.raises(InternalError, match="non-graded"):
+        state.basis_change("u", "v", 0)
+    state.basis_change("u", "v", 1)  # Maslov(u) = Maslov(v) - 2m
+    assert state.moves == [("u", "v", 1)]
+
+
 def test_reduction_trace_does_not_depend_on_hash_seed():
     # columns are walked in insertion order, so the basis changes come out the
-    # same in every process, not only the reduced complex
+    # same in every process, not only the reduced complex, and so do the maps
+    # on homology read through them
     script = ("import hashlib\n"
-              "from floercone.dual import build_dual_cone, normal_form\n"
+              "from floercone.cone import MappingCone\n"
+              "from floercone.dual import build_dual_cone, g_map, normal_form\n"
               "from floercone.models import flip, minus_twist_knot\n"
               "c = minus_twist_knot(41)\n"
-              "moves = normal_form(build_dual_cone(flip(c), 1)).form.moves\n"
-              "print(hashlib.sha256(repr(moves).encode()).hexdigest())\n")
+              "form = normal_form(build_dual_cone(flip(c), 1)).form\n"
+              "hat = MappingCone.build(flip(c), 5, 1, 'full')._vertex_homology('A', 0, 'hat')\n"
+              "traced = (form.moves, g_map(form.complex).columns, hat.v, hat.h)\n"
+              "print(hashlib.sha256(repr(traced).encode()).hexdigest())\n")
     src = str(Path(algebra.__file__).parent.parent)
     digests = set()
     for seed in ("0", "1"):
@@ -579,6 +656,11 @@ def test_oracle_preconditions_hold_under_optimization():
     for alpha in (0, 4, -3):
         with pytest.raises(ValueError, match="positive odd alpha"):
             two_bridge_alexander(alpha, 1)
+    skew = ReducedForm(FilteredComplex([Generator(n, 0, 0) for n in "uvw"], {}),
+                       [("u", "w", 0), ("v", "w", 1)])
+    for replay in (push, pull):
+        with pytest.raises(ValueError, match="non-graded"):
+            replay(skew, {"u": 0, "v": 0})
     for helper in ("oracles.py", "random_complexes.py"):
         tree = ast.parse((Path(__file__).parent / helper).read_text(encoding="utf-8"))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], helper

@@ -1,5 +1,6 @@
 """Dual-knot cone: decorations, normal form, U = 1 map, class separation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,8 @@ from floercone.models import (
     unknot,
 )
 
-from oracles import flattened_sectors
+from oracles import flattened_sectors, pull, push
+from random_complexes import default_seed, random_filtered_complex
 
 
 def dual_for(c, n=1):
@@ -127,7 +129,7 @@ class TestNormalForm:
         dc = dual_for(minus_twist_knot(5), 1)
         nfr = normal_form(dc)
         for g in nfr.form.complex.generators:
-            assert nfr.form.push(nfr.form.pull({g.name: 0})) == {g.name: 0}
+            assert push(nfr.form, pull(nfr.form, {g.name: 0})) == {g.name: 0}
 
     def test_trace_is_a_chain_map(self):
         dc = dual_for(minus_twist_knot(5), 1)
@@ -135,10 +137,10 @@ class TestNormalForm:
         src, red = dc.complex, nfr.form.complex
         for g in red.generators:
             chain = {g.name: 0}
-            assert src.boundary(nfr.form.pull(chain)) == nfr.form.pull(red.boundary(chain))
+            assert src.boundary(pull(nfr.form, chain)) == pull(nfr.form, red.boundary(chain))
         for g in src.generators:
             chain = {g.name: 0}
-            assert red.boundary(nfr.form.push(chain)) == nfr.form.push(src.boundary(chain))
+            assert red.boundary(push(nfr.form, chain)) == push(nfr.form, src.boundary(chain))
 
     def test_box_contributes_one_h_and_one_v(self):
         # the box dual cone reduces to a horizontal and a vertical pair
@@ -214,6 +216,33 @@ class TestDistinctClasses:
         # yh1 has Alexander -1, so it is outside the top slice
         with pytest.raises(NotCycles, match="Alexander-1 slice"):
             distinct_classes(g_map(c), ["yh1"], ["yv1"])
+
+    def test_matches_the_pushed_chains_of_the_oracle(self):
+        # random cycles of each slice: sums of pulled-back homology classes
+        # and boundaries, compared by their pushed chains in the j = 0 column
+        rng = random.Random(default_seed() + 12)
+        models = [random_filtered_complex(rng, 2, 4, 30)[0] for _ in range(6)]
+        models.append(dual_for(minus_twist_knot(3), 1).complex)  # its j = 0 column has moves
+        seen = set()
+        for c in models:
+            for s in sorted({g.alexander for g in c.generators}):
+                gm = g_map(c, s)
+                rf = reduce(gm.domain, "over_U_units")
+                parts = [set(pull(rf, {g.name: 0})) for g in rf.complex.generators]
+                parts += [set(gm.domain.boundary({g.name: 0})) for g in gm.domain.generators]
+
+                def cycle() -> set[str]:
+                    names: set[str] = set()
+                    for part in rng.sample(parts, rng.randint(0, len(parts))):
+                        names ^= part
+                    return names
+
+                for _ in range(10):
+                    a, b = cycle(), cycle()
+                    want = push(gm.codomain, dict.fromkeys(a, 0)) != push(gm.codomain, dict.fromkeys(b, 0))
+                    assert distinct_classes(gm, a, b) == want
+                    seen.add(want)
+        assert seen == {False, True}
 
     def test_reads_the_reports_slice_and_codomain(self, monkeypatch):
         c = dual_normal_form_model(5)
