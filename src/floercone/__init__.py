@@ -5,7 +5,6 @@ from .algebra import (
     Generator,
     GradedRanks,
     ReducedForm,
-    cancel_pair,
     check_complex,
     homology,
     reduce,
@@ -20,13 +19,11 @@ from .contact import (
 )
 from .dual import DualCone, build_dual_cone, distinct_classes, g_map, loss_grading, normal_form
 from .models import (
-    alexander_polynomial,
     box,
     dual_normal_form_model,
     euler_characteristic,
     flip,
     hat_knot_homology,
-    hfk_minus,
     minus_twist_knot,
     mirror,
     staircase,
@@ -37,13 +34,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FilteredComplex", "Generator", "GradedRanks", "ReducedForm",
-    "cancel_pair", "check_complex", "homology", "reduce",
+    "check_complex", "homology", "reduce",
     "MappingCone", "include_B",
     "DgsExpansion", "LegendrianData", "distinctness_pipeline",
     "negative_expansion", "positive_expansion",
     "DualCone", "build_dual_cone", "distinct_classes", "g_map",
     "loss_grading", "normal_form",
-    "alexander_polynomial", "box", "dual_normal_form_model", "euler_characteristic",
-    "flip", "hat_knot_homology", "hfk_minus", "minus_twist_knot", "mirror",
+    "box", "dual_normal_form_model", "euler_characteristic",
+    "flip", "hat_knot_homology", "minus_twist_knot", "mirror",
     "staircase", "unknot",
 ]

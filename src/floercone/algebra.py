@@ -21,7 +21,8 @@ Every pivot is chosen by one loop, `_Reduction.eliminate`, parameterized by
 which entries may serve as pivots.  It gives filtered reduction (c = 0 and
 equal Alexander gradings), reduction up to unfiltered GF(2)[U]-homotopy
 equivalence (c = 0), reduction over the Laurent ring (any c), Smith normal
-form over GF(2)[U] (minimal c first, recording U-torsion), which is how
+form over GF(2)[U] (in phases, one per U-power c from the least up, each
+admitting entries of power c alone; c > 0 records U-torsion), which is how
 homology is computed, and, keeping each isolated pair in place, the
 filtered splitting of the dual-knot normal form.
 
@@ -49,7 +50,7 @@ from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadParameter, InternalError, NoUnitEntry
+from .errors import BadParameter, InternalError
 
 Chain = dict[str, int]  # generator name -> U-power, GF(2) coefficients implicit
 DiffMap = dict[str, dict[str, int]]
@@ -287,16 +288,15 @@ class _Reduction:
     # the elimination loop -------------------------------------------------
 
     def eliminate(self, accept: Callable[[str, str, int], bool], *,
-                  lowest_power: bool = False, keep: bool = False) -> list[tuple[str, str, int]]:
+                  keep: bool = False) -> list[tuple[str, str, int]]:
         """Isolate pivot entries until accept admits none; returns the pivots.
 
         The pivot is the first live entry src -> U^k tgt in generator order
-        (source, then target) that accept(src, tgt, k) admits; lowest_power
-        takes the least U-power first.  Candidates wait in a heap that _set
-        feeds, so accept runs once per inserted entry; with keep it reads the
-        live row and column, so it runs when a candidate is popped, and a
-        rejected one waits, filed under its row and its column, until a
-        pivot's isolate changes one of them.
+        (source, then target) that accept(src, tgt, k) admits.  Candidates
+        wait in a heap that _set feeds, so accept runs once per inserted
+        entry; with keep it reads the live row and column, so it runs when a
+        candidate is popped, and a rejected one waits, filed under its row
+        and its column, until a pivot's isolate changes one of them.
         Each pivot e -> U^c f is isolated, then removed, or with keep left in
         place and skipped from then on.  Pivots are returned as (e, f, c).
         """
@@ -307,10 +307,10 @@ class _Reduction:
 
         def enqueue(s: str, t: str, k: int) -> None:
             if keep or accept(s, t, k):
-                heappush(heap, (k if lowest_power else 0, order(s), order(t), s, t, k))
+                heappush(heap, (order(s), order(t), s, t, k))
 
         def live(x: tuple) -> bool:  # stale records are dropped when popped
-            _, _, _, s, t, k = x
+            _, _, s, t, k = x
             return self.diff.get(s, {}).get(t) == k and s not in kept and t not in kept
 
         # keep mode: each rejected record, filed under its row and its column;
@@ -326,11 +326,11 @@ class _Reduction:
             while heap and pivot is None:
                 x = heappop(heap)
                 if live(x):
-                    if keep and not accept(*x[3:]):
-                        for filed, g in zip(waiting, x[3:5]):
+                    if keep and not accept(*x[2:]):
+                        for filed, g in zip(waiting, x[2:4]):
                             filed.setdefault(g, set()).add(x)
                     else:
-                        pivot = x[3:]
+                        pivot = x[2:]
             if pivot is None:
                 return pivots
             e, f, _ = pivot
@@ -342,7 +342,7 @@ class _Reduction:
                 due = {x for filed, names in zip(waiting, self.touched)
                        for g in names & filed.keys() for x in filed[g]}
                 for x in due:
-                    for filed, g in zip(waiting, x[3:5]):
+                    for filed, g in zip(waiting, x[2:4]):
                         filed[g].discard(x)
                     heappush(heap, x)
             else:
@@ -355,16 +355,6 @@ class _Reduction:
         reduced = FilteredComplex(list(self.gens.values()),
                                   {s: dict(r) for s, r in self.diff.items()})
         return ReducedForm(reduced, self.moves)
-
-
-def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
-    """Cancel one differential entry source -> U^0 target (a GF(2)[U] unit)."""
-    k = c.differential.get(source, {}).get(target)
-    if k is None or k != 0:
-        raise NoUnitEntry(f"no unit differential entry {source} -> {target}")
-    state = _Reduction(c)
-    state.eliminate(lambda s, t, k: (s, t) == (source, target))
-    return state.finish()
 
 
 REDUCE_MODES = ("filtered", "over_U_units", "full_field")
@@ -407,9 +397,6 @@ class GradedRanks(NamedTuple):
     def total_rank(self) -> int:
         return sum(self.ranks.values())
 
-    def rank(self, *key) -> int:
-        return self.ranks.get(key, 0)
-
 
 def grading_key(g: Generator, keys: Sequence[str]) -> tuple:
     parts = []
@@ -437,11 +424,16 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
 
     Ranks count free GF(2)[U] summands, the torsion table lists U-powers of
     GF(2)[U]/U^k summands, both keyed by the selected gradings of their
-    generating class.  Basis independent; pivots take minimal U-power first
-    so all elimination stays inside the polynomial ring.
+    generating class.  Basis independent.  Each phase pivots on the entries
+    of the least live U-power; no isolate makes an entry of lower power than
+    its pivot's, so the phases take the pivots of one lowest-power-first
+    scan, and all elimination stays inside the polynomial ring.
     """
     state = _Reduction(c)
-    pivots = state.eliminate(lambda *_: True, lowest_power=True)
+    pivots: list[tuple[str, str, int]] = []
+    while state.diff:
+        low = min(k for row in state.diff.values() for k in row.values())
+        pivots += state.eliminate(lambda s, t, k: k == low)
     ranks = grading_counts(state.gens.values(), keys)
     torsion: dict[tuple, list[int]] = {}
     for _, name, order in pivots:

@@ -28,7 +28,7 @@ from .contact import (
     positive_expansion,
 )
 from .dual import build_dual_cone, g_map, loss_grading, normal_form, require_framing
-from .errors import DomainError, InternalError, ParseError
+from .errors import DomainError, InternalError, ParseError, past_digit_limit
 from .models import (
     box,
     dual_normal_form_model,
@@ -45,9 +45,14 @@ from .models import (
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        r = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
+    # e-notation builds 10^k with no int-from-string limit; the same value in
+    # digits meets that limit, above, and is refused the same way
+    if past_digit_limit(r.numerator) or past_digit_limit(r.denominator):
+        raise ParseError(f"not a rational number: {text!r}")
+    return r
 
 
 def _read(path: str | None) -> str:

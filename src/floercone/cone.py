@@ -63,7 +63,7 @@ from .algebra import (
     reduce,
     slice_through,
 )
-from .errors import BadCoefficient, DomainError, InternalError, NoSuchVertex
+from .errors import BadCoefficient, DomainError, InternalError, NoSuchVertex, count_text
 from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
@@ -86,7 +86,7 @@ def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, ran
     elements its vertex reductions hold, would pass their budget."""
     vertices = max(0, hi + 1 - lo) + max(0, hi + 1 - lo - p)
     if vertices > MAX_CONE_VERTICES:
-        raise DomainError(f"the cone window has {vertices} vertices "
+        raise DomainError(f"the cone window has {count_text(vertices)} vertices "
                           f"(MAX_CONE_VERTICES = {MAX_CONE_VERTICES})")
     a_keys = _shared_s(hi // q, flip.top) + 1 - _shared_s(lo // q, flip.top) if hi >= lo else 0
     reduced = (a_keys + 1) * len(flip.source)

@@ -11,7 +11,6 @@ cone inclusion) to every negative rational coefficient except -1.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -23,6 +22,8 @@ from .errors import (
     ExcludedCoefficient,
     InternalError,
     ParityError,
+    TooManyDigits,
+    past_digit_limit,
 )
 from .models import flip, minus_twist_knot
 from .dual import (
@@ -183,10 +184,8 @@ def locate_contact_class(l: LegendrianData, p: int, q: int) -> ContactLocator:
 
 def _printable(x: int) -> int:
     """x, refused past the interpreter's int-to-string digit limit."""
-    limit = sys.get_int_max_str_digits()
-    if limit and x.bit_length() > 3 * limit and abs(x) >= 10 ** limit:  # 8^limit < 10^limit
-        raise DomainError(f"the result has more than {limit} decimal digits "
-                          f"(int_max_str_digits = {limit})")
+    if past_digit_limit(x):
+        raise TooManyDigits()
     return x
 
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all floercone modules."""
+"""Exception hierarchy shared by all floercone modules, and the rule for
+integers past the interpreter's int-to-string digit limit."""
+
+import sys
 
 
 class FloerconeError(Exception):
@@ -18,10 +21,6 @@ class InternalError(FloerconeError):
 
 
 class BadParameter(DomainError):
-    pass
-
-
-class NoUnitEntry(DomainError):
     pass
 
 
@@ -59,3 +58,24 @@ class NonIntegral(DomainError):
 
 class NotCycles(DomainError):
     pass
+
+
+class TooManyDigits(DomainError):
+    """A result past the int-to-string digit limit, which no output can print."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"the result has more than {limit} decimal digits "
+                         f"(int_max_str_digits = {limit})")
+
+
+def past_digit_limit(x: int) -> bool:
+    """Whether str(x) would pass the interpreter's int-to-string digit limit;
+    8^limit < 10^limit, so the bit length settles most x without a power."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and x.bit_length() > 3 * limit and abs(x) >= 10 ** limit
+
+
+def count_text(n: int) -> str:
+    """n in decimal for a message, or "at least 10^limit" past that limit."""
+    return f"at least 10^{sys.get_int_max_str_digits()}" if past_digit_limit(n) else str(n)

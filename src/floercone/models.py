@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (
-    FilteredComplex,
-    Generator,
-    GradedRanks,
-    grading_counts,
-    homology,
-    reduce,
-    require_valid,
-    slice_through,
+from .algebra import FilteredComplex, Generator, GradedRanks, grading_counts, reduce, require_valid
+from .errors import (
+    BadCoefficient,
+    BadParameter,
+    DomainError,
+    NonIntegral,
+    UnsupportedModel,
+    count_text,
 )
-from .errors import BadCoefficient, BadParameter, DomainError, NonIntegral, UnsupportedModel
 
 # The model constructors refuse more generators than this before building any.
 # Every command that reflects a model runs `flip` and builds a cone on it: on
@@ -38,7 +36,7 @@ MAX_FLIP_STEPS = 1_000_000
 
 def _require_model_size(n_generators: int) -> None:
     if n_generators > MAX_MODEL_GENERATORS:
-        raise DomainError(f"the model has {n_generators} generators "
+        raise DomainError(f"the model has {count_text(n_generators)} generators "
                           f"(MAX_MODEL_GENERATORS = {MAX_MODEL_GENERATORS})")
 
 
@@ -274,40 +272,22 @@ def flip(c: FilteredComplex) -> FlipMap:
 # -- knot-level homology ----------------------------------------------------
 
 
-def hat_knot_homology(c: FilteredComplex, keys=("alexander", "maslov")) -> GradedRanks:
-    """Hat-flavor knot homology: the generators of c's filtered reduction,
-    which leaves no entry between equal (i, j) positions, so its i = 0
-    column's associated graded has zero differential."""
+def hat_knot_homology(c: FilteredComplex) -> GradedRanks:
+    """Hat-flavor knot homology, keyed by (alexander, maslov): the generators
+    of c's filtered reduction, which leaves no entry between equal (i, j)
+    positions, so its i = 0 column's associated graded has zero differential."""
     require_valid(c)
-    return GradedRanks(grading_counts(reduce(c, "filtered").complex.generators, keys))
-
-
-def hfk_minus(c: FilteredComplex, s) -> GradedRanks:
-    """Minus-flavor knot homology in Alexander grading s.
-
-    The slice {i <= 0, j = s} is spanned by the translates U^(A(g)-s) g over
-    generators with A(g) >= s; it is finite dimensional over GF(2), so the
-    ranks per Maslov grading are exact.
-    """
-    require_valid(c)
-    power = {g.name: g.alexander - s for g in c.generators if g.alexander >= s}
-    return homology(slice_through(c, power), ("maslov",))
+    return GradedRanks(grading_counts(reduce(c, "filtered").complex.generators,
+                                      ("alexander", "maslov")))
 
 
 # -- Alexander polynomial ----------------------------------------------------
 
 
-def alexander_polynomial(c: FilteredComplex) -> dict[int, int]:
-    """Graded Euler characteristic of hat-flavor knot homology.
-
-    Returns {alexander: coefficient}; symmetric in t <-> 1/t for the models,
-    and |value at t = -1| is the knot determinant.
-    """
-    return euler_characteristic(hat_knot_homology(c))
-
-
 def euler_characteristic(ranks: GradedRanks) -> dict[int, int]:
-    """{alexander: sum of (-1)^maslov rank} of (alexander, maslov)-graded ranks."""
+    """{alexander: sum of (-1)^maslov rank} of (alexander, maslov)-graded
+    ranks; of hat_knot_homology(c), the Alexander polynomial of c's knot,
+    symmetric in t <-> 1/t, with |value at t = -1| the knot determinant."""
     poly: dict[int, int] = {}
     for (alex, maslov), rank in ranks.ranks.items():
         if isinstance(maslov, Fraction) or isinstance(alex, Fraction):

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring as _string
 from typing import Any
 
 from .algebra import FilteredComplex, Generator, GradedRanks
-from .errors import NonIntegral, ParseError
+from .errors import NonIntegral, ParseError, TooManyDigits
 
 
 def fraction_json(x: int | Fraction) -> Any:
@@ -97,7 +97,10 @@ def _indented(x, pad: str) -> str:
     if isinstance(x, str):
         return _string(x)
     if type(x) is int:
-        return int.__repr__(x)
+        try:
+            return int.__repr__(x)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise TooManyDigits() from None
     inner = pad + "  "
     if isinstance(x, dict) and x:  # json's own text, or TypeError, for a key not a str
         return "{" + inner + ("," + inner).join([

@@ -7,7 +7,10 @@
   Euler characteristics;
 * brute-force enumeration of (i,j)-plane translates for hat-vertex counts,
   and the GF(2) complex on the translates a region of the plane picks;
-* the j-preserving slice, whose homology is the minus-flavor knot homology;
+* the j-preserving slice, whose homology is the minus-flavor knot homology,
+  and the slice {i <= 0, j = s}, whose homology is its Alexander grading s;
+* hat knot homology's ranks per Alexander grading, Maslov gradings summed;
+* the cancellation of one chosen unit entry with the engine's own moves;
 * the reference replay of a reduction's trace, one chain at a time with its
   U-powers: push into the reduced basis, pull back to input chains, and the
   map on homology read column by column through them;
@@ -31,14 +34,18 @@ from floercone.algebra import (
     Chain,
     FilteredComplex,
     Generator,
+    GradedRanks,
     ReducedForm,
+    _Reduction,
+    homology,
     induced_map,
     reduce,
     require_valid,
+    slice_through,
 )
 from floercone.cone import MappingCone
 from floercone.errors import UnsupportedModel
-from floercone.models import FlipMap
+from floercone.models import FlipMap, hat_knot_homology
 
 
 # -- dense GF(2) homology -----------------------------------------------------
@@ -182,6 +189,39 @@ def j_graded(c: FilteredComplex) -> FilteredComplex:
         for s, row in c.differential.items()
     }
     return FilteredComplex(c.generators, diff)
+
+
+def hfk_minus(c: FilteredComplex, s) -> GradedRanks:
+    """Minus-flavor knot homology in Alexander grading s, keyed by Maslov.
+
+    The slice {i <= 0, j = s} is spanned by the translates U^(A(g)-s) g over
+    generators with A(g) >= s; it is finite dimensional over GF(2), so the
+    ranks per Maslov grading are exact.
+    """
+    require_valid(c)
+    power = {g.name: g.alexander - s for g in c.generators if g.alexander >= s}
+    return homology(slice_through(c, power), ("maslov",))
+
+
+def alexander_ranks(c: FilteredComplex) -> dict:
+    """{alexander: rank} of c's hat knot homology, its Maslov gradings summed."""
+    ranks: dict = {}
+    for (a, _), r in hat_knot_homology(c).ranks.items():
+        ranks[a] = ranks.get(a, 0) + r
+    return ranks
+
+
+# -- one cancellation ----------------------------------------------------------
+
+
+def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
+    """Cancel the one differential entry source -> U^0 target, a GF(2)[U]
+    unit, by the engine's elimination loop admitting that entry alone."""
+    if c.differential.get(source, {}).get(target) != 0:
+        raise ValueError(f"no unit differential entry {source} -> {target}")
+    state = _Reduction(c)
+    state.eliminate(lambda s, t, k: (s, t) == (source, target))
+    return state.finish()
 
 
 # -- trace replay, one chain at a time -------------------------------------------

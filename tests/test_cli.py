@@ -413,8 +413,9 @@ NINES = "9" * 4_000
 
 
 class TestUnprintableResults:
-    """A result past the interpreter's 4,300-digit int-to-string limit is a
-    domain error, not a ValueError on the way out."""
+    """A result or a refused count past the interpreter's 4,300-digit
+    int-to-string limit is a domain error, and a rational input past it a
+    parse error, never a ValueError on the way out."""
 
     @pytest.mark.parametrize("argv", [
         ["c1", "--formula", "cobordism", "--tb", "0", "--rot", NINES, "--p", "1", "--q", NINES],
@@ -424,6 +425,34 @@ class TestUnprintableResults:
     def test_exit_one_naming_the_limit(self, cli, argv):
         assert cli(argv) == (1, "", "error: the result has more than 4300 decimal digits "
                                     "(int_max_str_digits = 4300)\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["pipeline", "--n", "5", "--r=-1e5000"], 2, "not a rational number: '-1e5000'"),
+        (["dgs", "--r=-1e4300"], 2, "not a rational number: '-1e4300'"),
+        (["dgs", "--r=-" + "9" * 4_300], 1,
+         "the result has more than 4300 decimal digits (int_max_str_digits = 4300)"),
+        (["model", "--minus-en", "9" * 4_300], 1,
+         "the model has at least 10^4300 generators (MAX_MODEL_GENERATORS = 10000)"),
+        (["dualknot", "--n", "1", "--model", "minus-en:" + "9" * 4_300], 1,
+         "the model has at least 10^4300 generators (MAX_MODEL_GENERATORS = 10000)"),
+        (["surgery", "--p", "7", "--q", "9" * 4_300], 1,
+         "the cone window has at least 10^4300 vertices (MAX_CONE_VERTICES = 120000)"),
+        (["pipeline", "--n", "5", "--r=-1e4299"], 1,
+         "the cone window has at least 10^4300 vertices (MAX_CONE_VERTICES = 120000)"),
+        (["model", "--minus-en", "9" * 4_299], 1,
+         f"the model has {2 * 10 ** 4_299 - 1} generators (MAX_MODEL_GENERATORS = 10000)"),
+    ], ids=["pipeline --r=-1e5000", "dgs --r=-1e4300", "dgs a[0]", "model", "dualknot",
+            "surgery --q", "pipeline window", "model count that prints"])
+    def test_inputs_and_counts_past_the_limit(self, cli, argv, code, message):
+        # e-notation builds 10^k without the int-from-string limit, and a
+        # refused count past it is written as a power of ten
+        assert cli(argv, dumps(complex_to_json(staircase()))) == (code, "", f"error: {message}\n")
+
+    def test_a_4300_digit_expansion_still_prints(self, cli):
+        code, out, _ = cli(["dgs", "--r=-1e4299"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "37f0f35ced45ab18ebebada73801e89669a9693ddb459e98ad9e3c7f575ff158"
 
     def test_the_limit_is_exact(self, cli):
         # the value p + rot - 1 is 10^4300 - 1 (4,300 digits) at p = 1, 10^4300 at p = 2
@@ -519,8 +548,6 @@ class TestPipelineCommand:
         # the ranks count the generators of one filtered reduction, and the
         # polynomial is the Euler characteristic of those ranks
         calls = []
-        monkeypatch.setattr(models, "homology", lambda *args: calls.append(
-            ("homology", len(args[0]))) or homology(*args))
         monkeypatch.setattr(models, "reduce",
                             lambda c, mode: calls.append((mode, len(c))) or algebra.reduce(c, mode))
         code, _, _ = cli(["knot-homology", "--minus-en", "5"])
