@@ -84,14 +84,16 @@ class Generator(_Bigraded):
 
 
 class FilteredComplex:
-    """Immutable-by-convention complex; operations return new values."""
+    """Immutable-by-convention complex; operations return new values.  A loop
+    over every entry reads its read-only tables by_name (name -> Generator)
+    and index (name -> position in generators), not a query method per entry."""
 
     def __init__(self, generators: Sequence[Generator], differential: Mapping[str, Mapping[str, int]]):
         self.generators: tuple[Generator, ...] = tuple(generators)
-        self._by_name = {g.name: g for g in self.generators}
-        if len(self._by_name) != len(self.generators):
+        self.by_name: dict[str, Generator] = {g.name: g for g in self.generators}
+        if len(self.by_name) != len(self.generators):
             raise BadParameter("duplicate generator names")
-        self._order = order = {g.name: i for i, g in enumerate(self.generators)}
+        self.index = order = {g.name: i for i, g in enumerate(self.generators)}
         diff: DiffMap = {}
         for src, row in differential.items():
             row = {tgt: int(k) for tgt, k in row.items()}
@@ -104,16 +106,16 @@ class FilteredComplex:
     # -- queries ---------------------------------------------------------
 
     def generator(self, name: str) -> Generator:
-        return self._by_name[name]
+        return self.by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self.by_name
 
     def __len__(self) -> int:
         return len(self.generators)
 
     def order(self, name: str) -> int:
-        return self._order[name]
+        return self.index[name]
 
     def entries(self) -> Iterator[tuple[str, str, int]]:
         for src in self.differential:
@@ -121,7 +123,7 @@ class FilteredComplex:
                 yield src, tgt, k
 
     def j_drop(self, src: str, tgt: str, k: int) -> int | Fraction:
-        return self._by_name[src].alexander - self._by_name[tgt].alexander + k
+        return self.by_name[src].alexander - self.by_name[tgt].alexander + k
 
     def boundary(self, chain: Chain) -> Chain:
         """d of a GF(2)[U]-chain given as {name: power}."""
@@ -158,33 +160,48 @@ class ValidationReport(NamedTuple):
 
 
 def check_complex(c: FilteredComplex) -> ValidationReport:
-    """Diagnostic check of every structural invariant; empty report iff valid."""
+    """Diagnostic check of every structural invariant; empty report iff valid.
+    In a graded complex src and tgt2 fix the U-power of src -> tgt -> tgt2, so
+    d^2 is checked by names alone, and by (name, power) where names do not
+    cancel or some entry is not graded."""
     bad: list[str] = []
-    for src, tgt, k in c.entries():
-        if tgt not in c:
-            bad.append(f"entry {src} -> {tgt}: unknown target")
-            continue
-        if src not in c:
-            continue  # reported with its row below
-        g, h = c.generator(src), c.generator(tgt)
-        if k < 0:
-            bad.append(f"entry {src} -> U^{k} {tgt}: negative power")
-        if h.maslov - 2 * k != g.maslov - 1:
-            bad.append(f"entry {src} -> U^{k} {tgt}: Maslov drop is not 1")
-        jd = c.j_drop(src, tgt, k)
-        if jd < 0:
-            bad.append(f"entry {src} -> U^{k} {tgt}: raises j-filtration by {-jd}")
-    for src in c.differential:
-        if src not in c:
-            bad.append(f"differential row for unknown generator {src}")
-    for src in c.differential:
-        if src not in c:
-            continue
-        square: dict[tuple[str, int], int] = {}
-        for tgt, k in c.differential[src].items():
-            if tgt not in c:
+    gens, diff = c.by_name, c.differential
+    graded = True
+    for src, row in diff.items():
+        g = gens.get(src)
+        for tgt, k in row.items():
+            h = gens.get(tgt)
+            if h is None:
+                bad.append(f"entry {src} -> {tgt}: unknown target")
+                graded = False
                 continue
-            for tgt2, k2 in c.differential.get(tgt, {}).items():
+            if g is None:
+                continue  # reported with its row below
+            if k < 0:
+                bad.append(f"entry {src} -> U^{k} {tgt}: negative power")
+            if h.maslov - 2 * k != g.maslov - 1:
+                bad.append(f"entry {src} -> U^{k} {tgt}: Maslov drop is not 1")
+                graded = False
+            jd = g.alexander - h.alexander + k
+            if jd < 0:
+                bad.append(f"entry {src} -> U^{k} {tgt}: raises j-filtration by {-jd}")
+    for src in diff:
+        if src not in gens:
+            bad.append(f"differential row for unknown generator {src}")
+    for src, row in diff.items():
+        if src not in gens:
+            continue
+        if graded:
+            odd: set[str] = set()
+            for tgt in row:
+                odd.symmetric_difference_update(diff.get(tgt, ()))
+            if not odd:
+                continue
+        square: dict[tuple[str, int], int] = {}
+        for tgt, k in row.items():
+            if tgt not in gens:
+                continue
+            for tgt2, k2 in diff.get(tgt, {}).items():
                 key = (tgt2, k + k2)
                 square[key] = square.get(key, 0) ^ 1
         for (tgt2, power), parity in square.items():
@@ -223,7 +240,7 @@ class _Reduction:
 
     def __init__(self, c: FilteredComplex):
         self.c = c
-        self.gens: dict[str, Generator] = {g.name: g for g in c.generators}
+        self.gens: dict[str, Generator] = dict(c.by_name)
         self.diff: DiffMap = {s: dict(r) for s, r in c.differential.items()}
         self.sources: dict[str, dict[str, None]] = {}  # columns, walked in insertion order
         for s, row in self.diff.items():
@@ -300,14 +317,14 @@ class _Reduction:
         Each pivot e -> U^c f is isolated, then removed, or with keep left in
         place and skipped from then on.  Pivots are returned as (e, f, c).
         """
-        order = self.c._order.__getitem__
+        index = self.c.index
         pivots: list[tuple[str, str, int]] = []
         kept: set[str] = set()
         heap: list[tuple] = []
 
         def enqueue(s: str, t: str, k: int) -> None:
             if keep or accept(s, t, k):
-                heappush(heap, (order(s), order(t), s, t, k))
+                heappush(heap, (index[s], index[t], s, t, k))
 
         def live(x: tuple) -> bool:  # stale records are dropped when popped
             _, _, s, t, k = x
@@ -375,7 +392,8 @@ def reduce(c: FilteredComplex, mode: str = "filtered") -> ReducedForm:
         raise BadParameter(f"unknown reduce mode {mode!r}")
     state = _Reduction(c)
     if mode == "filtered":
-        accept = lambda s, t, k: k == 0 and c.j_drop(s, t, 0) == 0
+        gens = c.by_name  # a U^0 entry between equal (i, j)-positions keeps A
+        accept = lambda s, t, k: k == 0 and gens[s].alexander == gens[t].alexander
     elif mode == "over_U_units":
         accept = lambda s, t, k: k == 0
     else:
@@ -438,7 +456,7 @@ def homology(c: FilteredComplex, keys: Sequence[str] = ("alexander", "maslov")) 
     torsion: dict[tuple, list[int]] = {}
     for _, name, order in pivots:
         if order > 0:
-            key = grading_key(c.generator(name), keys)
+            key = grading_key(c.by_name[name], keys)
             torsion.setdefault(key, []).append(order)
     return GradedRanks(ranks, {k: tuple(sorted(v)) for k, v in torsion.items()})
 

@@ -94,13 +94,16 @@ def split_to_summands(c: FilteredComplex) -> ReducedForm:
     a direct sum of one- and two-generator filtered pieces.
     """
     state = _Reduction(c)
+    gens, diff, sources = c.by_name, state.diff, state.sources
 
     def legal(s: str, t: str, k: int) -> bool:
-        jd = c.j_drop(s, t, k)
-        row, col = state.diff[s], state.sources[t]
-        return all(k2 >= k and c.j_drop(s, t2, k2) >= jd for t2, k2 in row.items()) and \
-            all(state.diff[s2][t] >= k and c.j_drop(s2, t, state.diff[s2][t]) >= jd
-                for s2 in col)
+        # the j-drop is A(s) - A(t) + k: a row mate's is no less iff
+        # k2 - A(t2) >= k - A(t), a column mate's iff A(s2) + k2 >= A(s) + k
+        a_s, a_t = gens[s].alexander, gens[t].alexander
+        return all(k2 >= k and k2 - gens[t2].alexander >= k - a_t
+                   for t2, k2 in diff[s].items()) and \
+            all(diff[s2][t] >= k and gens[s2].alexander + diff[s2][t] >= a_s + k
+                for s2 in sources[t])
 
     pivots = state.eliminate(legal, keep=True)
     if sum(len(row) for row in state.diff.values()) != len(pivots):
@@ -111,13 +114,14 @@ def split_to_summands(c: FilteredComplex) -> ReducedForm:
 def _classify(c: FilteredComplex) -> tuple[Summand, ...]:
     summands: list[Summand] = []
     paired: set[str] = set()
+    gens = c.by_name
     for src, row in c.differential.items():
         if len(row) != 1:
             raise NormalFormMismatch(f"{src} has a non-monomial differential after splitting")
         (tgt, k), = row.items()
-        g, h = c.generator(src), c.generator(tgt)
+        g, h = gens[src], gens[tgt]
         kind = "horizontal" if k > 0 else "vertical"
-        if k == 0 and c.j_drop(src, tgt, 0) == 0:
+        if k == 0 and g.alexander == h.alexander:
             raise NormalFormMismatch(f"{src} -> {tgt} is a leftover filtered unit")
         summands.append(Summand(kind, (src, tgt),
                                 ((g.alexander, g.maslov), (h.alexander, h.maslov))))
@@ -206,7 +210,7 @@ def distinct_classes(gm: GMapReport, cycle_a, cycle_b) -> bool:
         for name in names:
             _toggle(chain, name, 0)
         for name in chain:
-            if name not in gm.domain:
+            if name not in gm.domain.by_name:
                 raise NotCycles(f"{name} is not in the Alexander-{gm.alexander} slice")
         bdy = gm.domain.boundary(chain)
         if bdy:

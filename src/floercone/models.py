@@ -111,8 +111,9 @@ def mirror(c: FilteredComplex) -> FilteredComplex:
     require_valid(c)
     gens = [Generator(g.name, -g.alexander, -g.maslov) for g in c.generators]
     diff: dict[str, dict[str, int]] = {}
-    for src, tgt, k in c.entries():
-        diff.setdefault(tgt, {})[src] = k
+    for src, row in c.differential.items():
+        for tgt, k in row.items():
+            diff.setdefault(tgt, {})[src] = k
     return FilteredComplex(gens, diff)
 
 
@@ -143,18 +144,18 @@ class FlipMap:
 
     def __call__(self, name: str) -> tuple[str, int]:
         """Image of a stored generator, as (generator, U-power)."""
-        return self.pairing[name], -self.source.generator(name).alexander
+        return self.pairing[name], -self.source.by_name[name].alexander
 
 
 def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
     bad: list[str] = []
-    names = {g.name for g in c.generators}
-    if set(pairing) != names or set(pairing.values()) != names:
+    gens = c.by_name
+    if pairing.keys() != gens.keys() or set(pairing.values()) != gens.keys():
         return ["pairing is not a bijection on the generators"]
     for name, image in pairing.items():
         if pairing[image] != name:
             bad.append(f"not an involution at {name}")
-        g, h = c.generator(name), c.generator(image)
+        g, h = gens[name], gens[image]
         if h.alexander != -g.alexander:
             bad.append(f"{name}: image Alexander grading is not negated")
         elif h.maslov != g.maslov - 2 * g.alexander:
@@ -163,11 +164,12 @@ def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:
         return bad
     # chain map: g -> U^k h must correspond to sigma(g) -> U^(jdrop) sigma(h);
     # (s, t) -> (sigma s, sigma t) is injective, so it is onto the entries too
-    for src, tgt, k in c.entries():
-        jd = c.j_drop(src, tgt, k)
+    for src, row in c.differential.items():
+        a = gens[src].alexander
         image_row = c.differential.get(pairing[src], {})
-        if image_row.get(pairing[tgt]) != jd:
-            bad.append(f"entry {src} -> U^{k} {tgt} has no mirror entry")
+        for tgt, k in row.items():
+            if image_row.get(pairing[tgt]) != a - gens[tgt].alexander + k:
+                bad.append(f"entry {src} -> U^{k} {tgt} has no mirror entry")
     return bad
 
 
@@ -177,13 +179,15 @@ def flip(c: FilteredComplex) -> FlipMap:
     # entries with an end that is not a generator are left to the FlipMap
     touching: dict[str, list[tuple]] = {g.name: [] for g in c.generators}
     ends: dict[str, tuple[list, list]] = {g.name: ([], []) for g in c.generators}
-    for src, tgt, k in c.entries():
-        if src in c and tgt in c:
-            jd = c.j_drop(src, tgt, k)
-            touching[src].append((src, tgt, jd))
-            touching[tgt].append((src, tgt, jd))
-            ends[src][0].append((k, jd))
-            ends[tgt][1].append((k, jd))
+    gens = c.by_name
+    for src, row in c.differential.items():
+        for tgt, k in row.items():
+            if src in gens and tgt in gens:
+                jd = gens[src].alexander - gens[tgt].alexander + k
+                touching[src].append((src, tgt, jd))
+                touching[tgt].append((src, tgt, jd))
+                ends[src][0].append((k, jd))
+                ends[tgt][1].append((k, jd))
 
     # sigma maps the entries out of (into) g onto those out of (into) sigma g
     # and swaps each one's U-power and j-drop, so a partner of g has g's sorted
@@ -212,7 +216,8 @@ def flip(c: FilteredComplex) -> FlipMap:
         candidates[g.name] = pool
         width[g.name] = per_grading[grading]
 
-    order = sorted(candidates, key=lambda n: (width[n], c.order(n)))
+    index = c.index
+    order = sorted(candidates, key=lambda n: (width[n], index[n]))
     pairing: dict[str, str] = {}
     # pools[k][:paired[k]] are all paired, so a scan of pool k starts there
     paired = [0] * len(pools)
@@ -292,7 +297,7 @@ def euler_characteristic(ranks: GradedRanks) -> dict[int, int]:
     for (alex, maslov), rank in ranks.ranks.items():
         if isinstance(maslov, Fraction) or isinstance(alex, Fraction):
             raise NonIntegral("Euler characteristic needs integral gradings")
-        poly[alex] = poly.get(alex, 0) + (-1) ** maslov * rank
+        poly[alex] = poly.get(alex, 0) + (-rank if maslov % 2 else rank)  # (-1) ** -1 is a float
     return {a: coef for a, coef in sorted(poly.items()) if coef}
 
 

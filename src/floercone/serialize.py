@@ -39,9 +39,10 @@ def complex_to_json(c: FilteredComplex) -> dict:
         if m4.denominator != 1:
             raise NonIntegral(f"generator {g.name} has Maslov grading off the 1/4 lattice")
         gens.append({"name": g.name, "alexander": g.alexander, "maslov_x4": int(m4)})
+    index = c.index
     entries = [
         {"from": src, "to": tgt, "u_power": k}
-        for src, tgt, k in sorted(c.entries(), key=lambda e: (c.order(e[0]), c.order(e[1])))
+        for src, tgt, k in sorted(c.entries(), key=lambda e: (index[e[0]], index[e[1]]))
     ]
     return {"generators": gens, "differential": entries}
 

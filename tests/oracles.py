@@ -11,6 +11,9 @@
   and the slice {i <= 0, j = s}, whose homology is its Alexander grading s;
 * hat knot homology's ranks per Alexander grading, Maslov gradings summed;
 * the cancellation of one chosen unit entry with the engine's own moves;
+* the validator that checks d^2 by (target, U-power) parity on every
+  complex, and the pivot predicates written with `j_drop`: the filtered
+  reduction's accept and the dual-knot splitting's `legal`;
 * the reference replay of a reduction's trace, one chain at a time with its
   U-powers: push into the reduced basis, pull back to input chains, and the
   map on homology read column by column through them;
@@ -36,6 +39,7 @@ from floercone.algebra import (
     Generator,
     GradedRanks,
     ReducedForm,
+    ValidationReport,
     _Reduction,
     homology,
     induced_map,
@@ -222,6 +226,66 @@ def cancel_pair(c: FilteredComplex, source: str, target: str) -> ReducedForm:
     state = _Reduction(c)
     state.eliminate(lambda s, t, k: (s, t) == (source, target))
     return state.finish()
+
+
+# -- validation and pivot predicates, by j_drop ------------------------------------
+
+
+def check_complex_by_powers(c: FilteredComplex) -> ValidationReport:
+    """Diagnostic check of every structural invariant; empty report iff valid."""
+    bad: list[str] = []
+    for src, tgt, k in c.entries():
+        if tgt not in c:
+            bad.append(f"entry {src} -> {tgt}: unknown target")
+            continue
+        if src not in c:
+            continue  # reported with its row below
+        g, h = c.generator(src), c.generator(tgt)
+        if k < 0:
+            bad.append(f"entry {src} -> U^{k} {tgt}: negative power")
+        if h.maslov - 2 * k != g.maslov - 1:
+            bad.append(f"entry {src} -> U^{k} {tgt}: Maslov drop is not 1")
+        jd = c.j_drop(src, tgt, k)
+        if jd < 0:
+            bad.append(f"entry {src} -> U^{k} {tgt}: raises j-filtration by {-jd}")
+    for src in c.differential:
+        if src not in c:
+            bad.append(f"differential row for unknown generator {src}")
+    for src in c.differential:
+        if src not in c:
+            continue
+        square: dict[tuple[str, int], int] = {}
+        for tgt, k in c.differential[src].items():
+            if tgt not in c:
+                continue
+            for tgt2, k2 in c.differential.get(tgt, {}).items():
+                key = (tgt2, k + k2)
+                square[key] = square.get(key, 0) ^ 1
+        for (tgt2, power), parity in square.items():
+            if parity:
+                bad.append(f"d^2({src}) contains U^{power} {tgt2}")
+    return ValidationReport(tuple(bad))
+
+
+def filtered_accept(state: _Reduction):
+    """`reduce(c, "filtered")`'s pivot test on its working state: a U^0
+    entry of j-drop 0."""
+    c = state.c
+    return lambda s, t, k: k == 0 and c.j_drop(s, t, 0) == 0
+
+
+def split_legal(state: _Reduction):
+    """`split_to_summands`' pivot test on its working state: an entry whose
+    U-power and j-drop are least in its live row and its live column."""
+    c = state.c
+
+    def legal(s: str, t: str, k: int) -> bool:
+        jd = c.j_drop(s, t, k)
+        row, col = state.diff[s], state.sources[t]
+        return all(k2 >= k and c.j_drop(s, t2, k2) >= jd for t2, k2 in row.items()) and \
+            all(state.diff[s2][t] >= k and c.j_drop(s2, t, state.diff[s2][t]) >= jd
+                for s2 in col)
+    return legal
 
 
 # -- trace replay, one chain at a time -------------------------------------------

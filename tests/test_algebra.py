@@ -31,7 +31,9 @@ from floercone.models import box, flip, minus_twist_knot, staircase, unknot
 from oracles import (
     alexander_ranks,
     cancel_pair,
+    check_complex_by_powers,
     dense_homology_by_maslov,
+    filtered_accept,
     flattened_sectors,
     gf2_matrix_rank,
     induced_map_by_columns,
@@ -39,6 +41,7 @@ from oracles import (
     pull,
     push,
     span_of_translates,
+    split_legal,
     translates_in,
     two_bridge_alexander,
 )
@@ -100,6 +103,60 @@ class TestCheckComplex:
     def test_duplicate_names_rejected(self):
         with pytest.raises(BadParameter):
             FilteredComplex([Generator("g", 0, 0), Generator("g", 1, 1)], {})
+
+    def test_reports_match_the_check_by_powers(self):
+        # d^2 is checked by name parity on a graded complex; on valid
+        # complexes and on each fault the report is the reference's, line
+        # for line
+        rng = random.Random(default_seed() + 11)
+        faulty = set()
+        for _ in range(40):
+            c, _ = random_filtered_complex(rng, rng.randint(0, 3), rng.randint(1, 5),
+                                           rng.randint(0, 40))
+            for name, copy in corrupted_copies(c, rng).items():
+                report = check_complex(copy)
+                assert report == check_complex_by_powers(copy), name
+                if name != "dropped entry":  # which may leave c valid
+                    assert report.ok == (name == "valid"), name
+                if not report.ok:
+                    faulty.add(name)
+                if name == "non-graded paths":  # even in names, odd in (name, power)
+                    assert {"d^2(ga) contains U^0 gd", "d^2(ga) contains U^1 gd"} <= \
+                        set(report.violations)
+        assert faulty == {"dropped entry", "unknown target", "unknown row", "negative power",
+                          "j-raising entry", "non-graded paths"}
+        dc = build_dual_cone(flip(minus_twist_knot(7)), 1).complex
+        report = check_complex(dc)
+        assert report.ok and report == check_complex_by_powers(dc)
+
+
+def corrupted_copies(c: FilteredComplex, rng: random.Random) -> dict[str, FilteredComplex]:
+    """c, then copies of c with one structural fault each."""
+    names = [g.name for g in c.generators]
+    copies = {"valid": c}
+
+    def copy(edit, extra=()) -> FilteredComplex:
+        diff = {s: dict(r) for s, r in c.differential.items()}
+        edit(diff)
+        return FilteredComplex([*c.generators, *extra], diff)
+
+    entries = list(c.entries())
+    if entries:
+        s, t, k = rng.choice(entries)
+        copies["dropped entry"] = copy(lambda d: d[s].pop(t))
+        copies["negative power"] = copy(lambda d: d[s].update({t: -1 - k}))
+    src = c.generators[rng.randrange(len(c))]
+    copies["unknown target"] = copy(lambda d: d.setdefault(src.name, {}).update(ghost=0))
+    copies["unknown row"] = copy(lambda d: d.update(ghost={rng.choice(names): 0}))
+    # Maslov drops by 1, j rises by 1; entries into src now square to it
+    up = Generator("up", src.alexander + 1, src.maslov - 1)
+    copies["j-raising entry"] = copy(lambda d: d.setdefault(src.name, {}).update(up=0), [up])
+    # ga -> gb -> gd at U^0 and ga -> gc -> U gd: gd twice, at two powers
+    square = [Generator("ga", 0, 1), Generator("gb", 0, 0), Generator("gc", 0, 0),
+              Generator("gd", 0, -1)]
+    copies["non-graded paths"] = copy(
+        lambda d: d.update(ga={"gb": 0, "gc": 0}, gb={"gd": 0}, gc={"gd": 1}), square)
+    return copies
 
 
 class TestCancelPair:
@@ -382,19 +439,31 @@ def pivot_lists(monkeypatch, eliminate, run) -> list[list[tuple[str, str, int]]]
 
 
 def pivot_runs(c: FilteredComplex) -> dict:
-    runs = {mode: (lambda mode=mode: reduce(c, mode)) for mode in ("filtered", "over_U_units",
-                                                                    "full_field")}
-    runs["homology"] = lambda: homology(c)
-    runs["split_to_summands"] = lambda: split_to_summands(c)
+    """Each elimination to compare, as (run, the reference's pivot test made
+    from the working state, or None for the one the run passes)."""
+    runs = {mode: (lambda mode=mode: reduce(c, mode), None) for mode in ("over_U_units",
+                                                                        "full_field")}
+    runs["filtered"] = (lambda: reduce(c, "filtered"), filtered_accept)
+    runs["homology"] = (lambda: homology(c), None)
+    runs["split_to_summands"] = (lambda: split_to_summands(c), split_legal)
     for s, t, k in c.entries():
         if k == 0:
-            runs["cancel_pair"] = lambda s=s, t=t: cancel_pair(c, s, t)
+            runs["cancel_pair"] = (lambda s=s, t=t: cancel_pair(c, s, t), None)
             break
     return runs
 
 
+def reference_under(oracle):
+    """reference_eliminate, admitting by oracle(state) when one is given in
+    place of the package's own pivot test."""
+    def eliminate(state, accept, **flags):
+        return reference_eliminate(state, oracle(state) if oracle else accept, **flags)
+    return eliminate
+
+
 class TestPivotOrder:
-    """The heap-fed loop picks exactly the pivots of a brute-force scan."""
+    """The heap-fed loop, with the package's pivot tests, picks exactly the
+    pivots of a brute-force scan with the reference's."""
 
     def test_random_complexes(self, monkeypatch):
         rng = random.Random(default_seed() + 7)
@@ -403,9 +472,9 @@ class TestPivotOrder:
             c, expected = random_filtered_complex(rng, rng.randint(0, 4), rng.randint(2, 6),
                                                   rng.randint(10, 60))
             rejected |= bool(reduce(c, "filtered").complex.differential)
-            for name, run in pivot_runs(c).items():
+            for name, (run, oracle) in pivot_runs(c).items():
                 got = pivot_lists(monkeypatch, ELIMINATE, run)
-                want = pivot_lists(monkeypatch, reference_eliminate, run)
+                want = pivot_lists(monkeypatch, reference_under(oracle), run)
                 assert got == want, name
                 covered.add(name)
             # homology eliminates once per U-power, least first: its phases
@@ -421,11 +490,13 @@ class TestPivotOrder:
 
     def test_dual_cone_split(self, monkeypatch):
         model = minus_twist_knot(7)
-        filtered = reduce(build_dual_cone(flip(model), 1).complex, "filtered").complex
-        run = lambda: split_to_summands(filtered)
-        got = pivot_lists(monkeypatch, ELIMINATE, run)
-        assert got == pivot_lists(monkeypatch, reference_eliminate, run)
-        assert got[0]
+        cone = build_dual_cone(flip(model), 1).complex
+        filtered = reduce(cone, "filtered").complex
+        for run, oracle in ((lambda: reduce(cone, "filtered"), filtered_accept),
+                            (lambda: split_to_summands(filtered), split_legal)):
+            got = pivot_lists(monkeypatch, ELIMINATE, run)
+            assert got == pivot_lists(monkeypatch, reference_under(oracle), run)
+            assert got[0]
 
 
 def accept_calls(monkeypatch, run) -> tuple[int, int]:

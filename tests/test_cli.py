@@ -534,6 +534,24 @@ class TestPipelineCommand:
         assert code == 0
         assert calls == [31, 93, 33, 33]
 
+    @pytest.mark.parametrize("argv", [
+        ["dualknot", "--n", "1", "--model", "minus-en:41", "--check", "normalform"],
+        ["dualknot", "--n", "1", "--model", "minus-en:41", "--check", "gmap"],
+        ["pipeline", "--n", "7", "--r=-5"],
+    ], ids=["normalform", "gmap", "pipeline"])
+    def test_no_query_method_is_called_per_entry(self, cli, monkeypatch, argv):
+        # every loop over a complex's entries or generators reads its by_name
+        # and index tables once bound; none calls a query method per entry
+        calls = dict.fromkeys(["j_drop", "generator", "__contains__", "order"], 0)
+        for name in calls:
+            def counted(self, *args, name=name, method=getattr(FilteredComplex, name)):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(FilteredComplex, name, counted)
+        code, _, _ = cli(argv)
+        assert code == 0
+        assert calls == dict.fromkeys(calls, 0)
+
     def test_loss_command(self, cli):
         _, out, _ = cli(["loss", "--tb", "0", "--rot", "-1"])
         assert json.loads(out)["alexander"] == 1
@@ -552,6 +570,22 @@ class TestPipelineCommand:
                             lambda c, mode: calls.append((mode, len(c))) or algebra.reduce(c, mode))
         code, _, _ = cli(["knot-homology", "--minus-en", "5"])
         assert (code, calls) == (0, [("filtered", 11)])
+
+    @pytest.mark.parametrize("model", [["--minus-en", "3"], ["--staircase"], ["--box"]])
+    def test_knot_homology_of_a_mirror_prints_no_float(self, cli, model):
+        # the mirror's Maslov gradings are negative; its polynomial is the
+        # knot's own, and every coefficient is an int
+        def no_float(text):
+            raise AssertionError(f"float {text} in the output")
+
+        polys = []
+        for argv in (model, [*model, "--mirror"]):
+            code, out, _ = cli(["knot-homology", *argv])
+            assert code == 0
+            payload = json.loads(out, parse_float=no_float)
+            polys.append((payload["alexander_polynomial"], payload["alexander_polynomial_str"]))
+        assert polys[0] == polys[1]
+        assert "." not in polys[1][1]
 
 
 # every command that takes --out, with arguments that make it succeed
