@@ -105,25 +105,13 @@ class FilteredComplex:
 
     # -- queries ---------------------------------------------------------
 
-    def generator(self, name: str) -> Generator:
-        return self.by_name[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.by_name
-
     def __len__(self) -> int:
         return len(self.generators)
-
-    def order(self, name: str) -> int:
-        return self.index[name]
 
     def entries(self) -> Iterator[tuple[str, str, int]]:
         for src in self.differential:
             for tgt, k in self.differential[src].items():
                 yield src, tgt, k
-
-    def j_drop(self, src: str, tgt: str, k: int) -> int | Fraction:
-        return self.by_name[src].alexander - self.by_name[tgt].alexander + k
 
     def boundary(self, chain: Chain) -> Chain:
         """d of a GF(2)[U]-chain given as {name: power}."""

@@ -35,6 +35,7 @@ from .models import (
     euler_characteristic,
     flip,
     hat_knot_homology,
+    minus_twist_flip,
     minus_twist_knot,
     mirror,
     poly_string,
@@ -134,12 +135,11 @@ def cmd_dualknot(args) -> str:
             size = int(args.model.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"not an integer model size: {args.model!r}") from exc
-        c = minus_twist_knot(size)
+        f = minus_twist_flip(size)
     elif args.model == "staircase":
-        c = staircase()
+        f = flip(staircase())
     else:
-        c = serialize.complex_from_json(serialize.loads(_read(args.model)))
-    f = flip(c)
+        f = flip(serialize.complex_from_json(serialize.loads(_read(args.model))))
     require_framing(args.n, for_normal_form=True)  # both checks read the normal form
     dc = build_dual_cone(f, args.n)
     payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.cone.genus}

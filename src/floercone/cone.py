@@ -20,15 +20,16 @@ Maslov degree m
     dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
 
 where D_m is D on source degree m (D lowers Maslov by 1).  So the hat
-`sector_homology` reduces B^ once and each distinct A^_s once, with s
-clamped to [-top - 1, top + 1] for the model's top Alexander grading top.
-Above top every offset is 0, so A^_s and v are the same, and h is 0.
-Below -top every offset is A - s, so A^_s is A^_(-top-1) with
-every Maslov grading moved by 2 (s + top + 1), v is 0 and h is the same.
-The infinity flavor reduces the source once for the whole cone.  It reads
-v and h on their homology with `induced_map`, and ranks one GF(2) matrix
-per degree between those homology bases, shifted by phi.
-`include_B` reads the same data.  No sector is flattened; the flattened
+`sector_homology` reduces each distinct hat slice once, 2 top + 1 of them
+for the model's top Alexander grading top.  From top on every offset is 0,
+so A^_s is B^, reduced once for every B-vertex; above top v is the identity
+and h is 0.  From -top down every offset is A - s, so A^_s is A^_(-top) with
+every Maslov grading moved by 2 (s + top); below -top v is 0 and h is the
+same.  Between them each A^_s is reduced once.  The infinity flavor reduces
+the source once for the whole cone.  It reads v and h on their homology
+with `induced_map`, and ranks one GF(2) matrix per degree between those
+homology bases, shifted by phi.  `include_B` reads the same data and phi
+on its own sector alone.  No sector is flattened; the flattened
 whole cone (`total_complex`, `hat_complex`; at q = 1 its Alexander field is
 the dual knot's J - I) remains for the dual cone and the checks.
 
@@ -68,12 +69,13 @@ from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
 # vertex holds its own phi entry, sector slot and report line.  The hat
-# sector path reduces B and each distinct A_s once (s clamped to
-# [-top - 1, top + 1], see `_vertex_homology`), the infinity path the
-# source once, and each keeps every reduction with its trace; the dual cone
-# flattens every vertex instead.  The exact triangle ranks dense GF(2)
-# bitsets over a sector's vertex homology, so its memory grows with the
-# square of that rank.
+# sector path reduces each distinct slice once (B and A_s for s in
+# [-top, top - 1], see `_vertex_homology`), the infinity path the source
+# once, and each keeps every reduction with its trace; the dual cone
+# flattens every vertex instead.  `windows` counts B and one A_s per s
+# clamped to [-top - 1, top + 1], an upper bound on those reductions.  The
+# exact triangle ranks dense GF(2) bitsets over a sector's vertex homology,
+# so its memory grows with the square of that rank.
 MAX_CONE_VERTICES = 120_000
 MAX_REDUCED_ELEMENTS = 1_000_000
 MAX_FLAT_ELEMENTS = 500_000
@@ -82,8 +84,9 @@ MAX_SECTOR_RANK = 100_000
 
 def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, range]:
     """The A-window [lo, hi] and the B-window [lo + p, hi] of a p/q cone over
-    flip, refused before either is built when its vertices, or the model
-    elements its vertex reductions hold, would pass their budget."""
+    flip, refused before either is built when its vertices, or an upper
+    bound on the model elements its vertex reductions hold, would pass
+    their budget."""
     vertices = max(0, hi + 1 - lo) + max(0, hi + 1 - lo - p)
     if vertices > MAX_CONE_VERTICES:
         raise DomainError(f"the cone window has {count_text(vertices)} vertices "
@@ -97,14 +100,14 @@ def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, ran
 
 
 def _shared_s(s: int, top: int) -> int:
-    """The s whose reduction A_s shares: s clamped to [-top - 1, top + 1]."""
+    """The s whose v and h A_s shares: s clamped to [-top - 1, top + 1]."""
     return min(max(s, -top - 1), top + 1)
 
 
 def _tail_lift(s: int, top: int) -> int:
-    """What A_s adds to each Maslov grading of A_(_shared_s(s, top)):
-    2 (s + top + 1) below the lower tail's start, 0 elsewhere."""
-    return 2 * min(0, s + top + 1)
+    """What A_s adds to each Maslov grading of the reduction it shares:
+    2 (s + top) below -top, where that is A_(-top)'s, and 0 elsewhere."""
+    return 2 * min(0, s + top)
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -168,7 +171,8 @@ class MappingCone:
         return range(abs(self.p))
 
     def _sector_ts(self, sector: int) -> tuple[list[int], list[int]]:
-        """The ascending A- and B-vertex ts of one sector; grouped once."""
+        """The ascending A- and B-vertex ts of one sector; every sector is
+        grouped in one pass, for `phi` and `sector_homology`."""
         if self._sectors is None:
             self._sectors = {}
             for k, ts in enumerate((self.a_ts, self.b_ts)):
@@ -196,21 +200,27 @@ class MappingCone:
         """
         if self._phi is not None:
             return self._phi
-        p = self.p
-        phi_a: dict[int, int | Fraction] = {}
+        shifts: dict[tuple[str, int], int | Fraction] = {}
         for t0 in self.sectors:
-            # the anchor and the sector's vertices are t0 + j p for j in js
-            js = [0] + [(t - t0) // p for ts in self._sector_ts(t0) for t in ts]
-            phi_a[t0] = _exact(Fraction((2 * t0 - p) ** 2 + 2 * p - 3 * abs(p), 4 * p)) \
-                if self.q == 1 else 0
-            for t in range(t0 + p, t0 + (max(js) + 1) * p, p):
-                phi_a[t] = phi_a[t - p] + 2 * self.s_of(t - p)
-            for t in range(t0 - p, t0 + (min(js) - 1) * p, -p):
-                phi_a[t] = phi_a[t + p] - 2 * self.s_of(t)
-        shifts = {("A", t): phi_a[t] for t in self.a_ts}
-        shifts.update((("B", t), phi_a[t] - 1) for t in self.b_ts)
+            a_ts, b_ts = self._sector_ts(t0)
+            phi_a = self._sector_phi(t0, a_ts + b_ts)
+            shifts.update((("A", t), phi_a[t]) for t in a_ts)
+            shifts.update((("B", t), phi_a[t] - 1) for t in b_ts)
         self._phi = shifts
         return shifts
+
+    def _sector_phi(self, t0: int, ts: list[int]) -> dict[int, int | Fraction]:
+        """phi(A, t) of sector t0, from its anchor out to the farthest of ts."""
+        p = self.p
+        # the anchor and the sector's vertices are t0 + j p for j in js
+        js = [0] + [(t - t0) // p for t in ts]
+        phi_a: dict[int, int | Fraction] = {
+            t0: _exact(Fraction((2 * t0 - p) ** 2 + 2 * p - 3 * abs(p), 4 * p)) if self.q == 1 else 0}
+        for t in range(t0 + p, t0 + (max(js) + 1) * p, p):
+            phi_a[t] = phi_a[t - p] + 2 * self.s_of(t - p)
+        for t in range(t0 - p, t0 + (min(js) - 1) * p, -p):
+            phi_a[t] = phi_a[t + p] - 2 * self.s_of(t)
+        return phi_a
 
     # -- assembly -----------------------------------------------------------
 
@@ -281,17 +291,18 @@ class MappingCone:
 
     # -- derived quantities ---------------------------------------------------
 
-    def _vertex_homology(self, segment: str, t: int, flavor: str) -> VertexHomology:
-        """Homology of vertex (segment, t) in source coordinates; an A-vertex
-        also gets v and h into B's basis.
+    def _vertex_homology(self, s: int | None, flavor: str) -> VertexHomology:
+        """Homology of B (s None) or of A_s in source coordinates; A_s also
+        gets v and h into B's basis.
 
         Hat: A^_s is `slice_through(source, p)` for p = max(0, A - s), and B^
         is its p = 0 slice.  v keeps the translates with p = 0 (A <= s), and h
         pairs by the flip those with A >= s, whose h-power max(0, s - A) is 0.
-        B^ and each distinct s in [-top - 1, top + 1] are reduced once: every
-        A^_s with s > top is A^_(top+1), and every A^_s with s < -top is
-        A^_(-top-1) with each Maslov grading moved by `_tail_lift(s, top)`,
-        which the caller adds.
+        Each distinct slice is reduced once: B^, and A^_s for s in [-top,
+        top - 1].  For s >= top every offset is 0, so A^_s is B^; for s < -top
+        every offset is A - s, so A^_s is A^_(-top) with each Maslov grading
+        moved by `_tail_lift(s, top)`, which the caller adds.  v and h stop
+        changing outside [-top - 1, top + 1], so each clamped s keeps its own.
 
         Infinity: over GF(2)[U,U^-1] the offsets only rename U-powers, and
         full_field pivots on the support in generator order, so one
@@ -300,8 +311,8 @@ class MappingCone:
         gradings fix its U-powers.  The gradings it drops, 2 p and the tail
         lift, are even, and infinity keys by Maslov parity.
         """
-        hat = flavor == "hat"
-        s = _shared_s(self.s_of(t), self.flip.top) if hat and segment == "A" else None
+        hat, top = flavor == "hat", self.flip.top
+        s = _shared_s(s, top) if hat and s is not None else None
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
@@ -309,41 +320,51 @@ class MappingCone:
         sigma = self.flip.pairing
         v: list[int] = []
         h: list[int] = []
-        if hat:
-            power = {g.name: 0 if s is None else max(0, g.alexander - s) for g in source.generators}
-            rf = reduce(slice_through(source, power), "over_U_units")
-            if s is not None:
-                b = self._vertex_homology("B", t, flavor).reduced
-                v = induced_map(rf, b, {n: n for n, k in power.items() if not k})
-                h = induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
-                                        if g.alexander >= s})
-        else:
+        if not hat:
             rf = reduce(source, "full_field")
             v = [1 << i for i in range(len(rf.complex))]
             h = induced_map(rf, rf, sigma)
+        elif s is None:
+            rf = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
+        else:
+            b = self._vertex_homology(None, flavor).reduced
+            if s >= top:
+                rf = b
+            elif s < -top:
+                rf = self._vertex_homology(-top, flavor).reduced
+            else:
+                power = {g.name: max(0, g.alexander - s) for g in source.generators}
+                rf = reduce(slice_through(source, power), "over_U_units")
+            v = induced_map(rf, b, {g.name: g.name for g in source.generators if g.alexander <= s})
+            h = induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
+                                    if g.alexander >= s})
         if rf.complex.differential:
-            raise InternalError(f"vertex {segment}{t} keeps a differential after reduction")
+            vertex = "B" if s is None else f"A_{s}"
+            raise InternalError(f"vertex {vertex} keeps a differential after reduction")
         found = VertexHomology(rf, v, h)
         self._homology[(flavor, s)] = found
         return found
 
-    def _triangle(self, sector: int, flavor: str, key: Callable) -> tuple[dict, dict, dict]:
-        """The exact-triangle data of one sector, keyed by key(Maslov): per key,
-        dim H(A) + dim H(B); per source key, the columns of D as bitsets over
-        the B-homology basis; per B-vertex t, the first row of its block."""
-        phi = self.phi()
-        a_ts, b_ts = self._sector_ts(sector)
+    def _triangle(self, sector: int, ts: tuple[list[int], list[int]], flavor: str,
+                  key: Callable) -> tuple[dict, dict, dict]:
+        """The exact-triangle data of one sector on its A- and B-vertex ts,
+        keyed by key(Maslov): per key, dim H(A) + dim H(B); per source key, the
+        columns of D as bitsets over the B-homology basis; per B-vertex t, the
+        first row of its block."""
+        a_ts, b_ts = ts
+        phi_a = self._sector_phi(sector, a_ts + b_ts)
         count: dict[int | Fraction, int] = {}  # key -> dim H(A) + dim H(B)
         first_row: dict[int, int] = {}   # B-vertex t -> its block of rows
         n_rows = 0
         for t in b_ts:
-            b = self._vertex_homology("B", t, flavor).reduced.complex
+            b = self._vertex_homology(None, flavor).reduced.complex
             first_row[t] = n_rows
             n_rows += len(b)
+            shift = phi_a[t] - 1
             for g in b.generators:
-                k = key(g.maslov + phi[("B", t)])
+                k = key(g.maslov + shift)
                 count[k] = count.get(k, 0) + 1
-        a_homology = [(t, self._vertex_homology("A", t, flavor)) for t in a_ts]
+        a_homology = [(t, self._vertex_homology(self.s_of(t), flavor)) for t in a_ts]
         rank = n_rows + sum(len(a.reduced.complex) for _, a in a_homology)
         if rank > MAX_SECTOR_RANK:
             raise DomainError(f"sector {sector}'s vertex homology has rank {rank} "
@@ -351,7 +372,7 @@ class MappingCone:
         columns: dict[int | Fraction, list[int]] = {}  # source key of D -> its columns
         for t, a in a_homology:
             v_row, h_row = first_row.get(t), first_row.get(t + self.p)
-            shift = phi[("A", t)] + _tail_lift(self.s_of(t), self.flip.top)
+            shift = phi_a[t] + _tail_lift(self.s_of(t), self.flip.top)
             for g, v, h in zip(a.reduced.complex.generators, a.v, a.h):
                 k = key(g.maslov + shift)
                 count[k] = count.get(k, 0) + 1
@@ -374,7 +395,7 @@ class MappingCone:
             key = lambda m: _exact(m % 2)
         else:
             raise BadCoefficient(f"unknown flavor {flavor!r}")
-        count, columns, _ = self._triangle(sector, flavor, key)
+        count, columns, _ = self._triangle(sector, self._sector_ts(sector), flavor, key)
         d_rank = {k: gf2.rank(cols) for k, cols in columns.items()}
         ranks = {}
         for k, n in count.items():
@@ -409,11 +430,13 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     """
     if t not in cone.b_ts:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
-    sector = cone.spin_c(t)
-    count, columns, first_row = cone._triangle(sector, "hat", _exact)
+    sector, m = cone.spin_c(t), abs(cone.p)
+    # this sector's vertices alone: the cone groups every sector only for sector_homology
+    ts = tuple([u for u in vertex_ts if u % m == sector] for vertex_ts in (cone.a_ts, cone.b_ts))
+    count, columns, first_row = cone._triangle(sector, ts, "hat", _exact)
     d = [col for cols in columns.values() for col in cols]
     d_rank = gf2.rank(d)
-    domain = len(cone._vertex_homology("B", t, "hat").reduced.complex)
+    domain = len(cone._vertex_homology(None, "hat").reduced.complex)
     units = [1 << row for row in range(first_row[t], first_row[t] + domain)]
     return IncludeBReport(t, sector, domain, sum(count.values()) - 2 * d_rank,
                           gf2.rank(units + d) - d_rank)

@@ -25,7 +25,7 @@ from .errors import (
     TooManyDigits,
     past_digit_limit,
 )
-from .models import flip, minus_twist_knot
+from .models import minus_twist_flip
 from .dual import (
     build_dual_cone,
     distinct_classes,
@@ -252,8 +252,7 @@ def _integer_surgery(n: int, e: int, report: PipelineReport) -> None:
     """Contact e-surgery for an integer e <= -2.  The framing +1 computation
     shows distinct Legendrian invariants stay distinct (e = -2); for e <= -3
     the -(k+1)/k cone over that dual complex, k = -e - 2, carries them on."""
-    model = minus_twist_knot(n)
-    dc = build_dual_cone(flip(model), 1)
+    dc = build_dual_cone(minus_twist_flip(n), 1)
     nf = normal_form(dc)
     m = nf.count("vertical")
     push_off = LegendrianData(0, -1)  # the push-off of the stabilized knot
@@ -289,7 +288,7 @@ def _integer_surgery(n: int, e: int, report: PipelineReport) -> None:
         "computed", "contact class located in the surgery cone",
         {"p": p, "q": q, "t": loc.t, "vertex": loc.vertex, "c1": c1,
          "self_conjugate": c1 == 0}, True))
-    cone = MappingCone.build(flip(nf.form.complex), p, q, "full")
+    cone = MappingCone.build(nf.reflection(), p, q, "full")
     rep = include_B(cone, loc.t)
     report.steps.append(PipelineStep(
         "computed", "vertex inclusion is a homology isomorphism",

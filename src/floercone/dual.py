@@ -83,6 +83,17 @@ class NormalFormResult(NamedTuple):
     def count(self, kind: str) -> int:
         return sum(1 for s in self.summands if s.kind == kind)
 
+    def reflection(self) -> FlipMap:
+        """The form checked with the reflection its summands give, which `flip`
+        would search for: o fixed, and the i-th horizontal pair's (y, x)
+        swapped with the i-th vertical pair's."""
+        pairs = {kind: [s.names for s in self.summands if s.kind == kind]
+                 for kind in ("free", "horizontal", "vertical")}
+        pairing = {o: o for (o,) in pairs["free"]}
+        for h, v in zip(pairs["horizontal"], pairs["vertical"]):
+            pairing.update(zip(h + v, v + h))
+        return FlipMap(self.form.complex, pairing)
+
 
 def split_to_summands(c: FilteredComplex) -> ReducedForm:
     """Monomialize the differential by filtered changes of basis only.

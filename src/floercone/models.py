@@ -40,14 +40,17 @@ def _require_model_size(n_generators: int) -> None:
                           f"(MAX_MODEL_GENERATORS = {MAX_MODEL_GENERATORS})")
 
 
+def _staircase_parts() -> tuple[list[Generator], dict[str, dict[str, int]]]:
+    gens = [Generator("x", 1, 2), Generator("y", 0, 1), Generator("z", -1, 0)]
+    return gens, {"x": {"y": 0}, "z": {"y": 1}}
+
+
 def staircase() -> FilteredComplex:
     """Full knot complex of the left-handed trefoil: d(x) = y, d(z) = U y."""
-    gens = [Generator("x", 1, 2), Generator("y", 0, 1), Generator("z", -1, 0)]
-    return FilteredComplex(gens, {"x": {"y": 0}, "z": {"y": 1}})
+    return FilteredComplex(*_staircase_parts())
 
 
-def box(suffix: str = "") -> FilteredComplex:
-    """Length-one box summand: d(a) = U b + c, d(b) = d, d(c) = U d."""
+def _box_parts(suffix: str) -> tuple[list[Generator], dict[str, dict[str, int]]]:
     a, b, c, d = (name + suffix for name in "abcd")
     gens = [
         Generator(a, 0, 1),
@@ -55,7 +58,12 @@ def box(suffix: str = "") -> FilteredComplex:
         Generator(c, -1, 0),
         Generator(d, 0, 1),
     ]
-    return FilteredComplex(gens, {a: {b: 1, c: 0}, b: {d: 0}, c: {d: 1}})
+    return gens, {a: {b: 1, c: 0}, b: {d: 0}, c: {d: 1}}
+
+
+def box(suffix: str = "") -> FilteredComplex:
+    """Length-one box summand: d(a) = U b + c, d(b) = d, d(c) = U d."""
+    return FilteredComplex(*_box_parts(suffix))
 
 
 def unknot() -> FilteredComplex:
@@ -63,24 +71,32 @@ def unknot() -> FilteredComplex:
     return FilteredComplex([Generator("o", 0, 0)], {})
 
 
-def direct_sum(*parts: FilteredComplex) -> FilteredComplex:
-    gens: list[Generator] = []
-    diff: dict[str, dict[str, int]] = {}
-    for part in parts:
-        gens.extend(part.generators)
-        for src, row in part.differential.items():
-            diff[src] = dict(row)
-    return FilteredComplex(gens, diff)
+def _twist_knot(n: int) -> tuple[FilteredComplex, dict[str, str]]:
+    """The model of `minus_twist_knot` and its reflection: x <-> z and
+    b_i <-> c_i, with y, a_i and d_i fixed."""
+    if not isinstance(n, int) or n < 1 or n % 2 == 0:
+        raise BadParameter(f"n must be a positive odd integer, got {n!r}")
+    _require_model_size(2 * n + 1)
+    gens, diff = _staircase_parts()
+    pairing = {"x": "z", "y": "y", "z": "x"}
+    for i in range(1, (n - 1) // 2 + 1):
+        box_gens, box_diff = _box_parts(str(i))
+        gens += box_gens
+        diff.update(box_diff)
+        a, b, c, d = (g.name for g in box_gens)
+        pairing.update({a: a, b: c, c: b, d: d})
+    return FilteredComplex(gens, diff), pairing
 
 
 def minus_twist_knot(n: int) -> FilteredComplex:
     """Mirror twist-knot model: staircase plus (n-1)/2 boxes, n odd >= 1."""
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise BadParameter(f"n must be a positive odd integer, got {n!r}")
-    _require_model_size(2 * n + 1)
-    parts = [staircase()]
-    parts += [box(str(i)) for i in range(1, (n - 1) // 2 + 1)]
-    return direct_sum(*parts)
+    return _twist_knot(n)[0]
+
+
+def minus_twist_flip(n: int) -> FlipMap:
+    """`minus_twist_knot(n)` checked with its reflection, which `flip` would
+    search for: the FlipMap validates both."""
+    return FlipMap(*_twist_knot(n))
 
 
 def dual_normal_form_model(n: int) -> FilteredComplex:

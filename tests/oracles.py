@@ -12,7 +12,7 @@
 * hat knot homology's ranks per Alexander grading, Maslov gradings summed;
 * the cancellation of one chosen unit entry with the engine's own moves;
 * the validator that checks d^2 by (target, U-power) parity on every
-  complex, and the pivot predicates written with `j_drop`: the filtered
+  complex, and the pivot predicates written with the entry's j-drop: the filtered
   reduction's accept and the dual-knot splitting's `legal`;
 * the reference replay of a reduction's trace, one chain at a time with its
   U-powers: push into the reduced basis, pull back to input chains, and the
@@ -21,6 +21,9 @@
   inclusion read off them by reducing the sector and the vertex;
 * the window argument of the surgery cone: whether the hat v- or h-map
   out of one A-vertex is a quasi-isomorphism;
+* a hat sector and its vertex inclusions by the exact triangle with one
+  reduction per A-vertex s clamped to [-top - 1, top + 1], the rule the
+  cone's shared slices must agree with;
 * closed forms of the surgery cone: the q = 1 Maslov shift of each vertex,
   and the total hat rank of p/q surgery on the twist-knot models;
 * the reflection search that rescans each candidate list from its head,
@@ -186,10 +189,15 @@ def enumerate_hat_B_elements(c: FilteredComplex, span: int = 20) -> list[tuple[s
 # -- associated graded -----------------------------------------------------------
 
 
+def j_drop(c: FilteredComplex, src: str, tgt: str, k: int):
+    """The j-filtration drop of the entry src -> U^k tgt of c."""
+    return c.by_name[src].alexander - c.by_name[tgt].alexander + k
+
+
 def j_graded(c: FilteredComplex) -> FilteredComplex:
     """The j-preserving (Alexander-associated-graded) part of d."""
     diff = {
-        s: {t: k for t, k in row.items() if c.j_drop(s, t, k) == 0}
+        s: {t: k for t, k in row.items() if j_drop(c, s, t, k) == 0}
         for s, row in c.differential.items()
     }
     return FilteredComplex(c.generators, diff)
@@ -235,28 +243,28 @@ def check_complex_by_powers(c: FilteredComplex) -> ValidationReport:
     """Diagnostic check of every structural invariant; empty report iff valid."""
     bad: list[str] = []
     for src, tgt, k in c.entries():
-        if tgt not in c:
+        if tgt not in c.by_name:
             bad.append(f"entry {src} -> {tgt}: unknown target")
             continue
-        if src not in c:
+        if src not in c.by_name:
             continue  # reported with its row below
-        g, h = c.generator(src), c.generator(tgt)
+        g, h = c.by_name[src], c.by_name[tgt]
         if k < 0:
             bad.append(f"entry {src} -> U^{k} {tgt}: negative power")
         if h.maslov - 2 * k != g.maslov - 1:
             bad.append(f"entry {src} -> U^{k} {tgt}: Maslov drop is not 1")
-        jd = c.j_drop(src, tgt, k)
+        jd = j_drop(c, src, tgt, k)
         if jd < 0:
             bad.append(f"entry {src} -> U^{k} {tgt}: raises j-filtration by {-jd}")
     for src in c.differential:
-        if src not in c:
+        if src not in c.by_name:
             bad.append(f"differential row for unknown generator {src}")
     for src in c.differential:
-        if src not in c:
+        if src not in c.by_name:
             continue
         square: dict[tuple[str, int], int] = {}
         for tgt, k in c.differential[src].items():
-            if tgt not in c:
+            if tgt not in c.by_name:
                 continue
             for tgt2, k2 in c.differential.get(tgt, {}).items():
                 key = (tgt2, k + k2)
@@ -271,7 +279,7 @@ def filtered_accept(state: _Reduction):
     """`reduce(c, "filtered")`'s pivot test on its working state: a U^0
     entry of j-drop 0."""
     c = state.c
-    return lambda s, t, k: k == 0 and c.j_drop(s, t, 0) == 0
+    return lambda s, t, k: k == 0 and j_drop(c, s, t, 0) == 0
 
 
 def split_legal(state: _Reduction):
@@ -280,10 +288,10 @@ def split_legal(state: _Reduction):
     c = state.c
 
     def legal(s: str, t: str, k: int) -> bool:
-        jd = c.j_drop(s, t, k)
+        jd = j_drop(c, s, t, k)
         row, col = state.diff[s], state.sources[t]
-        return all(k2 >= k and c.j_drop(s, t2, k2) >= jd for t2, k2 in row.items()) and \
-            all(state.diff[s2][t] >= k and c.j_drop(s2, t, state.diff[s2][t]) >= jd
+        return all(k2 >= k and j_drop(c, s, t2, k2) >= jd for t2, k2 in row.items()) and \
+            all(state.diff[s2][t] >= k and j_drop(c, s2, t, state.diff[s2][t]) >= jd
                 for s2 in col)
     return legal
 
@@ -295,7 +303,7 @@ def push(rf: ReducedForm, chain: Chain) -> Chain:
     """An input chain ({name: U-power}) in rf's reduced basis: the trace
     replayed forwards, then the removed generators dropped."""
     out = _replay_with_powers(rf.moves, chain)
-    return {n: p for n, p in out.items() if n in rf.complex}
+    return {n: p for n, p in out.items() if n in rf.complex.by_name}
 
 
 def pull(rf: ReducedForm, chain: Chain) -> Chain:
@@ -384,6 +392,54 @@ def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:
     return cone.sector_homology(0).total_rank == 0
 
 
+# -- hat sectors, one reduction per clamped s ---------------------------------------
+
+
+def hat_sector_by_clamped_slices(cone, sector: int) -> tuple[GradedRanks, dict]:
+    """One hat sector's ranks and, per B-vertex t of it, include_B's
+    (domain, codomain, map rank), from the exact triangle on vertex homology
+    that reduces B^ and each A^_s with s clamped to [-top - 1, top + 1]
+    apart, and lifts A^_s below -top - 1 from A^_(-top-1) by 2 (s + top + 1)."""
+    source, sigma, top = cone.source, cone.flip.pairing, cone.flip.top
+    phi, m = cone.phi(), abs(cone.p)
+    b = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
+    vertex: dict[int, tuple] = {}  # clamped s -> (reduced A^_s, v, h)
+    for s in range(-top - 1, top + 2):
+        rf = reduce(slice_through(source, {g.name: max(0, g.alexander - s)
+                                           for g in source.generators}), "over_U_units")
+        vertex[s] = (rf,
+                     induced_map(rf, b, {g.name: g.name for g in source.generators
+                                         if g.alexander <= s}),
+                     induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
+                                         if g.alexander >= s}))
+    b_ts = [t for t in cone.b_ts if t % m == sector]
+    first_row = {t: i * len(b.complex) for i, t in enumerate(b_ts)}
+    count: dict = {}
+    columns: dict = {}
+    for t in b_ts:
+        for g in b.complex.generators:
+            key = g.maslov + phi[("B", t)]
+            count[key] = count.get(key, 0) + 1
+    for t in [t for t in cone.a_ts if t % m == sector]:
+        s = cone.s_of(t)
+        rf, v, h = vertex[min(max(s, -top - 1), top + 1)]
+        for g, v_col, h_col in zip(rf.complex.generators, v, h):
+            key = g.maslov + phi[("A", t)] + 2 * min(0, s + top + 1)
+            count[key] = count.get(key, 0) + 1
+            col = (v_col << first_row[t] if t in first_row else 0) | \
+                (h_col << first_row[t + cone.p] if t + cone.p in first_row else 0)
+            columns.setdefault(key, []).append(col)
+    d_rank = {key: gf2.rank(cols) for key, cols in columns.items()}
+    ranks = {(key,): n - d_rank.get(key, 0) - d_rank.get(key + 1, 0) for key, n in count.items()}
+    d = [col for cols in columns.values() for col in cols]
+    total = sum(count.values()) - 2 * gf2.rank(d)
+    include = {t: (len(b.complex), total,
+                   gf2.rank([1 << row for row in range(first_row[t], first_row[t] + len(b.complex))]
+                            + d) - gf2.rank(d))
+               for t in b_ts}
+    return GradedRanks({key: r for key, r in ranks.items() if r}), include
+
+
 # -- closed forms of the surgery cone ---------------------------------------------
 
 
@@ -421,8 +477,8 @@ def flip_by_rescanning(c: FilteredComplex) -> dict[str, str]:
     touching: dict[str, list[tuple]] = {g.name: [] for g in c.generators}
     ends: dict[str, tuple[list, list]] = {g.name: ([], []) for g in c.generators}
     for src, tgt, k in c.entries():
-        if src in c and tgt in c:
-            jd = c.j_drop(src, tgt, k)
+        if src in c.by_name and tgt in c.by_name:
+            jd = j_drop(c, src, tgt, k)
             touching[src].append((src, tgt, jd))
             touching[tgt].append((src, tgt, jd))
             ends[src][0].append((k, jd))
@@ -446,7 +502,7 @@ def flip_by_rescanning(c: FilteredComplex) -> dict[str, str]:
             raise UnsupportedModel(f"no reflection partner for {g.name}")
         width[g.name] = per_grading[grading]
 
-    order = sorted(candidates, key=lambda n: (width[n], c.order(n)))
+    order = sorted(candidates, key=lambda n: (width[n], c.index[n]))
     pairing: dict[str, str] = {}
 
     def consistent(*pair: str) -> bool:

@@ -11,11 +11,22 @@ import random
 from typing import Callable
 
 from floercone.algebra import DiffMap, FilteredComplex, Generator, GradedRanks, _Reduction
-from floercone.models import direct_sum, dual_normal_form_model, flip
+from floercone.models import dual_normal_form_model, flip
 
 
 def default_seed() -> int:
     return int(os.environ.get("FLOERCONE_SEED", "20260810"))
+
+
+def direct_sum(*parts: FilteredComplex) -> FilteredComplex:
+    """The parts side by side, in order; their generator names must differ."""
+    gens: list[Generator] = []
+    diff: DiffMap = {}
+    for part in parts:
+        gens.extend(part.generators)
+        for src, row in part.differential.items():
+            diff[src] = dict(row)
+    return FilteredComplex(gens, diff)
 
 
 def random_filtered_complex(rng: random.Random, n_free: int = 3, n_pairs: int = 3,
@@ -82,11 +93,11 @@ def reference_eliminate(state: _Reduction, accept: Callable[[str, str, int], boo
     cleared with the engine's own `isolate`, then removed with
     `remove_pair` or, with keep, skipped from then on.
     """
-    order = state.c.order
+    order = state.c.index
     kept: set[str] = set()
     pivots: list[tuple[str, str, int]] = []
     while True:
-        admitted = sorted((k if lowest_power else 0, order(s), order(t), s, t, k)
+        admitted = sorted((k if lowest_power else 0, order[s], order[t], s, t, k)
                           for s, row in state.diff.items() if s not in kept
                           for t, k in row.items() if t not in kept and accept(s, t, k))
         if not admitted:
@@ -109,7 +120,8 @@ def reflection_symmetric_complex(rng: random.Random) -> FilteredComplex:
             for g in c.generators]
     diff: DiffMap = {}
     for src, tgt, k in c.entries():
-        diff.setdefault(src + "'", {})[tgt + "'"] = c.j_drop(src, tgt, k)
+        j_drop = c.by_name[src].alexander - c.by_name[tgt].alexander + k
+        diff.setdefault(src + "'", {})[tgt + "'"] = j_drop
     return direct_sum(c, FilteredComplex(gens, diff))
 
 

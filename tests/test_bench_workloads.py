@@ -64,12 +64,13 @@ def test_seed_one_commands_pass_and_keep_their_bytes(name):
 
 
 def test_seed_one_surgery_hat_reduces_each_shared_vertex_once(monkeypatch):
-    # per hat command B and one A_s per s in [-top - 1, top + 1], per
-    # infinity command the source once: 90 with infinity reduced like hat,
-    # 181 with the upper tail alone shared, 244 with neither
+    # per hat command B, which every A_s from the top grading on is, and one
+    # A_s per s in [-top, top - 1]; per infinity command the source once: 70
+    # with one A_s per s in [-top - 1, top + 1], 90 with infinity reduced like
+    # hat, 181 with the upper tail alone shared, 244 with neither
     calls = []
     reduce = cone.reduce
     monkeypatch.setattr(cone, "reduce", lambda c, mode: calls.append(mode) or reduce(c, mode))
     for cmd in load_workloads().WORKLOADS["surgery-hat"](random.Random(1), model_json):
         invoke(cmd.argv, cmd.stdin)
-    assert len(calls) == 70
+    assert len(calls) == 37

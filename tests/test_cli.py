@@ -27,7 +27,7 @@ from floercone.errors import DomainError
 from floercone.models import dual_normal_form_model, flip, minus_twist_knot, staircase
 from floercone.serialize import complex_from_json, complex_to_json, dumps, loads
 
-from random_complexes import default_seed, random_filtered_complex
+from random_complexes import default_seed, direct_sum, random_filtered_complex
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -279,10 +279,10 @@ class TestSurgeryCommand:
         assert err.endswith(" vertices (MAX_CONE_VERTICES = 120000)\n")
 
     def test_reductions_over_budget_exit_one_at_once(self, cli, monkeypatch):
-        # the twist knot with a pair u, w at A = +-300: both tails shared, still
-        # 604 reductions of 1925 generators
+        # the twist knot with a pair u, w at A = +-300: both tails shared, the
+        # estimate still 604 reductions of 1925 generators
         far = FilteredComplex([Generator("u", 300, 0), Generator("w", -300, -600)], {})
-        model = models.direct_sum(minus_twist_knot(961), far)
+        model = direct_sum(minus_twist_knot(961), far)
         monkeypatch.setattr(cone.MappingCone, "__init__", lambda *args: pytest.fail("cone built"))
         code, out, err = cli(["surgery", "--p", "-2000", "--range", "full"],
                              stdin_text=dumps(complex_to_json(model)))
@@ -534,23 +534,35 @@ class TestPipelineCommand:
         assert code == 0
         assert calls == [31, 93, 33, 33]
 
-    @pytest.mark.parametrize("argv", [
-        ["dualknot", "--n", "1", "--model", "minus-en:41", "--check", "normalform"],
-        ["dualknot", "--n", "1", "--model", "minus-en:41", "--check", "gmap"],
-        ["pipeline", "--n", "7", "--r=-5"],
-    ], ids=["normalform", "gmap", "pipeline"])
-    def test_no_query_method_is_called_per_entry(self, cli, monkeypatch, argv):
-        # every loop over a complex's entries or generators reads its by_name
-        # and index tables once bound; none calls a query method per entry
-        calls = dict.fromkeys(["j_drop", "generator", "__contains__", "order"], 0)
-        for name in calls:
-            def counted(self, *args, name=name, method=getattr(FilteredComplex, name)):
-                calls[name] += 1
-                return method(self, *args)
-            monkeypatch.setattr(FilteredComplex, name, counted)
-        code, _, _ = cli(argv)
-        assert code == 0
-        assert calls == dict.fromkeys(calls, 0)
+    @staticmethod
+    def count_searches(monkeypatch) -> list[int]:
+        # every module that bound models.flip counts its calls, by model size
+        calls = []
+        search = models.flip
+        for module in (models, cli_module, contact, dual, cone):
+            if getattr(module, "flip", None) is search:
+                monkeypatch.setattr(module, "flip", lambda c: calls.append(len(c)) or search(c))
+        return calls
+
+    def test_pipeline_searches_no_reflection_and_walks_one_sector(self, cli, monkeypatch):
+        # the model's and the normal form's reflections are known by
+        # construction, and include_B walks phi over its own sector of the
+        # 45 alone; the dual cone has one sector
+        searches = self.count_searches(monkeypatch)
+        walked = []
+        sector_phi = cone.MappingCone._sector_phi
+        monkeypatch.setattr(cone.MappingCone, "_sector_phi", lambda self, t0, ts: walked.append(
+            (self.p, t0)) or sector_phi(self, t0, ts))
+        code, _, _ = cli(["pipeline", "--n", "15", "--r=-46"])
+        assert (code, searches, walked) == (0, [], [(1, 0), (-45, 44)])
+
+    @pytest.mark.parametrize("check", ["normalform", "gmap"])
+    def test_dualknot_searches_only_what_it_reads(self, cli, monkeypatch, check):
+        searches = self.count_searches(monkeypatch)
+        code, _, _ = cli(["dualknot", "--n", "1", "--model", "minus-en:41", "--check", check])
+        assert (code, searches) == (0, [])
+        code, _, _ = cli(["dualknot", "--n", "1", "--model", "staircase", "--check", check])
+        assert (code, searches) == (0, [3])
 
     def test_loss_command(self, cli):
         _, out, _ = cli(["loss", "--tb", "0", "--rot", "-1"])

@@ -23,7 +23,6 @@ from floercone.dual import build_dual_cone
 from floercone.errors import BadCoefficient, DomainError, NoSuchVertex
 from floercone.models import (
     box,
-    direct_sum,
     dual_normal_form_model,
     euler_characteristic,
     flip,
@@ -41,12 +40,13 @@ from oracles import (
     enumerate_hat_B_elements,
     flattened_sectors,
     hat_map_is_quasi_iso,
+    hat_sector_by_clamped_slices,
     include_B_by_flattening,
     span_of_translates,
     twist_surgery_hat_rank,
     two_bridge_alexander,
 )
-from random_complexes import default_seed, reflection_symmetric_complex
+from random_complexes import default_seed, direct_sum, reflection_symmetric_complex
 
 
 def cone_for(c, p, q, mode="paper"):
@@ -127,8 +127,8 @@ class TestAssembly:
         monkeypatch.setattr(cone_module, "MAX_FLAT_ELEMENTS", 38)
         with pytest.raises(DomainError, match="39 elements"):
             cone.total_complex()
-        rank = sum(len(cone._vertex_homology(seg, t, "hat").reduced.complex)
-                   for seg, ts in (("A", cone.a_ts), ("B", cone.b_ts)) for t in ts)
+        rank = sum(len(cone._vertex_homology(s, "hat").reduced.complex)
+                   for s in [cone.s_of(t) for t in cone.a_ts] + [None] * len(cone.b_ts))
         monkeypatch.setattr(cone_module, "MAX_SECTOR_RANK", rank)
         cone.sector_homology(0)
         include_B(cone, cone.b_ts[0])
@@ -167,7 +167,7 @@ class TestAssembly:
         total, table = cone_for(c, p, 1, mode).total_complex()
         assert check_complex(total).ok
         for name, v in table.items():
-            a = c.generator(name.split(".", 1)[1]).alexander
+            a = c.by_name[name.split(".", 1)[1]].alexander
             off = max(0, a - v.s) if v.segment == "A" else 0
             i, j = -off, a - off  # the element is the I = 0 translate
             if v.segment == "A":
@@ -176,7 +176,7 @@ class TestAssembly:
                 big_i, big_j = i, i - 1
             big_j += Fraction(2 * v.s + p - 1, 2 * p)
             assert big_i == 0
-            assert total.generator(name).alexander == big_j - big_i
+            assert total.by_name[name].alexander == big_j - big_i
         if p % 2:
             total, _ = cone_for(c, p, 2, mode).total_complex()
             assert {g.alexander for g in total.generators} == {0}
@@ -354,7 +354,7 @@ class TestSectorsFromVertexHomology:
         "staircase": staircase,
         "mirror_staircase": lambda: mirror(staircase()),
         "unknot": unknot,
-        # top grading 2: the A_s shared above it are A_3
+        # top grading 2: every A_s from 2 on is B, and below -2 it is A_-2 lifted
         "torus_2_5": torus_2_5,
         "mirror_torus_2_5": lambda: mirror(torus_2_5()),
     }
@@ -395,19 +395,19 @@ class TestSectorsFromVertexHomology:
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
         cone = cone_for(c, p, q, "full")
-        # hat: B once, every A_s above the top Alexander grading as A_(top+1)
-        # and every A_s below minus it as A_(-top-1); infinity: the source
-        # once for the whole cone
+        # hat: B once, which every A_s from the top Alexander grading on is,
+        # and A_s once for each s in [-top, top - 1], every A_s below -top
+        # being A_(-top) lifted; infinity: the source once for the whole cone
         top = max(g.alexander for g in c.generators)
         s_values = {cone.s_of(t) for t in cone.a_ts}
         assert min(s_values) < -top - 1 and max(s_values) > top + 1
-        distinct_s = len({min(max(s, -top - 1), top + 1) for s in s_values})
-        assert distinct_s == 2 * top + 3
+        distinct_slices = len({min(max(s, -top), top) for s in s_values})
+        assert distinct_slices == 2 * top + 1
         for flavor in ("hat", "infinity"):
             for _ in range(2):  # the vertex homology is kept on the cone
                 for i in cone.sectors:
                     cone.sector_homology(i, flavor)
-        assert calls == {"reduce": distinct_s + 2, "homology": 0, "total_complex": 0}
+        assert calls == {"reduce": distinct_slices + 1, "homology": 0, "total_complex": 0}
 
     def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
         self.assert_each_vertex_reduced_once(monkeypatch, minus_twist_knot(9), -7, 3)
@@ -439,6 +439,53 @@ class TestSectorsFromVertexHomology:
                     rep = include_B(cone, t)
                     got = (rep.domain_rank, rep.codomain_rank, rep.map_rank)
                     assert got == include_B_by_flattening(*sectors[rep.sector], t), (p, q, mode, t)
+
+    @staticmethod
+    def assert_matches_clamped_slices(f, cases=((1, 1), (-3, 1), (5, 2), (-7, 3))):
+        # a fresh cone per case, include_B first, so its one-sector path runs
+        # before sector_homology has grouped every sector
+        for p, q in cases:
+            cone = MappingCone.build(f, p, q, "full")
+            s_values = {cone.s_of(t) for t in cone.a_ts}
+            assert min(s_values) < -f.top - 1 and max(s_values) > f.top + 1
+            for i in cone.sectors:
+                ranks, include = hat_sector_by_clamped_slices(cone, i)
+                for t, want in include.items():
+                    rep = include_B(cone, t)
+                    assert (rep.sector, rep.domain_rank, rep.codomain_rank, rep.map_rank) == \
+                        (i, *want), (p, q, t)
+                assert cone.sector_homology(i) == ranks, (p, q, i)
+
+    CLAMPED_MODELS = {
+        "unknot": unknot,
+        "staircase": staircase,
+        "box": box,
+        "twist1": lambda: minus_twist_knot(1),
+        "twist5": lambda: minus_twist_knot(5),
+        "twist9": lambda: minus_twist_knot(9),
+        "dual1": lambda: dual_normal_form_model(1),
+        "dual5": lambda: dual_normal_form_model(5),
+        "torus_2_5": torus_2_5,
+    }
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", list(CLAMPED_MODELS))
+    def test_shared_slices_match_one_reduction_per_clamped_s(self, name, mirrored):
+        c = self.CLAMPED_MODELS[name]()
+        self.assert_matches_clamped_slices(flip(mirror(c) if mirrored else c))
+
+    def test_shared_slices_on_random_reflection_symmetric_models(self):
+        # top grading 0 to 4; with every Alexander grading set to 0, top is 0
+        # and the identity is a reflection
+        rng = random.Random(default_seed() + 51)
+        for draw in range(40):
+            c = reflection_symmetric_complex(rng)
+            if draw % 4 == 0:
+                c = FilteredComplex([Generator(g.name, 0, g.maslov) for g in c.generators],
+                                    c.differential)
+            f = flip(c)
+            assert draw % 4 or f.top == 0
+            self.assert_matches_clamped_slices(f)
 
     def test_closed_forms_beyond_the_dense_oracle(self):
         # 253,139 flattened elements: every sector of a rational homology
@@ -603,16 +650,16 @@ class TestHatVertexHomology:
         c = self.MODELS[name]()
         c = mirror(c) if mirrored else c
         f = flip(c)
-        # both tails: A_s below -top - 1 is A_(-top-1) lifted, above top + 1 it is A_(top+1)
+        # both tails: A_s below -top is A_(-top) lifted, from top on it is B
         for s in range(-f.top - 4, f.top + 4):
             cone = MappingCone(f, 1, 1, [s], [s])  # at q = 1, vertex t is A_t
-            reduced = cone._vertex_homology("A", s, "hat").reduced.complex
+            reduced = cone._vertex_homology(s, "hat").reduced.complex
             lift = cone_module._tail_lift(s, f.top)
             got = Counter(Fraction(g.maslov + lift) for g in reduced.generators)
             vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
             assert got == dense_homology_by_maslov(vertex), s
         # B^ is one vertex for every t
-        reduced = MappingCone(f, 1, 1, [], [0])._vertex_homology("B", 0, "hat").reduced.complex
+        reduced = MappingCone(f, 1, 1, [], [0])._vertex_homology(None, "hat").reduced.complex
         got = Counter(Fraction(g.maslov) for g in reduced.generators)
         vertex = span_of_translates(c, enumerate_hat_B_elements(c))
         assert got == dense_homology_by_maslov(vertex)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from floercone import algebra, dual
+from floercone import algebra, dual, models
 from floercone.algebra import (
     FilteredComplex,
     Generator,
@@ -28,7 +28,9 @@ from floercone.models import (
     box,
     dual_normal_form_model,
     flip,
+    flip_violations,
     hat_knot_homology,
+    minus_twist_flip,
     minus_twist_knot,
     staircase,
     unknot,
@@ -164,6 +166,19 @@ class TestNormalForm:
     def test_wrong_framing_rejected(self):
         with pytest.raises(BadFraming):
             normal_form(dual_for(minus_twist_knot(5), 2))
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 41])
+    def test_reflection_is_the_searched_one(self, n):
+        nfr = normal_form(build_dual_cone(minus_twist_flip(n), 1))
+        assert nfr.reflection().pairing == flip(nfr.form.complex).pairing
+
+    def test_reflection_is_checked(self, monkeypatch):
+        nfr = normal_form(build_dual_cone(minus_twist_flip(5), 1))
+        calls = []
+        monkeypatch.setattr(models, "flip_violations",
+                            lambda c, pairing: calls.append(len(c)) or flip_violations(c, pairing))
+        assert nfr.reflection().source is nfr.form.complex
+        assert calls == [13]
 
 
 class TestGMap:

@@ -20,12 +20,12 @@ from floercone.errors import BadCoefficient, BadParameter, DomainError, Unsuppor
 from floercone.models import (
     FlipMap,
     box,
-    direct_sum,
     dual_normal_form_model,
     flip,
     flip_violations,
     euler_characteristic,
     hat_knot_homology,
+    minus_twist_flip,
     minus_twist_knot,
     mirror,
     poly_string,
@@ -40,7 +40,12 @@ from oracles import (
     j_graded,
     twist_knot_alexander,
 )
-from random_complexes import default_seed, reflection_symmetric_complex, scrambled_dual_copies
+from random_complexes import (
+    default_seed,
+    direct_sum,
+    reflection_symmetric_complex,
+    scrambled_dual_copies,
+)
 
 
 def hat_manifold_homology(c: FilteredComplex) -> GradedRanks:
@@ -102,6 +107,41 @@ class TestBuilders:
     def test_dual_model_counts(self):
         assert len(dual_normal_form_model(5)) == 13
         assert len(dual_normal_form_model(7)) == 17
+
+    def test_twist_knot_is_the_staircase_then_its_boxes(self):
+        # written in one list and one dict, in the order of the direct sum
+        for n in (1, 3, 9):
+            c = minus_twist_knot(n)
+            parts = direct_sum(staircase(), *[box(str(i)) for i in range(1, (n - 1) // 2 + 1)])
+            assert c.generators == parts.generators
+            assert list(c.differential.items()) == list(parts.differential.items())
+
+    def test_twist_knot_builds_one_complex(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(models, "FilteredComplex",
+                            lambda *args: built.append(len(args[0])) or FilteredComplex(*args))
+        minus_twist_knot(41)
+        assert built == [83]
+
+
+class TestKnownReflections:
+    """The reflections known by construction equal what `flip` would search for."""
+
+    @pytest.mark.parametrize("n", [*range(1, 42, 2), 241])
+    def test_twist_knot_pairing_is_the_searched_one(self, n):
+        f, c = minus_twist_flip(n), minus_twist_knot(n)
+        assert (f.source.generators, f.source.differential) == (c.generators, c.differential)
+        assert f.pairing == flip(c).pairing
+
+    def test_twist_knot_pairing_is_checked(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(models, "flip_violations",
+                            lambda c, pairing: calls.append(len(c)) or flip_violations(c, pairing))
+        minus_twist_flip(9)
+        assert calls == [19]
+        for bad in (0, -3, 4):
+            with pytest.raises(BadParameter):
+                minus_twist_flip(bad)
 
 
 class TestMirror:
