@@ -136,8 +136,8 @@ def cmd_dualknot(args) -> str:
         except ValueError as exc:
             raise ParseError(f"not an integer model size: {args.model!r}") from exc
         f = minus_twist_flip(size)
-    elif args.model == "staircase":
-        f = flip(staircase())
+    elif args.model == "staircase":  # the n = 1 twist model
+        f = minus_twist_flip(1)
     else:
         f = flip(serialize.complex_from_json(serialize.loads(_read(args.model))))
     require_framing(args.n, for_normal_form=True)  # both checks read the normal form

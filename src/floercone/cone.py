@@ -20,13 +20,13 @@ Maslov degree m
     dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
 
 where D_m is D on source degree m (D lowers Maslov by 1).  So the hat
-`sector_homology` reduces each distinct hat slice once, 2 top + 1 of them
-for the model's top Alexander grading top.  From top on every offset is 0,
-so A^_s is B^, reduced once for every B-vertex; above top v is the identity
-and h is 0.  From -top down every offset is A - s, so A^_s is A^_(-top) with
-every Maslov grading moved by 2 (s + top); below -top v is 0 and h is the
-same.  Between them each A^_s is reduced once.  The infinity flavor reduces
-the source once for the whole cone.  It reads v and h on their homology
+`sector_homology` reduces A^_s once for each s in [-top, top], 2 top + 1
+reductions for the model's top Alexander grading top.  B^ is A^_top: from
+top on every offset is 0.  The tails are derived, not replayed: above top
+A^_s keeps A^_top's reduction and v, and h is 0; from -top down every
+offset is A - s, so A^_s is A^_(-top) with every Maslov grading moved by
+2 (s + top), and keeps its h, with v 0.  The infinity flavor reduces the
+source once for the whole cone.  It reads v and h on their homology
 with `induced_map`, and ranks one GF(2) matrix per degree between those
 homology bases, shifted by phi.  `include_B` reads the same data and phi
 on its own sector alone.  No sector is flattened; the flattened
@@ -69,13 +69,14 @@ from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
 # vertex holds its own phi entry, sector slot and report line.  The hat
-# sector path reduces each distinct slice once (B and A_s for s in
-# [-top, top - 1], see `_vertex_homology`), the infinity path the source
-# once, and each keeps every reduction with its trace; the dual cone
-# flattens every vertex instead.  `windows` counts B and one A_s per s
-# clamped to [-top - 1, top + 1], an upper bound on those reductions.  The
-# exact triangle ranks dense GF(2) bitsets over a sector's vertex homology,
-# so its memory grows with the square of that rank.
+# sector path reduces A_s once for each s in [-top, top] (B is A_top, see
+# `_vertex_homology`), the infinity path the source once, and each keeps
+# every reduction with its trace; the dual cone flattens every vertex
+# instead.  `windows` keeps its count, one A_s per s clamped to [-top - 1,
+# top + 1] plus one, an upper bound on the 2 top + 1 reductions, so the
+# windows it refuses stay the same.  The exact triangle ranks dense GF(2)
+# bitsets over a sector's vertex homology, so its memory grows with the
+# square of that rank.
 MAX_CONE_VERTICES = 120_000
 MAX_REDUCED_ELEMENTS = 1_000_000
 MAX_FLAT_ELEMENTS = 500_000
@@ -100,7 +101,7 @@ def windows(flip: FlipMap, p: int, q: int, lo: int, hi: int) -> tuple[range, ran
 
 
 def _shared_s(s: int, top: int) -> int:
-    """The s whose v and h A_s shares: s clamped to [-top - 1, top + 1]."""
+    """The s whose record A_s shares: s clamped to [-top - 1, top + 1]."""
     return min(max(s, -top - 1), top + 1)
 
 
@@ -122,9 +123,9 @@ class ConeVertex(NamedTuple):
 
 
 class VertexHomology(NamedTuple):
-    """Homology of one vertex copy, with v and h on it for A-vertices."""
+    """Homology of one A-vertex copy, with v and h on it; B's is A_top's."""
     reduced: ReducedForm             # zero differential: a homology basis, graded before phi
-    v: list[int]                     # A only: columns as bitsets over B's basis
+    v: list[int]                     # columns as bitsets over B's basis
     h: list[int]
 
 
@@ -140,9 +141,8 @@ class MappingCone:
         self.genus = flip.genus
         self.a_ts = tuple(sorted(set(a_ts)))
         self.b_ts = tuple(sorted(set(b_ts)))
-        self._phi: dict[tuple[str, int], int | Fraction] | None = None
         self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
-        self._homology: dict[tuple[str, int | None], VertexHomology] = {}  # (flavor, s)
+        self._homology: dict[tuple[str, int], VertexHomology] = {}  # (flavor, shared s)
 
     # -- construction -----------------------------------------------------
 
@@ -198,15 +198,12 @@ class MappingCone:
         q > 1 it is 0, so gradings are relative per Spin^c sector and every
         t-window of the same cone carries the same ones.
         """
-        if self._phi is not None:
-            return self._phi
         shifts: dict[tuple[str, int], int | Fraction] = {}
         for t0 in self.sectors:
             a_ts, b_ts = self._sector_ts(t0)
             phi_a = self._sector_phi(t0, a_ts + b_ts)
             shifts.update((("A", t), phi_a[t]) for t in a_ts)
             shifts.update((("B", t), phi_a[t] - 1) for t in b_ts)
-        self._phi = shifts
         return shifts
 
     def _sector_phi(self, t0: int, ts: list[int]) -> dict[int, int | Fraction]:
@@ -291,18 +288,18 @@ class MappingCone:
 
     # -- derived quantities ---------------------------------------------------
 
-    def _vertex_homology(self, s: int | None, flavor: str) -> VertexHomology:
-        """Homology of B (s None) or of A_s in source coordinates; A_s also
-        gets v and h into B's basis.
+    def _vertex_homology(self, s: int, flavor: str) -> VertexHomology:
+        """Homology of A_s in source coordinates, with v and h into B's basis.
 
-        Hat: A^_s is `slice_through(source, p)` for p = max(0, A - s), and B^
-        is its p = 0 slice.  v keeps the translates with p = 0 (A <= s), and h
-        pairs by the flip those with A >= s, whose h-power max(0, s - A) is 0.
-        Each distinct slice is reduced once: B^, and A^_s for s in [-top,
-        top - 1].  For s >= top every offset is 0, so A^_s is B^; for s < -top
-        every offset is A - s, so A^_s is A^_(-top) with each Maslov grading
-        moved by `_tail_lift(s, top)`, which the caller adds.  v and h stop
-        changing outside [-top - 1, top + 1], so each clamped s keeps its own.
+        Hat: A^_s is `slice_through(source, p)` for p = max(0, A - s).  v keeps
+        the translates with p = 0 (A <= s), and h pairs by the flip those with
+        A >= s, whose h-power max(0, s - A) is 0.  A^_s is reduced once for
+        each s in [-top, top], and B^ is A^_top, since from top on every
+        offset is 0.  Above top A^_s keeps A^_top's reduction and v, and h is
+        0; below -top every offset is A - s, so A^_s is A^_(-top) with each
+        Maslov grading moved by `_tail_lift(s, top)`, which the caller adds,
+        and keeps its h, with v 0.  So the records stop changing outside
+        [-top - 1, top + 1], and no tail record replays a trace.
 
         Infinity: over GF(2)[U,U^-1] the offsets only rename U-powers, and
         full_field pivots on the support in generator order, so one
@@ -312,36 +309,33 @@ class MappingCone:
         lift, are even, and infinity keys by Maslov parity.
         """
         hat, top = flavor == "hat", self.flip.top
-        s = _shared_s(s, top) if hat and s is not None else None
+        s = _shared_s(s, top) if hat else top
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
         source = self.source
-        sigma = self.flip.pairing
-        v: list[int] = []
-        h: list[int] = []
         if not hat:
             rf = reduce(source, "full_field")
-            v = [1 << i for i in range(len(rf.complex))]
-            h = induced_map(rf, rf, sigma)
-        elif s is None:
-            rf = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
+            found = VertexHomology(rf, [1 << i for i in range(len(rf.complex))],
+                                   induced_map(rf, rf, self.flip.pairing))
+        elif s > top:
+            a = self._vertex_homology(top, flavor)
+            found = VertexHomology(a.reduced, a.v, [0] * len(a.h))
+        elif s < -top:
+            a = self._vertex_homology(-top, flavor)
+            found = VertexHomology(a.reduced, [0] * len(a.v), a.h)
         else:
-            b = self._vertex_homology(None, flavor).reduced
-            if s >= top:
-                rf = b
-            elif s < -top:
-                rf = self._vertex_homology(-top, flavor).reduced
-            else:
-                power = {g.name: max(0, g.alexander - s) for g in source.generators}
-                rf = reduce(slice_through(source, power), "over_U_units")
+            power = {g.name: max(0, g.alexander - s) for g in source.generators}
+            rf = reduce(slice_through(source, power), "over_U_units")
+            b = rf if s == top else self._vertex_homology(top, flavor).reduced  # B is A_top
+            sigma = self.flip.pairing
             v = induced_map(rf, b, {g.name: g.name for g in source.generators if g.alexander <= s})
             h = induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
                                     if g.alexander >= s})
-        if rf.complex.differential:
-            vertex = "B" if s is None else f"A_{s}"
-            raise InternalError(f"vertex {vertex} keeps a differential after reduction")
-        found = VertexHomology(rf, v, h)
+            found = VertexHomology(rf, v, h)
+        if found.reduced.complex.differential:
+            vertex = f"vertex A_{s}" if hat else "the source"
+            raise InternalError(f"{vertex} keeps a differential after reduction")
         self._homology[(flavor, s)] = found
         return found
 
@@ -356,8 +350,8 @@ class MappingCone:
         count: dict[int | Fraction, int] = {}  # key -> dim H(A) + dim H(B)
         first_row: dict[int, int] = {}   # B-vertex t -> its block of rows
         n_rows = 0
+        b = self._vertex_homology(self.flip.top, flavor).reduced.complex  # B is A_top
         for t in b_ts:
-            b = self._vertex_homology(None, flavor).reduced.complex
             first_row[t] = n_rows
             n_rows += len(b)
             shift = phi_a[t] - 1
@@ -431,12 +425,14 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     if t not in cone.b_ts:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
     sector, m = cone.spin_c(t), abs(cone.p)
-    # this sector's vertices alone: the cone groups every sector only for sector_homology
+    # this sector's vertices alone, not the cone's grouping of every sector:
+    # grouping made build + include_B on the k = 44 pipeline cone 408 -> 520 us
+    # (medians of 10 interleaved rounds, 2-core host)
     ts = tuple([u for u in vertex_ts if u % m == sector] for vertex_ts in (cone.a_ts, cone.b_ts))
     count, columns, first_row = cone._triangle(sector, ts, "hat", _exact)
     d = [col for cols in columns.values() for col in cols]
     d_rank = gf2.rank(d)
-    domain = len(cone._vertex_homology(None, "hat").reduced.complex)
+    domain = len(cone._vertex_homology(cone.flip.top, "hat").reduced.complex)  # B is A_top
     units = [1 << row for row in range(first_row[t], first_row[t] + domain)]
     return IncludeBReport(t, sector, domain, sum(count.values()) - 2 * d_rank,
                           gf2.rank(units + d) - d_rank)

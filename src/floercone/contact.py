@@ -269,7 +269,7 @@ def _integer_surgery(n: int, e: int, report: PipelineReport) -> None:
         {"alexander": top, "domain_dim": gm.domain_dim, "rank": gm.map_rank}, True))
     if m < 2:
         raise InternalError("n > 3 guarantees at least two vertical summands")
-    verticals = [s.names[0] for s in nf.summands if s.kind == "vertical"]
+    verticals = [s.names[0] for s in nf.by_kind["vertical"]]
     class_a = [verticals[0]]
     class_b = [verticals[0], verticals[1]]
     distinct = distinct_classes(gm, class_a, class_b)

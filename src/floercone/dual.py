@@ -79,19 +79,18 @@ class Summand(NamedTuple):
 class NormalFormResult(NamedTuple):
     form: ReducedForm
     summands: tuple[Summand, ...]
+    by_kind: dict[str, list[Summand]]  # each kind -> its summands, in order
 
     def count(self, kind: str) -> int:
-        return sum(1 for s in self.summands if s.kind == kind)
+        return len(self.by_kind[kind])
 
     def reflection(self) -> FlipMap:
         """The form checked with the reflection its summands give, which `flip`
         would search for: o fixed, and the i-th horizontal pair's (y, x)
         swapped with the i-th vertical pair's."""
-        pairs = {kind: [s.names for s in self.summands if s.kind == kind]
-                 for kind in ("free", "horizontal", "vertical")}
-        pairing = {o: o for (o,) in pairs["free"]}
-        for h, v in zip(pairs["horizontal"], pairs["vertical"]):
-            pairing.update(zip(h + v, v + h))
+        pairing = {s.names[0]: s.names[0] for s in self.by_kind["free"]}
+        for h, v in zip(self.by_kind["horizontal"], self.by_kind["vertical"]):
+            pairing.update(zip(h.names + v.names, v.names + h.names))
         return FlipMap(self.form.complex, pairing)
 
 
@@ -176,7 +175,7 @@ def normal_form(dc: DualCone) -> NormalFormResult:
     for s in by_kind["vertical"]:
         if s.position != ((1, 2), (0, 1)):
             raise NormalFormMismatch(f"vertical pair at {s.position}")
-    return NormalFormResult(combined, summands)
+    return NormalFormResult(combined, summands, by_kind)
 
 
 # -- the U = 1 map ------------------------------------------------------------

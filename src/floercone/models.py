@@ -40,14 +40,10 @@ def _require_model_size(n_generators: int) -> None:
                           f"(MAX_MODEL_GENERATORS = {MAX_MODEL_GENERATORS})")
 
 
-def _staircase_parts() -> tuple[list[Generator], dict[str, dict[str, int]]]:
-    gens = [Generator("x", 1, 2), Generator("y", 0, 1), Generator("z", -1, 0)]
-    return gens, {"x": {"y": 0}, "z": {"y": 1}}
-
-
 def staircase() -> FilteredComplex:
-    """Full knot complex of the left-handed trefoil: d(x) = y, d(z) = U y."""
-    return FilteredComplex(*_staircase_parts())
+    """Full knot complex of the left-handed trefoil: d(x) = y, d(z) = U y,
+    the n = 1 twist model."""
+    return minus_twist_knot(1)
 
 
 def _box_parts(suffix: str) -> tuple[list[Generator], dict[str, dict[str, int]]]:
@@ -77,7 +73,8 @@ def _twist_knot(n: int) -> tuple[FilteredComplex, dict[str, str]]:
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise BadParameter(f"n must be a positive odd integer, got {n!r}")
     _require_model_size(2 * n + 1)
-    gens, diff = _staircase_parts()
+    gens = [Generator("x", 1, 2), Generator("y", 0, 1), Generator("z", -1, 0)]
+    diff = {"x": {"y": 0}, "z": {"y": 1}}
     pairing = {"x": "z", "y": "y", "z": "x"}
     for i in range(1, (n - 1) // 2 + 1):
         box_gens, box_diff = _box_parts(str(i))

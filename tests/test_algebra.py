@@ -712,10 +712,13 @@ def test_every_imported_name_is_used():
 
 
 def test_every_public_name_is_reached():
-    # a public module-level function or class, or a public method, is read by
-    # package code outside its own definition, or is a layer the benchmark's
-    # tracer rebinds by name: none is kept for tests alone, and the package's
-    # __init__ only re-exports
+    # a module-level function or class, or a method, public or private but
+    # not a dunder, is read by package code outside its own definition, or is
+    # a layer the benchmark's tracer rebinds by name: none is kept for tests
+    # alone, and the package's __init__ only re-exports.  Reads match by
+    # name, so a public method must not share its name with a field of
+    # another package class (a NamedTuple annotation, a self.x assignment or
+    # a __slots__ entry), whose reads would count for it.
     tracing = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
                         .read_text(encoding="utf-8"))
     layers = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
@@ -724,13 +727,31 @@ def test_every_public_name_is_reached():
               for part in (layer.elts[1].value.split(".")[0], layer.elts[1].value.split(".")[-1])}
     modules = sorted(Path(algebra.__file__).parent.glob("*.py"))
     assert modules
-    defined, reads = [], {}
+    defined, reads, fields, methods = [], {}, {}, []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
         defined += [(path.name, node) for node in tree.body + [m for c in classes for m in c.body]
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")]
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        for c in classes:
+            methods += [(c.name, node.name) for node in c.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+            for node in c.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    fields.setdefault(node.target.id, set()).add(c.name)
+            for node in ast.walk(c):
+                targets = node.targets if isinstance(node, ast.Assign) else \
+                    [node.target] if isinstance(node, ast.AnnAssign) else []
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) \
+                                and t.value.id == "self":
+                            fields.setdefault(t.attr, set()).add(c.name)
+                    if isinstance(target, ast.Name) and target.id == "__slots__":
+                        for slot in ast.walk(node.value):
+                            if isinstance(slot, ast.Constant) and isinstance(slot.value, str):
+                                fields.setdefault(slot.value, set()).add(c.name)
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -738,10 +759,14 @@ def test_every_public_name_is_reached():
                 reads.setdefault(node.id, []).append((path.name, node.lineno))
             elif isinstance(node, ast.Attribute):
                 reads.setdefault(node.attr, []).append((path.name, node.lineno))
+    assert len(defined) > 100 and fields and methods
     unreached = [(name, node.name) for name, node in defined if node.name not in traced
                  and all(where == name and node.lineno <= line <= node.end_lineno
                          for where, line in reads.get(node.name, []))]
     assert not unreached, unreached
+    clashes = [(cls, name, sorted(fields[name] - {cls})) for cls, name in methods
+               if fields.get(name, set()) - {cls}]
+    assert not clashes, clashes
 
 
 def test_no_module_imports_dataclasses():

@@ -64,13 +64,18 @@ def test_seed_one_commands_pass_and_keep_their_bytes(name):
 
 
 def test_seed_one_surgery_hat_reduces_each_shared_vertex_once(monkeypatch):
-    # per hat command B, which every A_s from the top grading on is, and one
-    # A_s per s in [-top, top - 1]; per infinity command the source once: 70
-    # with one A_s per s in [-top - 1, top + 1], 90 with infinity reduced like
-    # hat, 181 with the upper tail alone shared, 244 with neither
+    # per hat command one A_s per s in [-top, top], B being A_top; per
+    # infinity command the source once: 70 with one A_s per s in [-top - 1,
+    # top + 1], 90 with infinity reduced like hat, 181 with the upper tail
+    # alone shared, 244 with neither.  Each reduced A_s replays v and h once
+    # and the infinity source h once; the tail records replay nothing: 70
+    # replays, 114 with the tails replayed
     calls = []
-    reduce = cone.reduce
+    replays = []
+    reduce, induced_map = cone.reduce, cone.induced_map
     monkeypatch.setattr(cone, "reduce", lambda c, mode: calls.append(mode) or reduce(c, mode))
+    monkeypatch.setattr(cone, "induced_map",
+                        lambda *args: replays.append(1) or induced_map(*args))
     for cmd in load_workloads().WORKLOADS["surgery-hat"](random.Random(1), model_json):
         invoke(cmd.argv, cmd.stdin)
-    assert len(calls) == 37
+    assert (len(calls), len(replays)) == (37, 70)

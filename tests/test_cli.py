@@ -1,6 +1,7 @@
 """CLI surface: formats, round trips, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -556,12 +557,29 @@ class TestPipelineCommand:
         code, _, _ = cli(["pipeline", "--n", "15", "--r=-46"])
         assert (code, searches, walked) == (0, [], [(1, 0), (-45, 44)])
 
+    def test_pipeline_replays_only_reduced_vertices(self, cli, monkeypatch):
+        # g_map's one map, and v and h of the two A-records include_B's sector
+        # reduces (s = -1 and top = 1); its s = -2 and 2 records are derived
+        # from them: 5 replays, 9 with the tails replayed
+        replays = []
+        for module in (cone, dual):
+            induced_map = module.induced_map
+            monkeypatch.setattr(module, "induced_map", lambda *args, f=induced_map:
+                                replays.append(1) or f(*args))
+        code, _, _ = cli(["pipeline", "--n", "15", "--r=-46"])
+        assert (code, len(replays)) == (0, 5)
+
     @pytest.mark.parametrize("check", ["normalform", "gmap"])
-    def test_dualknot_searches_only_what_it_reads(self, cli, monkeypatch, check):
+    def test_dualknot_searches_only_what_it_reads(self, cli, monkeypatch, tmp_path, check):
+        # the staircase is the n = 1 twist model, so its reflection is known;
+        # the same complex read from JSON is searched
         searches = self.count_searches(monkeypatch)
-        code, _, _ = cli(["dualknot", "--n", "1", "--model", "minus-en:41", "--check", check])
-        assert (code, searches) == (0, [])
-        code, _, _ = cli(["dualknot", "--n", "1", "--model", "staircase", "--check", check])
+        for model in ("minus-en:41", "staircase"):
+            code, _, _ = cli(["dualknot", "--n", "1", "--model", model, "--check", check])
+            assert (code, searches) == (0, [])
+        path = tmp_path / "staircase.json"
+        path.write_text(dumps(complex_to_json(staircase())), encoding="utf-8")
+        code, _, _ = cli(["dualknot", "--n", "1", "--model", str(path), "--check", check])
         assert (code, searches) == (0, [3])
 
     def test_loss_command(self, cli):
@@ -598,6 +616,45 @@ class TestPipelineCommand:
             polys.append((payload["alexander_polynomial"], payload["alexander_polynomial_str"]))
         assert polys[0] == polys[1]
         assert "." not in polys[1][1]
+
+
+def test_operation_counts_grow_linearly(monkeypatch):
+    # from N = 241 to 961 (3.99 times the generators) every counted operation
+    # grows at most 4.2 times, and the complexes built stay the same: the
+    # model, the flattened cone, the filtered and the split reduction in
+    # dualknot, and in pipeline also g_map's two slices and one reduction, and
+    # two hat vertex slices of the -2 cone with their reductions
+    counts: dict[str, int] = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(algebra._Reduction, "basis_change",
+                        counting("basis_change", algebra._Reduction.basis_change))
+    monkeypatch.setattr(algebra._Reduction, "isolate",
+                        counting("isolate", algebra._Reduction.isolate))
+    toggle = counting("_toggle", algebra._toggle)
+    for module in (algebra, dual):
+        monkeypatch.setattr(module, "_toggle", toggle)
+    monkeypatch.setattr(algebra.FilteredComplex, "__init__",
+                        counting("FilteredComplex", algebra.FilteredComplex.__init__))
+    for argv, built in [(["dualknot", "--n", "1", "--model", "minus-en:{}", "--check",
+                          "normalform"], 4),
+                        (["pipeline", "--n", "{}", "--r=-3"], 11)]:
+        per_size = []
+        for size in (241, 961):
+            counts.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([arg.format(size) for arg in argv]) == 0
+            per_size.append(dict(counts))
+        small, large = per_size
+        assert small["FilteredComplex"] == large["FilteredComplex"] == built, argv
+        assert small.keys() == large.keys() == {"basis_change", "isolate", "_toggle",
+                                                "FilteredComplex"}, argv
+        assert all(large[name] <= 4.2 * small[name] for name in small), (argv, per_size)
 
 
 # every command that takes --out, with arguments that make it succeed
@@ -641,6 +698,14 @@ class TestInternalError:
         assert out == ""
         assert err.startswith("error: internal: vertex ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flavor, vertex", [("hat", "vertex A_1"), ("infinity", "the source")])
+    def test_unreduced_surgery_vertex_exits_three(self, cli, monkeypatch, flavor, vertex):
+        monkeypatch.setattr(cone, "reduce", lambda c, mode: ReducedForm(c, []))
+        code, out, err = cli(["surgery", "--p", "3", "--flavor", flavor],
+                             dumps(complex_to_json(staircase())))
+        assert (code, out) == (3, "")
+        assert err == f"error: internal: {vertex} keeps a differential after reduction\n"
 
 
 

@@ -14,13 +14,16 @@ from floercone.algebra import (
     FilteredComplex,
     Generator,
     GradedRanks,
+    ReducedForm,
     check_complex,
     homology,
+    induced_map,
     reduce,
+    slice_through,
 )
 from floercone.cone import MappingCone, include_B
 from floercone.dual import build_dual_cone
-from floercone.errors import BadCoefficient, DomainError, NoSuchVertex
+from floercone.errors import BadCoefficient, DomainError, InternalError, NoSuchVertex
 from floercone.models import (
     box,
     dual_normal_form_model,
@@ -128,7 +131,7 @@ class TestAssembly:
         with pytest.raises(DomainError, match="39 elements"):
             cone.total_complex()
         rank = sum(len(cone._vertex_homology(s, "hat").reduced.complex)
-                   for s in [cone.s_of(t) for t in cone.a_ts] + [None] * len(cone.b_ts))
+                   for s in [cone.s_of(t) for t in cone.a_ts] + [cone.flip.top] * len(cone.b_ts))
         monkeypatch.setattr(cone_module, "MAX_SECTOR_RANK", rank)
         cone.sector_homology(0)
         include_B(cone, cone.b_ts[0])
@@ -258,10 +261,28 @@ class TestSectorHomology:
         assert [cone.sector_homology(i).total_rank for i in cone.sectors] == [1, 1, 1]
 
     def test_minus_one_matches_mirror_plus_one(self):
-        c = minus_twist_knot(5)
-        left = cone_for(c, -1, 1).sector_homology(0).total_rank
-        right = cone_for(mirror(c), 1, 1).sector_homology(0).total_rank
-        assert left == right
+        # -p/q surgery on the mirror is p/q surgery on K with its orientation
+        # reversed: the sectors' total ranks agree as multisets, and at q = 1,
+        # where gradings are absolute, so do the hat graded ranks once the
+        # Maslov gradings are negated
+        coefficients = [(1, 1), (-1, 1), (2, 1), (-3, 1), (5, 2), (-7, 3), (3, 11)]
+        for n in (1, 3, 9, 41, 241):
+            c = minus_twist_knot(n)
+            f, f_mirror = flip(c), flip(mirror(c))
+            for p, q in coefficients:
+                for flavor in ("hat", "infinity"):
+                    sides = []
+                    for model, sign in ((f, 1), (f_mirror, -1)):
+                        cone = MappingCone.build(model, sign * p, q)
+                        sides.append([cone.sector_homology(i, flavor) for i in cone.sectors])
+                    ours, theirs = sides
+                    assert sorted(r.total_rank for r in ours) == \
+                        sorted(r.total_rank for r in theirs), (n, p, q, flavor)
+                    if q == 1 and flavor == "hat":
+                        negated = [{(-m,): r for (m,), r in ranks.ranks.items()}
+                                   for ranks in theirs]
+                        assert Counter(frozenset(r.ranks.items()) for r in ours) == \
+                            Counter(frozenset(r.items()) for r in negated), (n, p)
 
     def test_sector_ranks_are_odd(self):
         for p, q in [(1, 1), (-1, 1), (3, 1), (3, 2), (-3, 2)]:
@@ -395,9 +416,9 @@ class TestSectorsFromVertexHomology:
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
         cone = cone_for(c, p, q, "full")
-        # hat: B once, which every A_s from the top Alexander grading on is,
-        # and A_s once for each s in [-top, top - 1], every A_s below -top
-        # being A_(-top) lifted; infinity: the source once for the whole cone
+        # hat: A_s once for each s in [-top, top], B being A_top, every A_s
+        # above top sharing A_top's and every A_s below -top being A_(-top)
+        # lifted; infinity: the source once for the whole cone
         top = max(g.alexander for g in c.generators)
         s_values = {cone.s_of(t) for t in cone.a_ts}
         assert min(s_values) < -top - 1 and max(s_values) > top + 1
@@ -658,11 +679,61 @@ class TestHatVertexHomology:
             got = Counter(Fraction(g.maslov + lift) for g in reduced.generators)
             vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
             assert got == dense_homology_by_maslov(vertex), s
-        # B^ is one vertex for every t
-        reduced = MappingCone(f, 1, 1, [], [0])._vertex_homology(None, "hat").reduced.complex
+        # B^ is one vertex for every t, and it is A^_top
+        reduced = MappingCone(f, 1, 1, [], [0])._vertex_homology(f.top, "hat").reduced.complex
         got = Counter(Fraction(g.maslov) for g in reduced.generators)
         vertex = span_of_translates(c, enumerate_hat_B_elements(c))
         assert got == dense_homology_by_maslov(vertex)
+
+    @staticmethod
+    def assert_tails_match_replays(f):
+        # the records at s = top + 1 and -top - 1 are derived from A_top's
+        # and A_(-top)'s without a replay; each equals what reducing its own
+        # slice and replaying v and h into B^ gives
+        source, sigma, top = f.source, f.pairing, f.top
+        cone = MappingCone(f, 1, 1, [], [])
+        b = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
+        for s in (top + 1, -top - 1):
+            rf = reduce(slice_through(source, {g.name: max(0, g.alexander - s)
+                                               for g in source.generators}), "over_U_units")
+            record = cone._vertex_homology(s, "hat")
+            lift = cone_module._tail_lift(s, top)
+            assert [(g.name, g.maslov + lift) for g in record.reduced.complex.generators] == \
+                [(g.name, g.maslov) for g in rf.complex.generators], s
+            assert record.v == induced_map(rf, b, {g.name: g.name for g in source.generators
+                                                   if g.alexander <= s}), s
+            assert record.h == induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
+                                                   if g.alexander >= s}), s
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_tail_records_match_replayed_maps(self, name, mirrored):
+        c = self.MODELS[name]()
+        self.assert_tails_match_replays(flip(mirror(c) if mirrored else c))
+
+    def test_tail_records_match_replayed_maps_at_top_zero(self):
+        # with every Alexander grading 0 the identity is a reflection, top is
+        # 0, and both tails come from the one reduced slice A^_0
+        rng = random.Random(default_seed() + 52)
+        for _ in range(40):
+            c = reflection_symmetric_complex(rng)
+            f = flip(FilteredComplex([Generator(g.name, 0, g.maslov) for g in c.generators],
+                                     c.differential))
+            assert f.top == 0
+            self.assert_tails_match_replays(f)
+
+    def test_unreduced_vertex_is_an_internal_error(self, monkeypatch):
+        # every record passes the check, in hat and in infinity, and include_B
+        # reads it too
+        monkeypatch.setattr(cone_module, "reduce", lambda c, mode: ReducedForm(c, []))
+        f = flip(staircase())
+        for flavor, vertex in (("hat", "vertex A_"), ("infinity", "the source ")):
+            cone = MappingCone.build(f, -3, 1, "full")
+            with pytest.raises(InternalError, match=f"{vertex}.*keeps a differential"):
+                cone.sector_homology(0, flavor)
+        cone = MappingCone.build(f, -3, 1, "full")
+        with pytest.raises(InternalError, match="vertex A_.*keeps a differential"):
+            include_B(cone, cone.b_ts[0])
 
 
 class TestIncludeB:
