@@ -121,7 +121,7 @@ def cmd_surgery(args) -> str:
     payload = {
         "kind": "surgery_report",
         "p": args.p, "q": args.q, "flavor": args.flavor, "range": args.range,
-        "genus": cone.genus,
+        "genus": cone.flip.genus,
         "vertices": [{"segment": v.segment, "t": v.t, "s": v.s} for v in cone.vertices()],
         "sectors": table,
         "complex": serialize.complex_to_json(c),
@@ -142,7 +142,7 @@ def cmd_dualknot(args) -> str:
         f = flip(serialize.complex_from_json(serialize.loads(_read(args.model))))
     require_framing(args.n, for_normal_form=True)  # both checks read the normal form
     dc = build_dual_cone(f, args.n)
-    payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.cone.genus}
+    payload = {"kind": "dualknot_report", "framing": args.n, "genus": dc.cone.flip.genus}
     nf = normal_form(dc)
     if args.check == "normalform":
         payload["summands"] = [

@@ -111,6 +111,15 @@ def _tail_lift(s: int, top: int) -> int:
     return 2 * min(0, s + top)
 
 
+def _identity(rf: ReducedForm) -> list[int]:
+    """The identity map on rf's homology basis, as bitset columns."""
+    return [1 << i for i in range(len(rf.complex))]
+
+
+# sector ranks per flavor are keyed by Maslov grading (hat) or by its parity, which D flips
+_GRADING_KEY: dict[str, Callable] = {"hat": _exact, "infinity": lambda m: _exact(m % 2)}
+
+
 def _require_coprime(p: int, q: int) -> None:
     if q <= 0 or p == 0 or gcd(p, q) != 1:
         raise BadCoefficient(f"need coprime p != 0, q > 0; got p/q = {p}/{q}")
@@ -134,11 +143,9 @@ class MappingCone:
 
     def __init__(self, flip: FlipMap, p: int, q: int, a_ts: Iterable[int], b_ts: Iterable[int]):
         _require_coprime(p, q)
-        self.source = flip.source
         self.flip = flip
         self.p = p
         self.q = q
-        self.genus = flip.genus
         self.a_ts = tuple(sorted(set(a_ts)))
         self.b_ts = tuple(sorted(set(b_ts)))
         self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
@@ -232,12 +239,12 @@ class MappingCone:
         At q = 1 each element's Alexander field is the dual knot's J - I (see
         `dual`); at q > 1 it is 0, and only the U-power (the I-drop) counts.
         """
-        elements = (len(self.a_ts) + len(self.b_ts)) * len(self.source)
+        source, sigma = self.flip.source, self.flip.pairing
+        elements = (len(self.a_ts) + len(self.b_ts)) * len(source)
         if elements > MAX_FLAT_ELEMENTS:
             raise DomainError(f"the flattened cone has {elements} elements "
                               f"(MAX_FLAT_ELEMENTS = {MAX_FLAT_ELEMENTS})")
         phi = self.phi()
-        source = self.source
         gens: list[Generator] = []
         table: dict[str, ConeVertex] = {}
         # per vertex: each source generator's element name and U-offset
@@ -269,16 +276,16 @@ class MappingCone:
             v_edge = segment == "A" and vertex.get(("B", t))
             h_edge = segment == "A" and vertex.get(("B", t + self.p))
             s = self.s_of(t)
-            for g, (src, off) in elements.items():
+            for g in source.generators:
+                src, off = elements[g.name]
                 # each entry's U-power is its I-drop between the two translates
-                for tgt, k in source.differential.get(g, {}).items():
+                for tgt, k in source.differential.get(g.name, {}).items():
                     name, tgt_off = elements[tgt]
                     put(src, name, k + off - tgt_off)
                 if v_edge:
-                    put(src, v_edge[g][0], off)
-                if h_edge:
-                    partner, fpow = self.flip(g)
-                    put(src, h_edge[partner][0], s + fpow + off)
+                    put(src, v_edge[g.name][0], off)
+                if h_edge:  # g -> U^(-A) sigma g, then to B_(t+p) at offset 0
+                    put(src, h_edge[sigma[g.name]][0], s - g.alexander + off)
         return FilteredComplex(gens, diff), table
 
     def hat_complex(self) -> tuple[FilteredComplex, dict[str, ConeVertex]]:
@@ -295,11 +302,12 @@ class MappingCone:
         the translates with p = 0 (A <= s), and h pairs by the flip those with
         A >= s, whose h-power max(0, s - A) is 0.  A^_s is reduced once for
         each s in [-top, top], and B^ is A^_top, since from top on every
-        offset is 0.  Above top A^_s keeps A^_top's reduction and v, and h is
-        0; below -top every offset is A - s, so A^_s is A^_(-top) with each
-        Maslov grading moved by `_tail_lift(s, top)`, which the caller adds,
-        and keeps its h, with v 0.  So the records stop changing outside
-        [-top - 1, top + 1], and no tail record replays a trace.
+        offset is 0, so A^_top's v is the identity.  Above top A^_s keeps
+        A^_top's reduction and v, and h is 0; below -top every offset is
+        A - s, so A^_s is A^_(-top) with each Maslov grading moved by
+        `_tail_lift(s, top)`, which the caller adds, and keeps its h, with v
+        0.  So the records stop changing outside [-top - 1, top + 1], and no
+        tail record replays a trace.
 
         Infinity: over GF(2)[U,U^-1] the offsets only rename U-powers, and
         full_field pivots on the support in generator order, so one
@@ -313,11 +321,10 @@ class MappingCone:
         found = self._homology.get((flavor, s))
         if found is not None:
             return found
-        source = self.source
+        source, sigma = self.flip.source, self.flip.pairing
         if not hat:
             rf = reduce(source, "full_field")
-            found = VertexHomology(rf, [1 << i for i in range(len(rf.complex))],
-                                   induced_map(rf, rf, self.flip.pairing))
+            found = VertexHomology(rf, _identity(rf), induced_map(rf, rf, sigma))
         elif s > top:
             a = self._vertex_homology(top, flavor)
             found = VertexHomology(a.reduced, a.v, [0] * len(a.h))
@@ -328,8 +335,8 @@ class MappingCone:
             power = {g.name: max(0, g.alexander - s) for g in source.generators}
             rf = reduce(slice_through(source, power), "over_U_units")
             b = rf if s == top else self._vertex_homology(top, flavor).reduced  # B is A_top
-            sigma = self.flip.pairing
-            v = induced_map(rf, b, {g.name: g.name for g in source.generators if g.alexander <= s})
+            v = _identity(rf) if s == top else induced_map(
+                rf, b, {g.name: g.name for g in source.generators if g.alexander <= s})
             h = induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
                                     if g.alexander >= s})
             found = VertexHomology(rf, v, h)
@@ -339,12 +346,13 @@ class MappingCone:
         self._homology[(flavor, s)] = found
         return found
 
-    def _triangle(self, sector: int, ts: tuple[list[int], list[int]], flavor: str,
-                  key: Callable) -> tuple[dict, dict, dict]:
+    def _triangle(self, sector: int, ts: tuple[list[int], list[int]],
+                  flavor: str) -> tuple[dict, dict, dict]:
         """The exact-triangle data of one sector on its A- and B-vertex ts,
-        keyed by key(Maslov): per key, dim H(A) + dim H(B); per source key, the
-        columns of D as bitsets over the B-homology basis; per B-vertex t, the
-        first row of its block."""
+        keyed by the flavor's `_GRADING_KEY`: per key, dim H(A) + dim H(B); per
+        source key, the columns of D as bitsets over the B-homology basis; per
+        B-vertex t, the first row of its block."""
+        key = _GRADING_KEY[flavor]
         a_ts, b_ts = ts
         phi_a = self._sector_phi(sector, a_ts + b_ts)
         count: dict[int | Fraction, int] = {}  # key -> dim H(A) + dim H(B)
@@ -379,17 +387,13 @@ class MappingCone:
     def sector_homology(self, sector: int, flavor: str = "hat") -> GradedRanks:
         """Ranks of one sector from its vertices' homology and the exact triangle.
 
-        Hat keys by Maslov grading.  Infinity keys by Maslov parity, which D
-        flips; every entry of D is a homogeneous monomial, so its rank over
+        Every entry of D is a homogeneous monomial, so its rank over
         GF(2)[U,U^-1] is the GF(2) rank of its 0/1 support.
         """
-        if flavor == "hat":
-            key = _exact
-        elif flavor == "infinity":
-            key = lambda m: _exact(m % 2)
-        else:
+        if flavor not in _GRADING_KEY:
             raise BadCoefficient(f"unknown flavor {flavor!r}")
-        count, columns, _ = self._triangle(sector, self._sector_ts(sector), flavor, key)
+        key = _GRADING_KEY[flavor]
+        count, columns, _ = self._triangle(sector, self._sector_ts(sector), flavor)
         d_rank = {k: gf2.rank(cols) for k, cols in columns.items()}
         ranks = {}
         for k, n in count.items():
@@ -429,7 +433,7 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     # grouping made build + include_B on the k = 44 pipeline cone 408 -> 520 us
     # (medians of 10 interleaved rounds, 2-core host)
     ts = tuple([u for u in vertex_ts if u % m == sector] for vertex_ts in (cone.a_ts, cone.b_ts))
-    count, columns, first_row = cone._triangle(sector, ts, "hat", _exact)
+    count, columns, first_row = cone._triangle(sector, ts, "hat")
     d = [col for cols in columns.values() for col in cols]
     d_rank = gf2.rank(d)
     domain = len(cone._vertex_homology(cone.flip.top, "hat").reduced.complex)  # B is A_top

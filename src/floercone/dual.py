@@ -30,7 +30,6 @@ from .algebra import (
     check_complex,
     induced_map,
     reduce,
-    require_valid,
     slice_through,
 )
 from .cone import MappingCone, windows
@@ -39,7 +38,7 @@ from .models import FlipMap
 
 
 class DualCone(NamedTuple):
-    cone: MappingCone                  # framing cone.p, genus cone.genus
+    cone: MappingCone                  # framing cone.p, genus cone.flip.genus
     complex: FilteredComplex           # flattened, (I,J)-decorated
 
 
@@ -199,9 +198,9 @@ def g_map(c: FilteredComplex, alexander=None) -> GMapReport:
     """The U = 1 map on minus-flavor homology in Alexander grading s.
 
     U^s carries the slice {i <= 0, j = s}, powers A - s, to the j = 0 column,
-    powers A, so the chain map is the identity on generator names.
+    powers A, so the chain map is the identity on generator names.  c must be
+    valid: the commands pass the normal form of a dual cone checked when built.
     """
-    require_valid(c)
     s = max(g.alexander for g in c.generators) if alexander is None else alexander
     domain = slice_through(c, {g.name: g.alexander - s for g in c.generators if g.alexander >= s})
     rf_dom = reduce(domain, "over_U_units")

@@ -57,9 +57,9 @@ def _box_parts(suffix: str) -> tuple[list[Generator], dict[str, dict[str, int]]]
     return gens, {a: {b: 1, c: 0}, b: {d: 0}, c: {d: 1}}
 
 
-def box(suffix: str = "") -> FilteredComplex:
+def box() -> FilteredComplex:
     """Length-one box summand: d(a) = U b + c, d(b) = d, d(c) = U d."""
-    return FilteredComplex(*_box_parts(suffix))
+    return FilteredComplex(*_box_parts(""))
 
 
 def unknot() -> FilteredComplex:
@@ -154,10 +154,6 @@ class FlipMap:
         self.pairing = dict(pairing)
         self.top: int = max(alexander, default=0)
         self.genus: int = max(1, self.top)
-
-    def __call__(self, name: str) -> tuple[str, int]:
-        """Image of a stored generator, as (generator, U-power)."""
-        return self.pairing[name], -self.source.by_name[name].alexander
 
 
 def flip_violations(c: FilteredComplex, pairing: dict[str, str]) -> list[str]:

@@ -400,7 +400,7 @@ def hat_sector_by_clamped_slices(cone, sector: int) -> tuple[GradedRanks, dict]:
     (domain, codomain, map rank), from the exact triangle on vertex homology
     that reduces B^ and each A^_s with s clamped to [-top - 1, top + 1]
     apart, and lifts A^_s below -top - 1 from A^_(-top-1) by 2 (s + top + 1)."""
-    source, sigma, top = cone.source, cone.flip.pairing, cone.flip.top
+    source, sigma, top = cone.flip.source, cone.flip.pairing, cone.flip.top
     phi, m = cone.phi(), abs(cone.p)
     b = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
     vertex: dict[int, tuple] = {}  # clamped s -> (reduced A^_s, v, h)

@@ -547,7 +547,7 @@ class TestFullWindowAndTruncation:
 
     def test_truncated_cone_within_printed_window(self):
         cone = cone_for(minus_twist_knot(5), -3, 1)
-        g, q = cone.genus, cone.q
+        g, q = cone.flip.genus, cone.q
         for v in cone.vertices():
             if v.segment == "A":
                 assert -(g - 1) * q <= v.t <= g * q - 1
@@ -688,12 +688,13 @@ class TestHatVertexHomology:
     @staticmethod
     def assert_tails_match_replays(f):
         # the records at s = top + 1 and -top - 1 are derived from A_top's
-        # and A_(-top)'s without a replay; each equals what reducing its own
-        # slice and replaying v and h into B^ gives
+        # and A_(-top)'s without a replay, and A_top's v is written as the
+        # identity; each equals what reducing its own slice and replaying v
+        # and h into B^ gives
         source, sigma, top = f.source, f.pairing, f.top
         cone = MappingCone(f, 1, 1, [], [])
         b = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
-        for s in (top + 1, -top - 1):
+        for s in (top, top + 1, -top - 1):
             rf = reduce(slice_through(source, {g.name: max(0, g.alexander - s)
                                                for g in source.generators}), "over_U_units")
             record = cone._vertex_homology(s, "hat")
