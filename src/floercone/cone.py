@@ -20,14 +20,14 @@ Maslov degree m
     dim H_m = dim H(A)_m + dim H(B)_m - rank D_m - rank D_(m+1),
 
 where D_m is D on source degree m (D lowers Maslov by 1).  So the hat
-`sector_homology` reduces A^_s once for each s in [-top, top], 2 top + 1
+`sector_homology` reduces A^_s once for each s in [0, top], top + 1
 reductions for the model's top Alexander grading top.  B^ is A^_top: from
-top on every offset is 0.  The tails are derived, not replayed: above top
-A^_s keeps A^_top's reduction and v, and h is 0; from -top down every
-offset is A - s, so A^_s is A^_(-top) with every Maslov grading moved by
-2 (s + top), and keeps its h, with v 0.  The infinity flavor reduces the
-source once for the whole cone.  It reads v and h on their homology
-with `induced_map`, and ranks one GF(2) matrix per degree between those
+top on every offset is 0, so above top A^_s keeps A^_top's reduction and
+v, and h is 0.  The flip g -> U^(-A) sigma g carries A^_(-s) onto U^s A^_s
+and swaps v and h, so below 0 A^_s is A^_(-s) with v and h swapped and
+every Maslov grading moved by 2 s.  The infinity flavor reduces the source
+once for the whole cone.  It reads v and h on their homology with
+`induced_map`, and ranks one GF(2) matrix per degree between those
 homology bases, shifted by phi.  `include_B` reads the same data and phi
 on its own sector alone.  No sector is flattened; the flattened
 whole cone (`total_complex`, `hat_complex`; at q = 1 its Alexander field is
@@ -69,14 +69,13 @@ from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
 # vertex holds its own phi entry, sector slot and report line.  The hat
-# sector path reduces A_s once for each s in [-top, top] (B is A_top, see
-# `_vertex_homology`), the infinity path the source once, and each keeps
-# every reduction with its trace; the dual cone flattens every vertex
-# instead.  `windows` keeps its count, one A_s per s clamped to [-top - 1,
-# top + 1] plus one, an upper bound on the 2 top + 1 reductions, so the
-# windows it refuses stay the same.  The exact triangle ranks dense GF(2)
-# bitsets over a sector's vertex homology, so its memory grows with the
-# square of that rank.
+# sector path reduces A_s once for each s in [0, top], the infinity path
+# the source once, and each keeps every reduction with its trace; the dual
+# cone flattens every vertex instead.  `windows` keeps its count, one A_s
+# per s clamped to [-top - 1, top + 1] plus one, an upper bound on the
+# top + 1 reductions, so the windows it refuses stay the same.  The exact
+# triangle ranks dense GF(2) bitsets over a sector's vertex homology, so
+# its memory grows with the square of that rank.
 MAX_CONE_VERTICES = 120_000
 MAX_REDUCED_ELEMENTS = 1_000_000
 MAX_FLAT_ELEMENTS = 500_000
@@ -105,10 +104,10 @@ def _shared_s(s: int, top: int) -> int:
     return min(max(s, -top - 1), top + 1)
 
 
-def _tail_lift(s: int, top: int) -> int:
+def _tail_lift(s: int) -> int:
     """What A_s adds to each Maslov grading of the reduction it shares:
-    2 (s + top) below -top, where that is A_(-top)'s, and 0 elsewhere."""
-    return 2 * min(0, s + top)
+    2 s below 0, where that is A_(-s)'s, and 0 elsewhere."""
+    return 2 * min(0, s)
 
 
 def _identity(rf: ReducedForm) -> list[int]:
@@ -301,13 +300,13 @@ class MappingCone:
         Hat: A^_s is `slice_through(source, p)` for p = max(0, A - s).  v keeps
         the translates with p = 0 (A <= s), and h pairs by the flip those with
         A >= s, whose h-power max(0, s - A) is 0.  A^_s is reduced once for
-        each s in [-top, top], and B^ is A^_top, since from top on every
-        offset is 0, so A^_top's v is the identity.  Above top A^_s keeps
-        A^_top's reduction and v, and h is 0; below -top every offset is
-        A - s, so A^_s is A^_(-top) with each Maslov grading moved by
-        `_tail_lift(s, top)`, which the caller adds, and keeps its h, with v
-        0.  So the records stop changing outside [-top - 1, top + 1], and no
-        tail record replays a trace.
+        each s in [0, top], and B^ is A^_top, since from top on every offset
+        is 0, so A^_top's v is the identity.  Above top A^_s keeps A^_top's
+        reduction and v, and h is 0.  Below 0 the flip g -> U^(-A) sigma g is
+        an isomorphism A^_s -> A^_(-s) after which A^_(-s)'s h is v and its v
+        is h, so A^_s is A^_(-s)'s record with v and h swapped and each Maslov
+        grading moved by `_tail_lift(s)`, which the caller adds.  So the
+        records stop changing outside [-top - 1, top + 1].
 
         Infinity: over GF(2)[U,U^-1] the offsets only rename U-powers, and
         full_field pivots on the support in generator order, so one
@@ -328,9 +327,9 @@ class MappingCone:
         elif s > top:
             a = self._vertex_homology(top, flavor)
             found = VertexHomology(a.reduced, a.v, [0] * len(a.h))
-        elif s < -top:
-            a = self._vertex_homology(-top, flavor)
-            found = VertexHomology(a.reduced, [0] * len(a.v), a.h)
+        elif s < 0:
+            a = self._vertex_homology(-s, flavor)
+            found = VertexHomology(a.reduced, a.h, a.v)
         else:
             power = {g.name: max(0, g.alexander - s) for g in source.generators}
             rf = reduce(slice_through(source, power), "over_U_units")
@@ -374,7 +373,7 @@ class MappingCone:
         columns: dict[int | Fraction, list[int]] = {}  # source key of D -> its columns
         for t, a in a_homology:
             v_row, h_row = first_row.get(t), first_row.get(t + self.p)
-            shift = phi_a[t] + _tail_lift(self.s_of(t), self.flip.top)
+            shift = phi_a[t] + _tail_lift(self.s_of(t))
             for g, v, h in zip(a.reduced.complex.generators, a.v, a.h):
                 k = key(g.maslov + shift)
                 count[k] = count.get(k, 0) + 1
@@ -434,9 +433,9 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     # (medians of 10 interleaved rounds, 2-core host)
     ts = tuple([u for u in vertex_ts if u % m == sector] for vertex_ts in (cone.a_ts, cone.b_ts))
     count, columns, first_row = cone._triangle(sector, ts, "hat")
-    d = [col for cols in columns.values() for col in cols]
-    d_rank = gf2.rank(d)
+    pivots: dict[int, int] = {}
+    d_rank = gf2.rank([col for cols in columns.values() for col in cols], pivots)
     domain = len(cone._vertex_homology(cone.flip.top, "hat").reduced.complex)  # B is A_top
     units = [1 << row for row in range(first_row[t], first_row[t] + domain)]
     return IncludeBReport(t, sector, domain, sum(count.values()) - 2 * d_rank,
-                          gf2.rank(units + d) - d_rank)
+                          gf2.rank(units, pivots) - d_rank)

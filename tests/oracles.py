@@ -22,8 +22,8 @@
 * the window argument of the surgery cone: whether the hat v- or h-map
   out of one A-vertex is a quasi-isomorphism;
 * a hat sector and its vertex inclusions by the exact triangle with one
-  reduction per A-vertex s clamped to [-top - 1, top + 1], the rule the
-  cone's shared slices must agree with;
+  reduction per A-vertex s clamped to [-top - 1, top + 1], which the cone's
+  top + 1 reductions, shared and flipped, must agree with;
 * closed forms of the surgery cone: the q = 1 Maslov shift of each vertex,
   and the total hat rank of p/q surgery on the twist-knot models;
 * the reflection search that rescans each candidate list from its head,

@@ -78,13 +78,13 @@ def test_seeded_commands_pass_and_keep_their_bytes(name, seed):
 
 
 def test_seed_one_surgery_hat_reduces_each_shared_vertex_once(monkeypatch):
-    # per hat command one A_s per s in [-top, top], B being A_top; per
-    # infinity command the source once: 70 with one A_s per s in [-top - 1,
-    # top + 1], 90 with infinity reduced like hat, 181 with the upper tail
-    # alone shared, 244 with neither.  Each reduced A_s below top replays v
-    # and h once, A_top h alone (its v is the identity, B being A_top), and
-    # the infinity source h once; the tail records replay nothing: 59
-    # replays, 70 with A_top's v replayed, 114 with the tails replayed too
+    # per hat command one A_s per s in [0, top], B being A_top and each A_s
+    # below 0 being A_(-s) through the flip; per infinity command the source
+    # once: 26 reductions, 37 with every A_s in [-top, top] reduced.  Each
+    # reduced A_s below top replays v and h once, A_top h alone (its v is the
+    # identity, B being A_top), and the infinity source h once; the records
+    # below 0 and above top replay nothing: 37 replays, 59 with the ones in
+    # [-top, 0) reduced and replayed
     calls = []
     replays = []
     reduce, induced_map = cone.reduce, cone.induced_map
@@ -93,4 +93,4 @@ def test_seed_one_surgery_hat_reduces_each_shared_vertex_once(monkeypatch):
                         lambda *args: replays.append(1) or induced_map(*args))
     for cmd in load_workloads().WORKLOADS["surgery-hat"](random.Random(1), model_json):
         invoke(cmd.argv, cmd.stdin)
-    assert (len(calls), len(replays)) == (37, 59)
+    assert (len(calls), len(replays)) == (26, 37)

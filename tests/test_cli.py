@@ -559,17 +559,18 @@ class TestPipelineCommand:
         assert (code, searches, walked) == (0, [], [(1, 0), (-45, 44)])
 
     def test_pipeline_replays_only_reduced_vertices(self, cli, monkeypatch):
-        # g_map's one map, v and h of the s = -1 A-record include_B's sector
-        # reduces, and h of the top = 1 record, whose v is the identity, B
-        # being A_top; its s = -2 and 2 records are derived from them: 4
-        # replays, 5 with the top v replayed, 9 with the tails replayed too
+        # g_map's one map and h of the top = 1 record, whose v is the
+        # identity, B being A_top; include_B's sector reads the s = -1 record,
+        # which is A_1's through the flip, and the s = -2 and 2 records,
+        # derived from A_1's too: 2 replays, 4 with the s = -1 record
+        # reduced and replayed, 5 with the top v replayed too
         replays = []
         for module in (cone, dual):
             induced_map = module.induced_map
             monkeypatch.setattr(module, "induced_map", lambda *args, f=induced_map:
                                 replays.append(1) or f(*args))
         code, _, _ = cli(["pipeline", "--n", "15", "--r=-46"])
-        assert (code, len(replays)) == (0, 4)
+        assert (code, len(replays)) == (0, 2)
 
     @pytest.mark.parametrize("check", ["normalform", "gmap"])
     def test_dualknot_searches_only_what_it_reads(self, cli, monkeypatch, tmp_path, check):
@@ -625,7 +626,8 @@ def test_operation_counts_grow_linearly(monkeypatch):
     # grows at most 4.2 times, and the complexes built stay the same: the
     # model, the flattened cone, the filtered and the split reduction in
     # dualknot, and in pipeline also g_map's two slices and one reduction, and
-    # two hat vertex slices of the -2 cone with their reductions
+    # the -2 cone's one hat vertex slice, A_top, with its reduction; its
+    # s = -1 record is A_1's through the flip
     counts: dict[str, int] = {}
 
     def counting(name, fn):
@@ -645,7 +647,7 @@ def test_operation_counts_grow_linearly(monkeypatch):
                         counting("FilteredComplex", algebra.FilteredComplex.__init__))
     for argv, built in [(["dualknot", "--n", "1", "--model", "minus-en:{}", "--check",
                           "normalform"], 4),
-                        (["pipeline", "--n", "{}", "--r=-3"], 11)]:
+                        (["pipeline", "--n", "{}", "--r=-3"], 9)]:
         per_size = []
         for size in (241, 961):
             counts.clear()
@@ -660,18 +662,20 @@ def test_operation_counts_grow_linearly(monkeypatch):
 
 
 def test_rank_column_work_is_pinned(monkeypatch):
-    # pipeline --r=-3 ranks g_map's columns, then include_B's D and
-    # [H(B_t) | D].  No column is XORed: each enters with a lowest bit no
-    # earlier column holds.  But every D column is as wide as its highest row,
-    # so the bits the loop reads grow with the square of the model (15.7 times
-    # for 3.99 times the generators).  Pinned exactly, not as a ratio; a block
-    # sweep (ROADMAP item 4) or per-summand cones (item 10) should lower them
+    # pipeline --r=-3 ranks g_map's columns, then include_B's D, then
+    # H(B_t)'s unit columns after D's pivot table.  No column is XORed: each
+    # enters with a lowest bit no earlier column holds.  But every D column is
+    # as wide as its highest row, so the bits the loop reads grow with the
+    # square of the model (15.7 times for 3.99 times the generators).  Pinned
+    # exactly, not as a ratio; a block sweep (ROADMAP item 4) or per-summand
+    # cones (item 10) should lower them
     counts = {"calls": 0, "xors": 0, "bits": 0}
     package_rank = gf2.rank
 
-    def rank(columns):
+    def rank(columns, pivots=None):
         counts["calls"] += 1
-        pivots: dict[int, int] = {}
+        pivots = {} if pivots is None else pivots
+        earlier = list(pivots.values())
         for col in columns:
             counts["bits"] += col.bit_length()
             while col and (col & -col) in pivots:
@@ -679,7 +683,7 @@ def test_rank_column_work_is_pinned(monkeypatch):
                 counts["xors"] += 1
             if col:
                 pivots[col & -col] = col
-        assert len(pivots) == package_rank(columns)
+        assert len(pivots) == package_rank(earlier + list(columns))
         return len(pivots)
 
     monkeypatch.setattr(gf2, "rank", rank)
@@ -690,8 +694,8 @@ def test_rank_column_work_is_pinned(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["pipeline", "--n", str(size), "--r=-3"]) == 0
         measured[size] = dict(counts)
-    assert measured == {241: {"calls": 3, "xors": 0, "bits": 1_344_457},
-                        961: {"calls": 3, "xors": 0, "bits": 21_101_977}}
+    assert measured == {241: {"calls": 3, "xors": 0, "bits": 753_481},
+                        961: {"calls": 3, "xors": 0, "bits": 11_826_361}}
 
 
 class TestRelabelledModels:

@@ -10,6 +10,7 @@ import pytest
 
 from floercone import algebra as algebra_module
 from floercone import cone as cone_module
+from floercone import gf2
 from floercone.algebra import (
     FilteredComplex,
     Generator,
@@ -61,12 +62,17 @@ def far_pair(a):
     return FilteredComplex([Generator("u", a, 0), Generator("w", -a, -2 * a)], {})
 
 
-def torus_2_5():
-    """Staircase of the left-handed T(2,5), top Alexander grading 2:
-    d(a) = b, d(c) = U b + d, d(e) = U d."""
-    gens = [Generator("a", 2, 4), Generator("b", 1, 3), Generator("c", 0, 2),
-            Generator("d", -1, 1), Generator("e", -2, 0)]
-    return FilteredComplex(gens, {"a": {"b": 0}, "c": {"b": 1, "d": 0}, "e": {"d": 1}})
+def torus_staircase(g):
+    """Staircase of the left-handed T(2, 2g + 1), top Alexander grading g:
+    a_k at A = g - k and M = 2g - k for k in [0, 2g], with d(a_2i) = U a_(2i-1)
+    + a_(2i+1), each term present when its index is in range.  At g = 2,
+    d(a0) = a1, d(a2) = U a1 + a3, d(a4) = U a3."""
+    gens = [Generator(f"a{k}", g - k, 2 * g - k) for k in range(2 * g + 1)]
+    diff: dict[str, dict[str, int]] = {}
+    for i in range(g):
+        diff.setdefault(f"a{2 * i}", {})[f"a{2 * i + 1}"] = 0
+        diff.setdefault(f"a{2 * i + 2}", {})[f"a{2 * i + 1}"] = 1
+    return FilteredComplex(gens, diff)
 
 
 class TestAssembly:
@@ -79,7 +85,7 @@ class TestAssembly:
 
     def test_top_is_the_largest_alexander_grading(self):
         for model, top, genus in [(unknot(), 0, 1), (minus_twist_knot(5), 1, 1),
-                                  (torus_2_5(), 2, 2)]:
+                                  (torus_staircase(2), 2, 2)]:
             f = flip(model)
             assert (f.top, f.genus) == (top, genus)
 
@@ -104,7 +110,7 @@ class TestAssembly:
     def test_reduction_budget_counts_the_upper_tail_once(self):
         # 1025 generators, top grading 500: the twist knot and a pair at A = +-500
         f = flip(direct_sum(minus_twist_knot(511), far_pair(500)))
-        # A_s for s in [-472, 500] and the shared A_501, plus B: 975 reductions
+        # A_s for s in [-472, 500] and the shared A_501, plus B: 975 counted
         for hi in (501, 50_000):
             assert cone_module.windows(f, 1, 1, -472, hi)[0] == range(-472, hi + 1)
         assert cone_module.windows(f, 1, 3, -1416, 1503)[0] == range(-1416, 1504)
@@ -115,7 +121,7 @@ class TestAssembly:
 
     def test_reduction_budget_counts_the_lower_tail_once(self):
         f = flip(direct_sum(minus_twist_knot(511), far_pair(500)))
-        # the shared A_-501 and A_s for s in [-500, 472], plus B: 975 reductions
+        # the shared A_-501 and A_s for s in [-500, 472], plus B: 975 counted
         for lo in (-501, -50_000):
             assert cone_module.windows(f, 1, 1, lo, 472)[0] == range(lo, 473)
         for q, hi in [(1, 473), (3, 1419)]:
@@ -375,9 +381,10 @@ class TestSectorsFromVertexHomology:
         "staircase": staircase,
         "mirror_staircase": lambda: mirror(staircase()),
         "unknot": unknot,
-        # top grading 2: every A_s from 2 on is B, and below -2 it is A_-2 lifted
-        "torus_2_5": torus_2_5,
-        "mirror_torus_2_5": lambda: mirror(torus_2_5()),
+        # top grading 2: every A_s from 2 on is B, and each A_s below 0 is
+        # A_(-s) through the flip
+        "torus_2_5": lambda: torus_staircase(2),
+        "mirror_torus_2_5": lambda: mirror(torus_staircase(2)),
     }
 
     @pytest.mark.parametrize("name", list(MODELS))
@@ -392,13 +399,12 @@ class TestSectorsFromVertexHomology:
                     for i in cone.sectors:
                         assert cone.sector_homology(i, flavor) == flat[i], (p, q, mode, flavor, i)
 
-    def test_genus_two_staircase_is_a_checked_model(self):
-        c = torus_2_5()
+    @pytest.mark.parametrize("g", [2, 5, 12])
+    def test_torus_staircase_is_a_checked_model(self, g):
+        c = torus_staircase(g)
         assert check_complex(c).ok
-        f = flip(c)
-        assert f.genus == 2
-        assert euler_characteristic(hat_knot_homology(c)) == two_bridge_alexander(5, 1)
-        assert flip(mirror(c)).genus == 2
+        assert flip(c).genus == flip(mirror(c)).genus == g
+        assert euler_characteristic(hat_knot_homology(c)) == two_bridge_alexander(2 * g + 1, 1)
 
     @staticmethod
     def assert_each_vertex_reduced_once(monkeypatch, c, p, q):
@@ -416,26 +422,38 @@ class TestSectorsFromVertexHomology:
         monkeypatch.setattr(MappingCone, "total_complex",
                             counting("total_complex", MappingCone.total_complex))
         cone = cone_for(c, p, q, "full")
-        # hat: A_s once for each s in [-top, top], B being A_top, every A_s
-        # above top sharing A_top's and every A_s below -top being A_(-top)
-        # lifted; infinity: the source once for the whole cone
+        # hat: A_s once for each s in [0, top], B being A_top, every A_s
+        # above top sharing A_top's and every A_s below 0 being A_(-s)
+        # through the flip; infinity: the source once for the whole cone
         top = max(g.alexander for g in c.generators)
         s_values = {cone.s_of(t) for t in cone.a_ts}
         assert min(s_values) < -top - 1 and max(s_values) > top + 1
-        distinct_slices = len({min(max(s, -top), top) for s in s_values})
-        assert distinct_slices == 2 * top + 1
+        distinct_slices = len({min(abs(s), top) for s in s_values})
+        assert distinct_slices == top + 1
+        reductions = []
         for flavor in ("hat", "infinity"):
             for _ in range(2):  # the vertex homology is kept on the cone
                 for i in cone.sectors:
                     cone.sector_homology(i, flavor)
-        assert calls == {"reduce": distinct_slices + 1, "homology": 0, "total_complex": 0}
+            reductions.append(calls["reduce"] - sum(reductions))
+        assert reductions == [distinct_slices, 1]
+        assert calls["homology"] == calls["total_complex"] == 0
 
     def test_each_vertex_reduced_once_and_nothing_flattened(self, monkeypatch):
         self.assert_each_vertex_reduced_once(monkeypatch, minus_twist_knot(9), -7, 3)
 
     @pytest.mark.parametrize("p,q", [(5, 2), (-3, 1)])
-    def test_genus_two_staircase_reduced_once_per_vertex(self, monkeypatch, p, q):
-        self.assert_each_vertex_reduced_once(monkeypatch, torus_2_5(), p, q)
+    @pytest.mark.parametrize("g", [2, 5, 12])
+    def test_torus_staircase_reduced_once_per_vertex(self, monkeypatch, g, p, q):
+        # g + 1 hat reductions per cone, whose sectors match one reduction
+        # per clamped s and the flattened cone (163 vertices at g = 12)
+        f = flip(torus_staircase(g))
+        self.assert_each_vertex_reduced_once(monkeypatch, f.source, p, q)
+        monkeypatch.undo()
+        self.assert_matches_clamped_slices(f, [(p, q)])
+        cone = MappingCone.build(f, p, q, "full")
+        flat = flattened_sector_homology(cone, "hat")
+        assert [cone.sector_homology(i) for i in cone.sectors] == [flat[i] for i in cone.sectors]
 
     def test_unknown_flavor(self):
         with pytest.raises(BadCoefficient):
@@ -486,7 +504,7 @@ class TestSectorsFromVertexHomology:
         "twist9": lambda: minus_twist_knot(9),
         "dual1": lambda: dual_normal_form_model(1),
         "dual5": lambda: dual_normal_form_model(5),
-        "torus_2_5": torus_2_5,
+        "torus_2_5": lambda: torus_staircase(2),
     }
 
     @pytest.mark.parametrize("mirrored", [False, True])
@@ -563,7 +581,7 @@ class TestPhi:
         "mirror_staircase": lambda: mirror(staircase()),
         "box": box,
         "twist5": lambda: minus_twist_knot(5),
-        "torus_2_5": torus_2_5,
+        "torus_2_5": lambda: torus_staircase(2),
     }
 
     @staticmethod
@@ -603,7 +621,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", [1, -1, 2, -2, 3, 5])
     def test_dual_cones(self, n):
-        for model in (staircase(), minus_twist_knot(5), torus_2_5()):
+        for model in (staircase(), minus_twist_knot(5), torus_staircase(2)):
             cone = build_dual_cone(flip(model), n).cone
             self.assert_edge_relations(cone)
             self.assert_closed_form(cone)
@@ -662,7 +680,7 @@ class TestHatVertexHomology:
         "twist9": lambda: minus_twist_knot(9),
         "dual1": lambda: dual_normal_form_model(1),
         "dual5": lambda: dual_normal_form_model(5),
-        "torus_2_5": torus_2_5,
+        "torus_2_5": lambda: torus_staircase(2),
     }
 
     @pytest.mark.parametrize("mirrored", [False, True])
@@ -671,11 +689,12 @@ class TestHatVertexHomology:
         c = self.MODELS[name]()
         c = mirror(c) if mirrored else c
         f = flip(c)
-        # both tails: A_s below -top is A_(-top) lifted, from top on it is B
+        # A_s below 0 is A_(-s) lifted by 2 s, from top on it is B, and
+        # both tails lie past [-top, top]
         for s in range(-f.top - 4, f.top + 4):
             cone = MappingCone(f, 1, 1, [s], [s])  # at q = 1, vertex t is A_t
             reduced = cone._vertex_homology(s, "hat").reduced.complex
-            lift = cone_module._tail_lift(s, f.top)
+            lift = cone_module._tail_lift(s)
             got = Counter(Fraction(g.maslov + lift) for g in reduced.generators)
             vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
             assert got == dense_homology_by_maslov(vertex), s
@@ -686,42 +705,60 @@ class TestHatVertexHomology:
         assert got == dense_homology_by_maslov(vertex)
 
     @staticmethod
-    def assert_tails_match_replays(f):
-        # the records at s = top + 1 and -top - 1 are derived from A_top's
-        # and A_(-top)'s without a replay, and A_top's v is written as the
-        # identity; each equals what reducing its own slice and replaying v
-        # and h into B^ gives
+    def assert_records_match_replays(f):
+        # each record equals what reducing its own slice and replaying v and
+        # h into B^ gives.  From 0 up it does so name by name: A_top's v is
+        # written as the identity, and the records above top are A_top's.
+        # Below 0 the record is A_(-s)'s through the flip, in A_(-s)'s basis,
+        # so per Maslov grading it has the replay's dimension, and its
+        # stacked (v | h) columns span the replay's
         source, sigma, top = f.source, f.pairing, f.top
         cone = MappingCone(f, 1, 1, [], [])
         b = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
-        for s in (top, top + 1, -top - 1):
+        rows = len(b.complex)
+
+        def stacked(generators, v, h, lift):
+            span: dict[int, list[int]] = {}
+            for g, v_col, h_col in zip(generators, v, h, strict=True):
+                span.setdefault(g.maslov + lift, []).append(v_col | (h_col << rows))
+            return span
+
+        for s in range(-top - 2, top + 2):
             rf = reduce(slice_through(source, {g.name: max(0, g.alexander - s)
                                                for g in source.generators}), "over_U_units")
+            v = induced_map(rf, b, {g.name: g.name for g in source.generators if g.alexander <= s})
+            h = induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
+                                    if g.alexander >= s})
             record = cone._vertex_homology(s, "hat")
-            lift = cone_module._tail_lift(s, top)
-            assert [(g.name, g.maslov + lift) for g in record.reduced.complex.generators] == \
-                [(g.name, g.maslov) for g in rf.complex.generators], s
-            assert record.v == induced_map(rf, b, {g.name: g.name for g in source.generators
-                                                   if g.alexander <= s}), s
-            assert record.h == induced_map(rf, b, {g.name: sigma[g.name] for g in source.generators
-                                                   if g.alexander >= s}), s
+            lift = cone_module._tail_lift(s)
+            if s >= 0:
+                assert [(g.name, g.maslov + lift) for g in record.reduced.complex.generators] == \
+                    [(g.name, g.maslov) for g in rf.complex.generators], s
+                assert (record.v, record.h) == (v, h), s
+                continue
+            got = stacked(record.reduced.complex.generators, record.v, record.h, lift)
+            want = stacked(rf.complex.generators, v, h, 0)
+            assert got.keys() == want.keys(), s
+            for m, cols in got.items():
+                assert len(cols) == len(want[m]), (s, m)
+                assert gf2.rank(cols) == gf2.rank(want[m]) == gf2.rank(cols + want[m]), (s, m)
 
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("name", list(MODELS))
     def test_tail_records_match_replayed_maps(self, name, mirrored):
         c = self.MODELS[name]()
-        self.assert_tails_match_replays(flip(mirror(c) if mirrored else c))
+        self.assert_records_match_replays(flip(mirror(c) if mirrored else c))
 
     def test_tail_records_match_replayed_maps_at_top_zero(self):
         # with every Alexander grading 0 the identity is a reflection, top is
-        # 0, and both tails come from the one reduced slice A^_0
+        # 0, and every record comes from the one reduced slice A^_0
         rng = random.Random(default_seed() + 52)
         for _ in range(40):
             c = reflection_symmetric_complex(rng)
             f = flip(FilteredComplex([Generator(g.name, 0, g.maslov) for g in c.generators],
                                      c.differential))
             assert f.top == 0
-            self.assert_tails_match_replays(f)
+            self.assert_records_match_replays(f)
 
     def test_unreduced_vertex_is_an_internal_error(self, monkeypatch):
         # every record passes the check, in hat and in infinity, and include_B
