@@ -112,7 +112,7 @@ def cmd_validate(args) -> str:
 def cmd_surgery(args) -> str:
     c = serialize.complex_from_json(serialize.loads(_read(args.infile)))
     cone = MappingCone.build(flip(c), args.p, args.q, args.range)
-    sectors = [args.sector % abs(args.p)] if args.sector is not None else list(cone.sectors)
+    sectors = [cone.spin_c(args.sector)] if args.sector is not None else list(cone.sectors)
     table = {}
     for i in sectors:
         ranks = cone.sector_homology(i, args.flavor)

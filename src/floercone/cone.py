@@ -28,10 +28,10 @@ and swaps v and h, so below 0 A^_s is A^_(-s) with v and h swapped and
 every Maslov grading moved by 2 s.  The infinity flavor reduces the source
 once for the whole cone.  It reads v and h on their homology with
 `induced_map`, and ranks one GF(2) matrix per degree between those
-homology bases, shifted by phi.  `include_B` reads the same data and phi
-on its own sector alone.  No sector is flattened; the flattened
-whole cone (`total_complex`, `hat_complex`; at q = 1 its Alexander field is
-the dual knot's J - I) remains for the dual cone and the checks.
+homology bases, shifted by phi.  `include_B` reads the same data on its
+vertex's sector.  No sector is flattened; the flattened whole cone
+(`total_complex`, `hat_complex`; at q = 1 its Alexander field is the dual
+knot's J - I) remains for the dual cone and the checks.
 
 Vertex ranges.  The t-window must satisfy two constraints so that the
 omitted vertices cancel in (A_t, B_t) pairs via v (an isomorphism once
@@ -42,16 +42,19 @@ The "paper" mode is the minimal such window written out by hand, with
 the floor lowered to
 gq - p when p > (2g-1)q so that every Spin^c sector keeps its surviving
 vertex; "full" pads both ends, and the tests check that both windows give
-the same sectors.  `windows` refuses a window over MAX_CONE_VERTICES or
-MAX_REDUCED_ELEMENTS before building it; the flattening and the exact
-triangle keep MAX_FLAT_ELEMENTS and MAX_SECTOR_RANK.
+the same sectors.  A cone keeps its two windows as ranges of step 1, so
+sector i's vertices are the slice ts[(i - ts.start) % |p|::|p|] of each:
+the zigzag t, t + p, t + 2p, ... that its v and h edges walk.  `windows`
+refuses a window over MAX_CONE_VERTICES or MAX_REDUCED_ELEMENTS before
+building it; the flattening and the exact triangle keep MAX_FLAT_ELEMENTS
+and MAX_SECTOR_RANK.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import gf2
 from .algebra import (
@@ -64,7 +67,14 @@ from .algebra import (
     reduce,
     slice_through,
 )
-from .errors import BadCoefficient, DomainError, InternalError, NoSuchVertex, count_text
+from .errors import (
+    BadCoefficient,
+    BadParameter,
+    DomainError,
+    InternalError,
+    NoSuchVertex,
+    count_text,
+)
 from .models import FlipMap
 
 # Budgets of a cone, each checked before what it bounds is built.  Every
@@ -138,16 +148,19 @@ class VertexHomology(NamedTuple):
 
 
 class MappingCone:
-    """The p/q cone over flip.source on the A-vertices a_ts and B-vertices b_ts."""
+    """The p/q cone over flip.source on the A-vertices a_ts and B-vertices
+    b_ts, each a range of step 1, as `windows` returns them."""
 
-    def __init__(self, flip: FlipMap, p: int, q: int, a_ts: Iterable[int], b_ts: Iterable[int]):
+    def __init__(self, flip: FlipMap, p: int, q: int, a_ts: range, b_ts: range):
         _require_coprime(p, q)
+        for ts in (a_ts, b_ts):
+            if not isinstance(ts, range) or ts.step != 1:
+                raise BadParameter(f"cone vertices must be a range of step 1, got {ts!r}")
         self.flip = flip
         self.p = p
         self.q = q
-        self.a_ts = tuple(sorted(set(a_ts)))
-        self.b_ts = tuple(sorted(set(b_ts)))
-        self._sectors: dict[int, tuple[list[int], list[int]]] | None = None
+        self.a_ts = a_ts
+        self.b_ts = b_ts
         self._homology: dict[tuple[str, int], VertexHomology] = {}  # (flavor, shared s)
 
     # -- construction -----------------------------------------------------
@@ -176,15 +189,10 @@ class MappingCone:
     def sectors(self) -> range:
         return range(abs(self.p))
 
-    def _sector_ts(self, sector: int) -> tuple[list[int], list[int]]:
-        """The ascending A- and B-vertex ts of one sector; every sector is
-        grouped in one pass, for `phi` and `sector_homology`."""
-        if self._sectors is None:
-            self._sectors = {}
-            for k, ts in enumerate((self.a_ts, self.b_ts)):
-                for t in ts:
-                    self._sectors.setdefault(self.spin_c(t), ([], []))[k].append(t)
-        return self._sectors.get(sector, ([], []))
+    def _sector_ts(self, sector: int) -> tuple[range, range]:
+        """The A- and B-vertex ts of one sector, each a slice of its window."""
+        return tuple(ts[self.spin_c(sector - ts.start)::abs(self.p)]
+                     for ts in (self.a_ts, self.b_ts))
 
     def vertices(self) -> list[ConeVertex]:
         return [ConeVertex("A", t, self.s_of(t)) for t in self.a_ts] + \
@@ -207,16 +215,16 @@ class MappingCone:
         shifts: dict[tuple[str, int], int | Fraction] = {}
         for t0 in self.sectors:
             a_ts, b_ts = self._sector_ts(t0)
-            phi_a = self._sector_phi(t0, a_ts + b_ts)
+            phi_a = self._sector_phi(t0)
             shifts.update((("A", t), phi_a[t]) for t in a_ts)
             shifts.update((("B", t), phi_a[t] - 1) for t in b_ts)
         return shifts
 
-    def _sector_phi(self, t0: int, ts: list[int]) -> dict[int, int | Fraction]:
-        """phi(A, t) of sector t0, from its anchor out to the farthest of ts."""
+    def _sector_phi(self, t0: int) -> dict[int, int | Fraction]:
+        """phi(A, t) of sector t0, from its anchor out to its farthest vertex."""
         p = self.p
-        # the anchor and the sector's vertices are t0 + j p for j in js
-        js = [0] + [(t - t0) // p for t in ts]
+        # the anchor and the sector's vertices are t0 + j p; each range's ends bound its js
+        js = [0] + [(t - t0) // p for ts in self._sector_ts(t0) if ts for t in (ts[0], ts[-1])]
         phi_a: dict[int, int | Fraction] = {
             t0: _exact(Fraction((2 * t0 - p) ** 2 + 2 * p - 3 * abs(p), 4 * p)) if self.q == 1 else 0}
         for t in range(t0 + p, t0 + (max(js) + 1) * p, p):
@@ -345,43 +353,39 @@ class MappingCone:
         self._homology[(flavor, s)] = found
         return found
 
-    def _triangle(self, sector: int, ts: tuple[list[int], list[int]],
-                  flavor: str) -> tuple[dict, dict, dict]:
-        """The exact-triangle data of one sector on its A- and B-vertex ts,
-        keyed by the flavor's `_GRADING_KEY`: per key, dim H(A) + dim H(B); per
-        source key, the columns of D as bitsets over the B-homology basis; per
-        B-vertex t, the first row of its block."""
+    def _triangle(self, sector: int, flavor: str) -> tuple[dict, dict, dict]:
+        """The exact-triangle data of one sector, keyed by the flavor's
+        `_GRADING_KEY`: per key, dim H(A) + dim H(B); per source key, the
+        columns of D as bitsets over the B-homology basis; per B-vertex t, the
+        range of its block of rows."""
         key = _GRADING_KEY[flavor]
-        a_ts, b_ts = ts
-        phi_a = self._sector_phi(sector, a_ts + b_ts)
+        a_ts, b_ts = self._sector_ts(sector)
+        phi_a = self._sector_phi(sector)
         count: dict[int | Fraction, int] = {}  # key -> dim H(A) + dim H(B)
-        first_row: dict[int, int] = {}   # B-vertex t -> its block of rows
-        n_rows = 0
         b = self._vertex_homology(self.flip.top, flavor).reduced.complex  # B is A_top
+        rows = {t: range(i * len(b), (i + 1) * len(b)) for i, t in enumerate(b_ts)}
         for t in b_ts:
-            first_row[t] = n_rows
-            n_rows += len(b)
             shift = phi_a[t] - 1
             for g in b.generators:
                 k = key(g.maslov + shift)
                 count[k] = count.get(k, 0) + 1
         a_homology = [(t, self._vertex_homology(self.s_of(t), flavor)) for t in a_ts]
-        rank = n_rows + sum(len(a.reduced.complex) for _, a in a_homology)
+        rank = len(b_ts) * len(b) + sum(len(a.reduced.complex) for _, a in a_homology)
         if rank > MAX_SECTOR_RANK:
             raise DomainError(f"sector {sector}'s vertex homology has rank {rank} "
                               f"(MAX_SECTOR_RANK = {MAX_SECTOR_RANK})")
         columns: dict[int | Fraction, list[int]] = {}  # source key of D -> its columns
         for t, a in a_homology:
-            v_row, h_row = first_row.get(t), first_row.get(t + self.p)
+            v_rows, h_rows = rows.get(t), rows.get(t + self.p)
             shift = phi_a[t] + _tail_lift(self.s_of(t))
             for g, v, h in zip(a.reduced.complex.generators, a.v, a.h):
                 k = key(g.maslov + shift)
                 count[k] = count.get(k, 0) + 1
-                col = 0 if v_row is None else v << v_row
-                if h_row is not None:
-                    col |= h << h_row
+                col = 0 if v_rows is None else v << v_rows.start
+                if h_rows is not None:
+                    col |= h << h_rows.start
                 columns.setdefault(k, []).append(col)
-        return count, columns, first_row
+        return count, columns, rows
 
     def sector_homology(self, sector: int, flavor: str = "hat") -> GradedRanks:
         """Ranks of one sector from its vertices' homology and the exact triangle.
@@ -392,7 +396,7 @@ class MappingCone:
         if flavor not in _GRADING_KEY:
             raise BadCoefficient(f"unknown flavor {flavor!r}")
         key = _GRADING_KEY[flavor]
-        count, columns, _ = self._triangle(sector, self._sector_ts(sector), flavor)
+        count, columns, _ = self._triangle(sector, flavor)
         d_rank = {k: gf2.rank(cols) for k, cols in columns.items()}
         ranks = {}
         for k, n in count.items():
@@ -427,15 +431,10 @@ def include_B(cone: MappingCone, t: int) -> IncludeBReport:
     """
     if t not in cone.b_ts:
         raise NoSuchVertex(f"no vertex (B, {t}) in this cone")
-    sector, m = cone.spin_c(t), abs(cone.p)
-    # this sector's vertices alone, not the cone's grouping of every sector:
-    # grouping made build + include_B on the k = 44 pipeline cone 408 -> 520 us
-    # (medians of 10 interleaved rounds, 2-core host)
-    ts = tuple([u for u in vertex_ts if u % m == sector] for vertex_ts in (cone.a_ts, cone.b_ts))
-    count, columns, first_row = cone._triangle(sector, ts, "hat")
+    sector = cone.spin_c(t)
+    count, columns, rows = cone._triangle(sector, "hat")
     pivots: dict[int, int] = {}
     d_rank = gf2.rank([col for cols in columns.values() for col in cols], pivots)
-    domain = len(cone._vertex_homology(cone.flip.top, "hat").reduced.complex)  # B is A_top
-    units = [1 << row for row in range(first_row[t], first_row[t] + domain)]
-    return IncludeBReport(t, sector, domain, sum(count.values()) - 2 * d_rank,
-                          gf2.rank(units, pivots) - d_rank)
+    block = rows[t]
+    return IncludeBReport(t, sector, len(block), sum(count.values()) - 2 * d_rank,
+                          gf2.rank([1 << row for row in block], pivots) - d_rank)

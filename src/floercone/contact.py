@@ -164,7 +164,6 @@ def characterize_all_minus_two(r) -> tuple[bool, int | None]:
 
 class ContactLocator(NamedTuple):
     t: int
-    sector: int
     s: int
 
     @property
@@ -179,7 +178,7 @@ def locate_contact_class(l: LegendrianData, p: int, q: int) -> ContactLocator:
     if twice % 2 != 0:
         raise ParityError(f"2t = {twice} is odd; no integral vertex")
     t = twice // 2
-    return ContactLocator(t, t % abs(p), t // q)
+    return ContactLocator(t, t // q)
 
 
 def _printable(x: int) -> int:

@@ -388,7 +388,8 @@ def _reduced_sector(hat: FilteredComplex):
 
 def hat_map_is_quasi_iso(flip: FlipMap, s: int, kind: str) -> bool:
     """Whether the hat v- or h-map out of A_s kills all homology in its cone."""
-    cone = MappingCone(flip, 1, 1, [s], [s] if kind == "v" else [s + 1])
+    b = s if kind == "v" else s + 1
+    cone = MappingCone(flip, 1, 1, range(s, s + 1), range(b, b + 1))
     return cone.sector_homology(0).total_rank == 0
 
 

@@ -18,6 +18,7 @@ from floercone.algebra import (
     ReducedForm,
     _Reduction,
     check_complex,
+    grading_key,
     homology,
     induced_map,
     reduce,
@@ -225,6 +226,12 @@ class TestReduce:
         # no box entry preserves both filtration coordinates at power 0
         rf = reduce(box(), "filtered")
         assert len(rf.complex) == 4
+
+    def test_unknown_mode_and_grading_key_are_refused(self):
+        with pytest.raises(BadParameter, match="unknown reduce mode 'bogus'"):
+            reduce(box(), "bogus")
+        with pytest.raises(BadParameter, match="unknown grading key 'bogus'"):
+            grading_key(Generator("g", 0, 0), ("bogus",))
 
     def test_modes_leave_no_cancellable_entries(self):
         c, _ = random_filtered_complex(random.Random(7), 4, 5, 40)

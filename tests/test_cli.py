@@ -328,6 +328,13 @@ class TestDualknotCommand:
         assert gmap["domain_dim"] == 4
         assert gmap["rank"] == 4
 
+    def test_box_model_is_not_in_normal_form(self, cli, tmp_path):
+        _, model_out, _ = cli(["model", "--box"])
+        path = tmp_path / "box.json"
+        path.write_text(model_out)
+        assert cli(["dualknot", "--n", "1", "--model", str(path)]) == \
+            (1, "", "error: summand counts (free, horizontal, vertical) = (0, 1, 1)\n")
+
     def test_bad_framing_exit_one(self, cli):
         code, _, _ = cli(["dualknot", "--n", "0", "--model", "staircase"])
         assert code == 1
@@ -553,8 +560,8 @@ class TestPipelineCommand:
         searches = self.count_searches(monkeypatch)
         walked = []
         sector_phi = cone.MappingCone._sector_phi
-        monkeypatch.setattr(cone.MappingCone, "_sector_phi", lambda self, t0, ts: walked.append(
-            (self.p, t0)) or sector_phi(self, t0, ts))
+        monkeypatch.setattr(cone.MappingCone, "_sector_phi", lambda self, t0: walked.append(
+            (self.p, t0)) or sector_phi(self, t0))
         code, _, _ = cli(["pipeline", "--n", "15", "--r=-46"])
         assert (code, searches, walked) == (0, [], [(1, 0), (-45, 44)])
 
@@ -779,6 +786,17 @@ def test_out_writes_exactly_what_stdout_would_show(cli, tmp_path, argv, stdin_te
     path = tmp_path / "report"
     assert cli([*argv, "--out", str(path)], stdin_text) == (0, "", "")
     assert path.read_bytes() == shown.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["surgery", "--p", "1", "--in", "{missing}/in.json"], "cannot read {missing}/in.json: "),
+    (["loss", "--tb", "0", "--rot", "-1", "--out", "{missing}/x"], ""),
+], ids=["--in", "--out"])
+def test_missing_paths_exit_two(cli, tmp_path, argv, message):
+    missing = tmp_path / "missing"
+    code, out, err = cli([arg.format(missing=missing) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(missing=missing) + "[Errno 2] ")
 
 
 class TestInternalError:

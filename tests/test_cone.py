@@ -24,7 +24,7 @@ from floercone.algebra import (
 )
 from floercone.cone import MappingCone, include_B
 from floercone.dual import build_dual_cone
-from floercone.errors import BadCoefficient, DomainError, InternalError, NoSuchVertex
+from floercone.errors import BadCoefficient, BadParameter, DomainError, InternalError, NoSuchVertex
 from floercone.models import (
     box,
     dual_normal_form_model,
@@ -46,6 +46,7 @@ from oracles import (
     hat_map_is_quasi_iso,
     hat_sector_by_clamped_slices,
     include_B_by_flattening,
+    restrict,
     span_of_translates,
     twist_surgery_hat_rank,
     two_bridge_alexander,
@@ -148,11 +149,11 @@ class TestAssembly:
 
     def test_paper_ranges_match_minimal_truncation(self):
         cone = cone_for(minus_twist_knot(5), 1, 1)
-        assert cone.a_ts == (0,)
-        assert cone.b_ts == ()
+        assert cone.a_ts == range(0, 1)
+        assert cone.b_ts == range(0)
         cone = cone_for(minus_twist_knot(5), -1, 1)
-        assert cone.a_ts == (0,)
-        assert cone.b_ts == (-1, 0)
+        assert cone.a_ts == range(0, 1)
+        assert cone.b_ts == range(-1, 1)
 
     def test_paper_range_covers_every_sector(self):
         for p in (2, 3, 5, -4):
@@ -197,23 +198,30 @@ class TestAssembly:
         for src, tgt, _ in total.entries():
             assert table[src].t % abs(p) == table[tgt].t % abs(p)
 
-    @pytest.mark.parametrize("mode", ["paper", "full"])
-    @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (-7, 3)])
-    def test_sector_complex_is_restriction_of_whole(self, p, q, mode):
-        # a cone on one sector's vertices alone flattens to that sector of the whole
-        cone = cone_for(minus_twist_knot(5), p, q, mode)
-        for i, (part, table) in flattened_sectors(cone, hat=False).items():
-            alone = MappingCone(cone.flip, p, q,
-                                [t for t in cone.a_ts if cone.spin_c(t) == i],
-                                [t for t in cone.b_ts if cone.spin_c(t) == i])
-            own, own_table = alone.total_complex()
-            assert part.generators == own.generators
-            assert part.differential == own.differential
-            assert table == own_table
+    @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (-7, 3), (1, 1), (-1, 1)])
+    def test_sector_complex_is_restriction_of_whole(self, p, q):
+        # each sector of the paper window flattens to the full window's
+        # sector restricted to the paper window's elements
+        f = flip(minus_twist_knot(5))
+        full = flattened_sectors(MappingCone.build(f, p, q, "full"), hat=False)
+        paper = flattened_sectors(MappingCone.build(f, p, q, "paper"), hat=False)
+        for i, (part, table) in paper.items():
+            whole, whole_table = full[i]
+            own = restrict(whole, table)
+            assert part.generators == own.generators, i
+            assert part.differential == own.differential, i
+            assert table == {name: whole_table[name] for name in table}, i
+
+    @pytest.mark.parametrize("ts", [[0, 1], (0, 1), range(0, 4, 2)])
+    @pytest.mark.parametrize("segment", ["A", "B"])
+    def test_vertices_must_be_a_unit_step_range(self, ts, segment):
+        windows = (ts, range(0, 2)) if segment == "A" else (range(0, 2), ts)
+        with pytest.raises(BadParameter, match="must be a range of step 1"):
+            MappingCone(flip(staircase()), 1, 1, *windows)
 
     def test_hat_vertex_element_counts_match_enumeration(self):
         c = staircase()
-        cone = MappingCone(flip(c), 1, 1, [0], [0])
+        cone = MappingCone(flip(c), 1, 1, range(0, 1), range(0, 1))
         hat, table = cone.hat_complex()
         a_elements = [n for n, info in table.items() if info.segment == "A"]
         assert len(a_elements) == len(enumerate_hat_A_elements(c, 0)) == 3
@@ -222,7 +230,7 @@ class TestAssembly:
 
     def test_box_hat_vertex_count(self):
         c = box()
-        cone = MappingCone(flip(c), 1, 1, [0], [])
+        cone = MappingCone(flip(c), 1, 1, range(0, 1), range(0))
         assert len(cone.hat_complex()[0]) == len(enumerate_hat_A_elements(c, 0)) == 4
 
 
@@ -459,6 +467,10 @@ class TestSectorsFromVertexHomology:
         with pytest.raises(BadCoefficient):
             cone_for(staircase(), 3, 1).sector_homology(0, "minus")
 
+    def test_unknown_range_mode(self):
+        with pytest.raises(BadCoefficient, match="unknown range mode 'bogus'"):
+            cone_for(staircase(), 3, 1, "bogus")
+
     def test_random_reflection_symmetric_models(self):
         # up to 22 generators and top grading up to 4; the full window
         # reaches both shared tails
@@ -481,8 +493,8 @@ class TestSectorsFromVertexHomology:
 
     @staticmethod
     def assert_matches_clamped_slices(f, cases=((1, 1), (-3, 1), (5, 2), (-7, 3))):
-        # a fresh cone per case, include_B first, so its one-sector path runs
-        # before sector_homology has grouped every sector
+        # a fresh cone per case, include_B first, so it builds the vertex
+        # records that sector_homology then reads
         for p, q in cases:
             cone = MappingCone.build(f, p, q, "full")
             s_values = {cone.s_of(t) for t in cone.a_ts}
@@ -692,14 +704,16 @@ class TestHatVertexHomology:
         # A_s below 0 is A_(-s) lifted by 2 s, from top on it is B, and
         # both tails lie past [-top, top]
         for s in range(-f.top - 4, f.top + 4):
-            cone = MappingCone(f, 1, 1, [s], [s])  # at q = 1, vertex t is A_t
+            # at q = 1, vertex t is A_t
+            cone = MappingCone(f, 1, 1, range(s, s + 1), range(s, s + 1))
             reduced = cone._vertex_homology(s, "hat").reduced.complex
             lift = cone_module._tail_lift(s)
             got = Counter(Fraction(g.maslov + lift) for g in reduced.generators)
             vertex = span_of_translates(c, enumerate_hat_A_elements(c, s))
             assert got == dense_homology_by_maslov(vertex), s
         # B^ is one vertex for every t, and it is A^_top
-        reduced = MappingCone(f, 1, 1, [], [0])._vertex_homology(f.top, "hat").reduced.complex
+        cone = MappingCone(f, 1, 1, range(0), range(0, 1))
+        reduced = cone._vertex_homology(f.top, "hat").reduced.complex
         got = Counter(Fraction(g.maslov) for g in reduced.generators)
         vertex = span_of_translates(c, enumerate_hat_B_elements(c))
         assert got == dense_homology_by_maslov(vertex)
@@ -713,7 +727,7 @@ class TestHatVertexHomology:
         # so per Maslov grading it has the replay's dimension, and its
         # stacked (v | h) columns span the replay's
         source, sigma, top = f.source, f.pairing, f.top
-        cone = MappingCone(f, 1, 1, [], [])
+        cone = MappingCone(f, 1, 1, range(0), range(0))
         b = reduce(slice_through(source, dict.fromkeys(source.by_name, 0)), "over_U_units")
         rows = len(b.complex)
 

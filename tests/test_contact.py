@@ -85,10 +85,14 @@ class TestNegativeExpansion:
         assert characterize_all_minus_two(Fraction(-1, 3)) == (True, 3)
         assert characterize_all_minus_two(-1) == (True, 1)
         assert characterize_all_minus_two(Fraction(-2, 3)) == (False, None)
+        with pytest.raises(BadCoefficient, match="needs r < 0, got 1"):
+            characterize_all_minus_two(1)
 
     def test_eval_negative_cf(self):
         assert eval_negative_cf([-4, -2]) == Fraction(-7, 2)
         assert eval_negative_cf([-2]) == -2
+        with pytest.raises(BadCoefficient, match="empty continued fraction"):
+            eval_negative_cf([])
 
 
 class TestPositiveExpansion:
@@ -146,7 +150,6 @@ class TestLegendrianBookkeeping:
         for k in range(1, 7):
             loc = locate_contact_class(LegendrianData(0, -1), -(k + 1), k)
             assert loc.t == -1
-            assert loc.sector == (-1) % (k + 1)
         assert locate_contact_class(LegendrianData(1, 0), 1, 1).t == -1
         assert locate_contact_class(LegendrianData(1, 0), 2, 3).t == -1
 

@@ -16,6 +16,7 @@ from floercone.algebra import (
 )
 from floercone.cone import MappingCone
 from floercone.dual import (
+    DualCone,
     build_dual_cone,
     distinct_classes,
     g_map,
@@ -51,8 +52,8 @@ class TestBuildDualCone:
 
     def test_vertex_ranges(self):
         dc = dual_for(minus_twist_knot(5), 1)
-        assert dc.cone.a_ts == (0, 1)
-        assert dc.cone.b_ts == (1,)
+        assert dc.cone.a_ts == range(0, 2)
+        assert dc.cone.b_ts == range(1, 2)
 
     def test_complex_verified_at_build(self):
         for n in (1, -1, 2, -3):
@@ -162,6 +163,37 @@ class TestNormalForm:
         assert check_complex(c).ok
         with pytest.raises(NormalFormMismatch):
             split_to_summands(c)
+
+    O = [Generator("o", 0, 0)]
+    H = [Generator("yh", -1, 0), Generator("xh", 0, 1)]
+    V = [Generator("yv", 1, 2), Generator("xv", 0, 1)]
+
+    @pytest.mark.parametrize("gens, diff, message", [
+        # the row of test_no_legal_pivot_is_a_mismatch: a row that stays
+        # non-monomial is refused by the splitting before it is classified
+        ([Generator("a", 0, 1), Generator("x", -1, 0), Generator("y", 1, 2)],
+         {"a": {"x": 0, "y": 1}}, "no filtered splitting: no legal pivot remains"),
+        # e -> f raises the filtration, so splitting it turns s -> f into
+        # the U^0 entry s -> h between equal Alexander gradings
+        ([Generator("e", 0, 1), Generator("s", 1, 1), Generator("f", 2, 0), Generator("h", 1, 0)],
+         {"e": {"f": 0, "h": 0}, "s": {"f": 0}}, "s -> h is a leftover filtered unit"),
+        ([Generator("o", 0, 2)], {}, r"free generator at \(\(0, 2\),\), expected the origin"),
+        (O + [Generator("yh", -1, 2), Generator("xh", 0, 3)] + V,
+         {"yh": {"xh": 1}, "yv": {"xv": 0}}, r"horizontal pair at \(\(-1, 2\), \(0, 3\)\)"),
+        (O + H + [Generator("yv", 1, 4), Generator("xv", 0, 3)],
+         {"yh": {"xh": 1}, "yv": {"xv": 0}}, r"vertical pair at \(\(1, 4\), \(0, 3\)\)"),
+        (O + H + V, {"yh": {"xh": 2}, "yv": {"xv": 0}}, "horizontal pair without U-power 1"),
+    ], ids=["non-monomial row", "filtered unit", "free position", "horizontal position",
+            "vertical position", "horizontal power"])
+    def test_mismatches_are_refused(self, gens, diff, message):
+        cone = dual_for(unknot(), 1).cone
+        with pytest.raises(NormalFormMismatch, match=f"^{message}$"):
+            normal_form(DualCone(cone, FilteredComplex(gens, diff)))
+
+    def test_hand_made_normal_form_passes(self):
+        c = FilteredComplex(self.O + self.H + self.V, {"yh": {"xh": 1}, "yv": {"xv": 0}})
+        nfr = normal_form(DualCone(dual_for(unknot(), 1).cone, c))
+        assert [nfr.count(kind) for kind in ("free", "horizontal", "vertical")] == [1, 1, 1]
 
     def test_wrong_framing_rejected(self):
         with pytest.raises(BadFraming):

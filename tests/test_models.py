@@ -210,6 +210,24 @@ class TestFlip:
         f = FlipMap(c, pairing)
         assert f.pairing["b1"] == "c2"
 
+    @staticmethod
+    def without_arrows(*gens):
+        return FilteredComplex([Generator(*g) for g in gens], {})
+
+    @pytest.mark.parametrize("model, pairing, rule", [
+        (staircase, {"x": "z", "y": "y", "z": "z"}, "pairing is not a bijection on the generators"),
+        (lambda: TestFlip.without_arrows(("a", 0, 0), ("b", 0, 0), ("c", 0, 0)),
+         {"a": "b", "b": "c", "c": "a"}, "not an involution at a"),
+        (staircase, {"x": "x", "y": "y", "z": "z"}, "x: image Alexander grading is not negated"),
+        (lambda: TestFlip.without_arrows(("a", 0, 0), ("b", 0, 2)), {"a": "b", "b": "a"},
+         "a: image Maslov grading mismatch"),
+        (box, {"a": "d", "b": "c", "c": "b", "d": "a"}, r"entry a -> U\^1 b has no mirror entry"),
+    ], ids=["bijection", "involution", "alexander", "maslov", "mirror entry"])
+    def test_flip_map_refuses_an_invalid_pairing(self, model, pairing, rule):
+        # each rule of flip_violations, on a pairing handed in rather than searched
+        with pytest.raises(UnsupportedModel, match=f"^invalid flip pairing: .*{rule}"):
+            FlipMap(model(), pairing)
+
     def test_large_model_needs_no_recursion(self):
         # 2,403 generators: deeper than the interpreter's recursion limit
         c = minus_twist_knot(1201)

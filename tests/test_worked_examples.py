@@ -45,7 +45,7 @@ class TestStaircaseDualConeReduction:
 class TestHatEdgeCases:
     def test_empty_cone_is_empty(self):
         c = staircase()
-        cone = MappingCone(flip(c), 1, 1, [], [])
+        cone = MappingCone(flip(c), 1, 1, range(0), range(0))
         hat, table = cone.hat_complex()
         assert len(hat) == 0 and not table
 
