@@ -17,8 +17,9 @@ d^2 = 0 and gradedness:
 * a graded change of basis  u := u + U^m v  (same Maslov after the shift),
 * removal of an isolated two-generator summand  d(e) = U^c f.
 
-Every pivot is chosen by one loop, `_Reduction.eliminate`, parameterized by
-which entries may serve as pivots.  It gives filtered reduction (c = 0 and
+Every pivot is chosen by one loop, `_Reduction.eliminate`, from one heap of
+candidates fed through `_Reduction._set`'s hook, parameterized by which
+entries may serve as pivots.  It gives filtered reduction (c = 0 and
 equal Alexander gradings), reduction up to unfiltered GF(2)[U]-homotopy
 equivalence (c = 0), reduction over the Laurent ring (any c), Smith normal
 form over GF(2)[U] (in phases, one per U-power c from the least up, each
@@ -235,23 +236,21 @@ class _Reduction:
             for t in row:
                 self.sources.setdefault(t, {})[s] = None
         self.moves: list[tuple[str, str, int]] = []  # the trace, see ReducedForm
-        self.enqueue: Callable[[str, str, int], None] = lambda s, t, k: None  # eliminate's feed
-        self.touched: tuple[set[str], set[str]] = (set(), set())  # rows, columns _set changed
+        # eliminate's hook: each change to src -> tgt, with its new power or None
+        self.changed: Callable[[str, str, int | None], None] = lambda s, t, k: None
 
     # elementary moves ----------------------------------------------------
 
     def _set(self, src: str, tgt: str, power: int) -> None:
         row = self.diff.setdefault(src, {})
         _toggle(row, tgt, power)
-        self.touched[0].add(src)
-        self.touched[1].add(tgt)
         if tgt in row:
             self.sources.setdefault(tgt, {})[src] = None
-            self.enqueue(src, tgt, power)
         else:
             self.sources.get(tgt, {}).pop(src, None)
             if not row:
                 del self.diff[src]
+        self.changed(src, tgt, row.get(tgt))
 
     def basis_change(self, u: str, v: str, m: int) -> None:
         """Replace u by u + U^m v (GF(2), so it is its own inverse)."""
@@ -298,58 +297,60 @@ class _Reduction:
 
         The pivot is the first live entry src -> U^k tgt in generator order
         (source, then target) that accept(src, tgt, k) admits.  Candidates
-        wait in a heap that _set feeds, so accept runs once per inserted
-        entry; with keep it reads the live row and column, so it runs when a
-        candidate is popped, and a rejected one waits, filed under its row
-        and its column, until a pivot's isolate changes one of them.
-        Each pivot e -> U^c f is isolated, then removed, or with keep left in
-        place and skipped from then on.  Pivots are returned as (e, f, c).
+        wait in one heap.  Outside keep mode _set's hook feeds it each
+        inserted entry that accept admits, so accept runs once per entry.
+        With keep, accept reads the live row and column, so it runs when a
+        candidate is popped, a rejected one is dropped, and after each
+        isolate every live entry of each row and column it changed goes
+        back on the heap.  Each pivot e -> U^c f is isolated, then removed,
+        or with keep left in place and skipped from then on.  Pivots are
+        returned as (e, f, c).
         """
         index = self.c.index
         pivots: list[tuple[str, str, int]] = []
         kept: set[str] = set()
         heap: list[tuple] = []
+        rows, cols = set(), set()  # keep mode: what the last isolate changed
 
-        def enqueue(s: str, t: str, k: int) -> None:
-            if keep or accept(s, t, k):
-                heappush(heap, (index[s], index[t], s, t, k))
+        def push(s: str, t: str, k: int) -> None:
+            heappush(heap, (index[s], index[t], s, t, k))
+
+        def changed(s: str, t: str, k: int | None) -> None:
+            if keep:
+                rows.add(s)
+                cols.add(t)
+            elif k is not None and accept(s, t, k):
+                push(s, t, k)
 
         def live(x: tuple) -> bool:  # stale records are dropped when popped
             _, _, s, t, k = x
             return self.diff.get(s, {}).get(t) == k and s not in kept and t not in kept
 
-        # keep mode: each rejected record, filed under its row and its column;
-        # accept reads only those two, so while neither changes it stays rejected
-        waiting: tuple[dict[str, set], dict[str, set]] = ({}, {})
-
         for s, row in self.diff.items():
             for t, k in row.items():
-                enqueue(s, t, k)
-        self.enqueue = enqueue
+                if keep or accept(s, t, k):
+                    push(s, t, k)
+        self.changed = changed
         while True:
             pivot = None
             while heap and pivot is None:
                 x = heappop(heap)
-                if live(x):
-                    if keep and not accept(*x[2:]):
-                        for filed, g in zip(waiting, x[2:4]):
-                            filed.setdefault(g, set()).add(x)
-                    else:
-                        pivot = x[2:]
+                if live(x) and (not keep or accept(*x[2:])):
+                    pivot = x[2:]
             if pivot is None:
                 return pivots
             e, f, _ = pivot
-            for names in self.touched:
-                names.clear()
             self.isolate(e, f)
             if keep:
                 kept.update((e, f))
-                due = {x for filed, names in zip(waiting, self.touched)
-                       for g in names & filed.keys() for x in filed[g]}
-                for x in due:
-                    for filed, g in zip(waiting, x[2:4]):
-                        filed[g].discard(x)
-                    heappush(heap, x)
+                for s in rows:
+                    for t, k in self.diff.get(s, {}).items():
+                        push(s, t, k)
+                for t in cols:
+                    for s in self.sources.get(t, ()):
+                        push(s, t, self.diff[s][t])
+                rows.clear()
+                cols.clear()
             else:
                 self.remove_pair(e, f)
             pivots.append(pivot)
@@ -357,9 +358,7 @@ class _Reduction:
     def finish(self) -> ReducedForm:
         if not self.moves and len(self.gens) == len(self.c):
             return ReducedForm(self.c, [])  # d changes only through basis_change
-        reduced = FilteredComplex(list(self.gens.values()),
-                                  {s: dict(r) for s, r in self.diff.items()})
-        return ReducedForm(reduced, self.moves)
+        return ReducedForm(FilteredComplex(list(self.gens.values()), self.diff), self.moves)
 
 
 REDUCE_MODES = ("filtered", "over_U_units", "full_field")

@@ -25,7 +25,8 @@
   reduction per A-vertex s clamped to [-top - 1, top + 1], which the cone's
   top + 1 reductions, shared and flipped, must agree with;
 * closed forms of the surgery cone: the q = 1 Maslov shift of each vertex,
-  and the total hat rank of p/q surgery on the twist-knot models;
+  and the total hat rank of p/q surgery on the twist-knot models and, by
+  the rational surgery formula, on any model;
 * the reflection search that rescans each candidate list from its head,
   the reference for the pairing `models.flip` finds first.
 """
@@ -465,6 +466,38 @@ def twist_surgery_hat_rank(n: int, p: int, q: int) -> int:
     if p > 0:
         return p + q * (n + 1)
     return -p + 2 * max(0, q + p) + q * (n - 1)
+
+
+def surgery_hat_rank(c: FilteredComplex, p: int, q: int) -> int:
+    """Total hat rank of p/q surgery, p, q > 0, on the knot of model c, by the
+    rational surgery formula (Ozsvath-Szabo, math/0504404): p + 2 max(0,
+    (2 nu - 1) q - p) + q sum_s (dim H(A_s) - 1), s in [-top - 1, top + 1],
+    past which every A_s has dimension 1.  Every dimension is dense, on the
+    hat translates.  nu is the least s whose v_s: A_s -> B, the identity on
+    the translates at i = 0 and 0 on the rest, is nonzero on homology; its
+    mapping cone has dimension dim H(A_s) + dim H(B) - 2 rank v_s."""
+    def dim(x: FilteredComplex) -> int:
+        return sum(dense_homology_by_maslov(x).values())
+
+    def named(x: FilteredComplex, prefix: str, lift: int) -> list[Generator]:
+        return [Generator(prefix + g.name, g.alexander, g.maslov + lift) for g in x.generators]
+
+    top = max((g.alexander for g in c.generators), default=0)
+    b = span_of_translates(c, enumerate_hat_B_elements(c))
+    total, nu = 0, None
+    for s in range(-top - 1, top + 2):
+        translates = enumerate_hat_A_elements(c, s)
+        a = span_of_translates(c, translates)
+        total += dim(a) - 1
+        if nu is None:
+            diff = {x + src: {x + tgt: 0 for tgt in row} for x, part in (("a:", a), ("b:", b))
+                    for src, row in part.differential.items()}
+            for name, k in translates:
+                if k == 0:
+                    diff.setdefault("a:" + name, {})["b:" + name] = 0
+            v_cone = FilteredComplex(named(a, "a:", 1) + named(b, "b:", 0), diff)
+            nu = s if dim(a) + dim(b) > dim(v_cone) else None
+    return p + 2 * max(0, (2 * nu - 1) * q - p) + q * total
 
 
 # -- the reflection search, rescanning ----------------------------------------------

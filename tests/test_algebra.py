@@ -27,7 +27,7 @@ from floercone.algebra import (
 from floercone.cone import MappingCone
 from floercone.dual import build_dual_cone, g_map, split_to_summands
 from floercone.errors import BadParameter, InternalError, NormalFormMismatch
-from floercone.models import box, flip, minus_twist_knot, staircase, unknot
+from floercone.models import box, flip, minus_twist_knot, mirror, staircase, unknot
 
 from oracles import (
     alexander_ranks,
@@ -52,6 +52,7 @@ from random_complexes import (
     random_filtered_complex,
     reference_eliminate,
     reflection_symmetric_complex,
+    scrambled_dual_copies,
 )
 
 
@@ -496,12 +497,28 @@ class TestPivotOrder:
                            "split_to_summands", "cancel_pair"}
         assert torsion and rejected
 
-    def test_dual_cone_split(self, monkeypatch):
-        model = minus_twist_knot(7)
-        cone = build_dual_cone(flip(model), 1).complex
-        filtered = reduce(cone, "filtered").complex
-        for run, oracle in ((lambda: reduce(cone, "filtered"), filtered_accept),
-                            (lambda: split_to_summands(filtered), split_legal)):
+    # keep mode's inputs: dual cones, split after their filtered reduction,
+    # and scrambled copies of the dual normal form, which are already reduced.
+    # Only the -1 framings (and test_random_complexes) see a pivot that a
+    # change to its row alone makes legal
+    SPLIT_INPUTS = {
+        **{f"{name} at {n}": lambda model=model, n=n: build_dual_cone(flip(model()), n).complex
+           for name, model in [("minus-en:7", lambda: minus_twist_knot(7)),
+                               ("mirror minus-en:7", lambda: mirror(minus_twist_knot(7)))]
+           for n in (1, -1)},
+        "minus-en:41 at 1": lambda: build_dual_cone(flip(minus_twist_knot(41)), 1).complex,
+        **{f"scrambled copies {seed}": lambda seed=seed: scrambled_dual_copies(seed)
+           for seed in range(3)},
+    }
+
+    @pytest.mark.parametrize("name", SPLIT_INPUTS)
+    def test_dual_cone_split(self, monkeypatch, name):
+        c = self.SPLIT_INPUTS[name]()
+        filtered = reduce(c, "filtered").complex
+        runs = [(lambda: split_to_summands(filtered), split_legal)]
+        if len(filtered) < len(c):
+            runs.append((lambda: reduce(c, "filtered"), filtered_accept))
+        for run, oracle in runs:
             got = pivot_lists(monkeypatch, ELIMINATE, run)
             assert got == pivot_lists(monkeypatch, reference_under(oracle), run)
             assert got[0]

@@ -48,6 +48,7 @@ from oracles import (
     include_B_by_flattening,
     restrict,
     span_of_translates,
+    surgery_hat_rank,
     twist_surgery_hat_rank,
     two_bridge_alexander,
 )
@@ -676,6 +677,34 @@ class TestTwistFamilyClosedForm:
                                        (961, 61, 3), (961, -61, 3)])
     def test_large_cases(self, n, p, q):
         self.assert_closed_form(n, p, q)
+
+
+class TestSurgeryFormula:
+    """The hat ranks of p/q surgery, summed over every sector, against the
+    rational surgery formula with each dim H(A_s) and nu read densely
+    (oracles.surgery_hat_rank); p < 0 is -p/q surgery on the mirror."""
+
+    MODELS = {
+        "twist5": lambda: minus_twist_knot(5),
+        "twist9": lambda: minus_twist_knot(9),
+        "mirror_twist5": lambda: mirror(minus_twist_knot(5)),
+        "staircase": staircase,
+        "mirror_staircase": lambda: mirror(staircase()),
+        "torus_2_5": lambda: torus_staircase(2),
+        "mirror_torus_2_11": lambda: mirror(torus_staircase(5)),
+    }
+    COEFFICIENTS = [(1, 1), (2, 1), (5, 1), (23, 1), (1, 2), (3, 2), (2, 3), (1, 7), (9, 4),
+                    (-1, 1), (-3, 1), (-1, 2), (-2, 5), (-7, 3)]
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_sum_of_sector_ranks(self, name):
+        c = self.MODELS[name]()
+        f = flip(c)
+        for p, q in self.COEFFICIENTS:
+            cone = MappingCone.build(f, p, q)
+            total = sum(cone.sector_homology(i).total_rank for i in cone.sectors)
+            want = surgery_hat_rank(c, p, q) if p > 0 else surgery_hat_rank(mirror(c), -p, q)
+            assert total == want, (p, q)
 
 
 class TestHatVertexHomology:

@@ -170,6 +170,32 @@ class TestMirror:
         assert {(-a, -m): r for (a, m), r in ranks.ranks.items()} == dict(reflected.ranks)
 
 
+class TestKnotHomologyUnderRenaming:
+    """Renaming and reordering a model's generators leaves what
+    `knot-homology` prints, hat_knot_homology and its Euler characteristic,
+    as it was.  The command reads no JSON, so this runs in process."""
+
+    @staticmethod
+    def renamed_and_shuffled(c: FilteredComplex, rng: random.Random) -> FilteredComplex:
+        names = [f"g{k}" for k in range(len(c))]
+        rng.shuffle(names)
+        rename = dict(zip(c.by_name, names))
+        gens = [Generator(rename[g.name], g.alexander, g.maslov) for g in c.generators]
+        rng.shuffle(gens)
+        return FilteredComplex(gens, {rename[src]: {rename[tgt]: k for tgt, k in row.items()}
+                                      for src, row in c.differential.items()})
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("n", [9, 41, 241])
+    def test_ranks_and_polynomial_unchanged(self, n, mirrored):
+        c = mirror(minus_twist_knot(n)) if mirrored else minus_twist_knot(n)
+        renamed = self.renamed_and_shuffled(c, random.Random(default_seed() + n))
+        assert [g.name for g in renamed.generators] != [f"g{k}" for k in range(len(c))]
+        want, got = hat_knot_homology(c), hat_knot_homology(renamed)
+        assert got == want
+        assert euler_characteristic(got) == euler_characteristic(want)
+
+
 class TestFlip:
     def test_staircase_flip_exchanges_ends(self):
         f = flip(staircase())
